@@ -290,26 +290,35 @@ def matrix_fingerprint(m: FeatureMatrix) -> str:
 
 def _train_cached(
     cache: StageCache,
-    width: int,
-    height: int,
-    data: FeatureMatrix,
+    maps: list[tuple[tuple[int, int], FeatureMatrix, int]],
     schedule: som_mod.TrainSchedule,
-    seed: int,
     grid_metric: str,
-) -> som_mod.SomGrid:
-    """Train (or fetch) a map; always returns checkpoint-encoded weights."""
-    key = _digest(
-        "som", width, height, matrix_fingerprint(data), schedule, seed, grid_metric
+) -> list[som_mod.SomGrid]:
+    """Train (or fetch) one map per ((width, height), data, seed) entry.
+
+    The cache misses are trained by a single ``train_many`` call; every map
+    comes back checkpoint-encoded.
+    """
+    keys = [
+        _digest("som", width, height, matrix_fingerprint(data), schedule, seed, grid_metric)
+        for (width, height), data, seed in maps
+    ]
+    blobs = [cache.get(key) for key in keys]
+    missing = [i for i, blob in enumerate(blobs) if blob is None]
+    fresh = [maps[i] for i in missing]
+    trained = som_mod.train_many(
+        [som_mod.make_som(*size, data.n_features, seed) for size, data, seed in fresh],
+        [data.values for _, data, _ in fresh],
+        schedule,
+        [seed for _, _, seed in fresh],
+        grid_metric,
     )
-    blob = cache.get(key)
-    if blob is None:
-        grid = som_mod.make_som(width, height, data.n_features, seed)
-        grid = som_mod.train(grid, data.values, schedule, seed, grid_metric)
+    for i, grid in zip(missing, trained):
         buf = io.BytesIO()
         som_mod.save_som(grid, buf)
-        blob = buf.getvalue()
-        cache.put(key, blob)
-    return som_mod.load_som(io.BytesIO(blob))
+        blobs[i] = buf.getvalue()
+        cache.put(keys[i], blobs[i])
+    return [som_mod.load_som(io.BytesIO(blob)) for blob in blobs]
 
 
 def _associate_cached(
@@ -444,14 +453,11 @@ def build_stages(
     cache = cache or StageCache.from_env()
     train_pairs, test_pairs = load_dataset(spec, seed)
     n_classes = train_pairs.x.n_classes
-    schedule = spec.schedule()
-    som_x = _train_cached(
-        cache, *spec.grid_x, train_pairs.x, schedule,
-        seed * 1000 + SEED_TRAIN_X, spec.grid_metric,
-    )
-    som_y = _train_cached(
-        cache, *spec.grid_y, train_pairs.y, schedule,
-        seed * 1000 + SEED_TRAIN_Y, spec.grid_metric,
+    som_x, som_y = _train_cached(
+        cache,
+        [(spec.grid_x, train_pairs.x, seed * 1000 + SEED_TRAIN_X),
+         (spec.grid_y, train_pairs.y, seed * 1000 + SEED_TRAIN_Y)],
+        spec.schedule(), spec.grid_metric,
     )
     subset_x = labeling.select_label_subset(
         train_pairs.x, spec.label_fraction_x, seed * 1000 + SEED_SUBSET_X
@@ -630,10 +636,10 @@ def alpha_sweep(
         mat = train_pairs.x if modality == "x" else train_pairs.y
         test = test_pairs.x if modality == "x" else test_pairs.y
         grid = spec.grid_x if modality == "x" else spec.grid_y
-        grid_som = _train_cached(
-            cache, *grid, mat, spec.schedule(),
-            seed * 1000 + (SEED_TRAIN_X if modality == "x" else SEED_TRAIN_Y),
-            spec.grid_metric,
+        (grid_som,) = _train_cached(
+            cache,
+            [(grid, mat, seed * 1000 + (SEED_TRAIN_X if modality == "x" else SEED_TRAIN_Y))],
+            spec.schedule(), spec.grid_metric,
         )
         fraction = spec.label_fraction_x if modality == "x" else spec.label_fraction_y
         subset = labeling.select_label_subset(

@@ -9,7 +9,16 @@ distance to the global best cell, which is what local training uses as the
 neighborhood distance: no second wave is needed.
 
 All step functions are double-buffered (new state built purely from the
-previous snapshot), so results cannot depend on cell iteration order.
+previous snapshot), so results cannot depend on cell iteration order.  A
+wave step merges each cell's own record with its four neighbours' in one
+stacked max/min-origin operation; ``winner_wave_cellwise`` is the explicit
+per-cell reference it must match in every field.
+
+Cellular training is written row-wise: row n of each array is cell n's own
+weights, activity, wave output and update, and nothing crosses rows.  It is
+bit-identical to ``som.train`` under the Manhattan metric because the
+row-wise square sums match per-row sums and every other operation is
+elementwise.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .som import SomGrid, TrainSchedule, decay
+from .som import SomGrid, TrainSchedule, decay, validate_training_data
 
 CARDINAL_OFFSETS = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
@@ -68,65 +77,87 @@ class WaveResult:
         return float(self.worst_values.flat[0])
 
 
-def _shifted(arr: np.ndarray, dr: int, dc: int, fill) -> np.ndarray:
-    """View of each cell's (dr, dc) neighbor, out-of-grid cells filled."""
-    out = np.full_like(arr, fill)
-    rows, cols = arr.shape
-    rs = slice(max(dr, 0), rows + min(dr, 0))
-    rd = slice(max(-dr, 0), rows + min(-dr, 0))
-    cs = slice(max(dc, 0), cols + min(dc, 0))
-    cd = slice(max(-dc, 0), cols + min(-dc, 0))
-    out[rd, cd] = arr[rs, cs]
-    return out
+def _wave_init(activities: np.ndarray) -> dict:
+    """Step-0 state: every cell's best and worst record is its own activity.
 
-
-def _wave_init(activities: np.ndarray):
+    ``values`` and ``origins`` are (2, rows, cols): channel 0 holds the best
+    record, channel 1 the worst.  ``steps`` is the step at which each cell
+    last adopted a new best record.
+    """
     a = np.ascontiguousarray(activities, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError("activities must form a rectangular grid")
+    if not np.isfinite(a).all():
+        raise ValueError("activities contain non-finite values")
     rows, cols = a.shape
-    origins = (np.arange(rows)[:, None] * cols + np.arange(cols)[None, :]).astype(np.int64)
-    zero = np.zeros((rows, cols), dtype=np.int64)
+    origins = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
     return {
-        "best_values": a.copy(), "best_origins": origins.copy(), "best_steps": zero.copy(),
-        "worst_values": a.copy(), "worst_origins": origins.copy(), "worst_steps": zero.copy(),
+        "values": np.stack([a, a]),
+        "origins": np.stack([origins, origins]),
+        "steps": np.zeros((rows, cols), dtype=np.int64),
     }
 
 
+_NO_ORIGIN = np.iinfo(np.int64).max
+# Off-grid fill per channel: never better than a finite activity.
+_NO_VALUE = np.array([-np.inf, np.inf])[:, None, None]
+
+
+def _with_neighbours(arr: np.ndarray, fill) -> np.ndarray:
+    """(5, 2, rows, cols): each cell's own entry, then its up, down, left and
+    right neighbours' entries, ``fill`` where the neighbour is off the grid."""
+    out = np.empty((5,) + arr.shape, dtype=arr.dtype)
+    out[1:] = fill
+    out[0] = arr
+    out[1, :, 1:, :] = arr[:, :-1, :]
+    out[2, :, :-1, :] = arr[:, 1:, :]
+    out[3, :, :, 1:] = arr[:, :, :-1]
+    out[4, :, :, :-1] = arr[:, :, 1:]
+    return out
+
+
 def _wave_step(state: dict, step: int) -> dict:
-    """One synchronous step from the previous snapshot (pure)."""
-    nxt = {k: v.copy() for k, v in state.items()}
-    big = np.iinfo(np.int64).max
-    for sign, vkey, okey, skey, fill in (
-        (+1, "best_values", "best_origins", "best_steps", -np.inf),
-        (-1, "worst_values", "worst_origins", "worst_steps", np.inf),
-    ):
-        v, o = nxt[vkey], nxt[okey]
-        for dr, dc in CARDINAL_OFFSETS:
-            nv = _shifted(state[vkey], dr, dc, fill)
-            no = _shifted(state[okey], dr, dc, big)
-            better = (sign * nv > sign * v) | ((nv == v) & (no < o))
-            v = np.where(better, nv, v)
-            o = np.where(better, no, o)
-        changed = (v != state[vkey]) | (o != state[okey])
-        nxt[vkey], nxt[okey] = v, o
-        nxt[skey] = np.where(changed, step, state[skey])
-    return nxt
+    """One synchronous step from the previous snapshot (pure).
+
+    Every cell adopts, per channel, the record among its own and its four
+    neighbours' with the extreme value (max for best, min for worst), the
+    lowest origin among equal values.  A record's value and origin are taken
+    together from the winning candidate, so for finite activities this is
+    the sequential pairwise merge of ``merge_summaries``.
+    """
+    values, origins = state["values"], state["origins"]
+    cand_v = _with_neighbours(values, _NO_VALUE)
+    cand_o = _with_neighbours(origins, _NO_ORIGIN)
+    extreme = np.stack([cand_v[:, 0].max(axis=0), cand_v[:, 1].min(axis=0)])
+    # Candidates without the extreme value drop out of the origin contest;
+    # the winner holds that value, so its origin is read back unmasked.
+    np.putmask(cand_o, cand_v != extreme, _NO_ORIGIN)
+    # Flat index of each (channel, cell)'s winning record in the candidate stack.
+    pick = cand_o.argmin(axis=0) * values.size
+    pick += np.arange(values.size).reshape(values.shape)
+    new_v, new_o = cand_v.take(pick), cand_o.take(pick)
+    changed = (new_v[0] != values[0]) | (new_o[0] != origins[0])
+    return {
+        "values": new_v,
+        "origins": new_o,
+        "steps": np.where(changed, step, state["steps"]),
+    }
 
 
 def winner_wave(activities: np.ndarray) -> WaveResult:
     """Run the full wave; distance_to_bmu is each cell's last-improvement step."""
     state = _wave_init(activities)
-    rows, cols = state["best_values"].shape
+    _, rows, cols = state["values"].shape
     t_p = propagation_steps(rows, cols)
     for step in range(1, t_p + 1):
         state = _wave_step(state, step)
+    values, origins = state["values"], state["origins"]
     return WaveResult(
-        best_values=state["best_values"],
-        best_origins=state["best_origins"],
-        worst_values=state["worst_values"],
-        worst_origins=state["worst_origins"],
-        distance_to_bmu=state["best_steps"],
+        best_values=values[0],
+        best_origins=origins[0],
+        worst_values=values[1],
+        worst_origins=origins[1],
+        distance_to_bmu=state["steps"],
         steps=t_p,
     )
 
@@ -134,20 +165,21 @@ def winner_wave(activities: np.ndarray) -> WaveResult:
 def wave_trace(activities: np.ndarray) -> list[dict]:
     """Per-step, per-cell state rows (for CSV debugging dumps)."""
     state = _wave_init(activities)
-    rows, cols = state["best_values"].shape
+    _, rows, cols = state["values"].shape
     t_p = propagation_steps(rows, cols)
     out = []
 
     def snapshot(step):
+        values, origins, steps = state["values"], state["origins"], state["steps"]
         for r in range(rows):
             for c in range(cols):
                 out.append({
                     "step": step, "row": r, "col": c,
-                    "best_value": state["best_values"][r, c],
-                    "best_origin": state["best_origins"][r, c],
-                    "worst_value": state["worst_values"][r, c],
-                    "worst_origin": state["worst_origins"][r, c],
-                    "adopt_step": state["best_steps"][r, c],
+                    "best_value": values[0, r, c],
+                    "best_origin": origins[0, r, c],
+                    "worst_value": values[1, r, c],
+                    "worst_origin": origins[1, r, c],
+                    "adopt_step": steps[r, c],
                 })
 
     snapshot(0)
@@ -230,7 +262,9 @@ def ig_train_epoch(
 
     Per sample each cell computes its own activity, the winner wave delivers
     the BMU and the cell's Manhattan distance to it, then the cell updates its
-    own weights locally; that is t_p + 1 simulator steps per sample.
+    own weights locally; that is t_p + 1 simulator steps per sample.  Row n
+    of every array below is cell n's: its weights, its activity, its wave
+    output and its update, with no value crossing rows.
     """
     W = som.weights.copy()
     width, height = som.width, som.height
@@ -238,15 +272,11 @@ def ig_train_epoch(
     t_p = propagation_steps(height, width)
     steps = 0
     for v in np.ascontiguousarray(samples, dtype=np.float64):
-        acts = np.empty((height, width))
-        for n in range(W.shape[0]):
-            diff = v - W[n]
-            acts[n // width, n % width] = np.exp(-np.sqrt(np.sum(diff * diff)))
-        wave = winner_wave(acts)
-        for n in range(W.shape[0]):
-            d = wave.distance_to_bmu[n // width, n % width]
-            h = np.exp(-(d * d) / denom)
-            W[n] += (lr * h) * (v - W[n])
+        diff = v - W
+        acts = np.exp(-np.sqrt(np.sum(diff * diff, axis=1)))
+        d = winner_wave(acts.reshape(height, width)).distance_to_bmu.ravel()
+        h = np.exp(-(d * d) / denom)
+        W += (lr * h)[:, None] * diff
         steps += t_p + 1
     return replace(som, weights=W, labels=None), steps
 
@@ -257,9 +287,7 @@ def ig_train(som: SomGrid, data: np.ndarray, schedule: TrainSchedule, seed: int)
     Uses the same seeded shuffling and per-epoch decay, so the final weights
     are bit-identical to train(..., grid_metric="manhattan").
     """
-    X = np.ascontiguousarray(data, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != som.dim:
-        raise ValueError(f"data shape {X.shape} does not match som dim {som.dim}")
+    X = validate_training_data(som, data)
     rng = np.random.default_rng(seed)
     out = som
     for t in range(schedule.epochs):

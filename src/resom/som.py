@@ -9,6 +9,15 @@ same shape on purpose.
 Winner election during training runs on raw input distances (argmin); because
 exp(-d/width) is strictly decreasing this elects the same neuron as the
 activity argmax, a property the test suite pins down.
+
+Training has one loop, ``train_many``; ``train`` is its one-map case.  Maps
+stack into one (M, k, d) per-sample loop only when (width, height, dim,
+n_samples) match, and each keeps its own seeded permutation.  Stacking must
+not change a single bit: every map's result equals training it alone, which
+holds because each row-wise sum over a contiguous d-row of the stack matches
+the per-row sum of a lone (k, d) map, and every other operation is
+elementwise.  tests/test_training_oracle.py checks this against the original
+one-map loop.
 """
 
 from __future__ import annotations
@@ -74,11 +83,6 @@ class SomGrid:
     @property
     def dim(self) -> int:
         return self.weights.shape[1]
-
-    def positions(self) -> np.ndarray:
-        """(k, 2) array of (row, col) grid coordinates, row-major."""
-        idx = np.arange(self.n_neurons)
-        return np.column_stack([idx // self.width, idx % self.width])
 
     def copy(self) -> "SomGrid":
         labels = None if self.labels is None else self.labels.copy()
@@ -192,6 +196,76 @@ def grid_squared_distances(width: int, height: int, grid_metric: str) -> np.ndar
     return dr * dr + dc * dc
 
 
+def validate_training_data(som: SomGrid, data: np.ndarray) -> np.ndarray:
+    """``data`` as a contiguous float64 matrix fit to train ``som``."""
+    X = np.ascontiguousarray(data, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != som.dim:
+        raise ValueError(f"data shape {X.shape} does not match som dim {som.dim}")
+    if X.shape[0] == 0:
+        raise ValueError("empty dataset")
+    if not np.isfinite(X).all():
+        raise ValueError("training data contains non-finite values")
+    return X
+
+
+def train_many(
+    soms: list[SomGrid],
+    datas: list[np.ndarray],
+    schedule: TrainSchedule,
+    seeds: list[int],
+    grid_metric: str = "euclidean",
+) -> list[SomGrid]:
+    """Train each ``soms[i]`` on ``datas[i]`` with its own ``seeds[i]``.
+
+    Maps whose (width, height, dim, n_samples) agree run in one stacked
+    per-sample loop; each keeps its own seeded permutation, so every result
+    is bit-identical to training that map alone.
+    """
+    if not len(soms) == len(datas) == len(seeds):
+        raise ValueError("need one dataset and one seed per map")
+    datas = [validate_training_data(som, data) for som, data in zip(soms, datas)]
+    groups: dict[tuple[int, int, int, int], list[int]] = {}
+    for i, (som, X) in enumerate(zip(soms, datas)):
+        groups.setdefault((som.width, som.height, som.dim, X.shape[0]), []).append(i)
+    out: list[SomGrid] = [None] * len(soms)
+    for (width, height, _, _), members in groups.items():
+        W = np.stack([soms[i].weights for i in members])
+        _train_stack(
+            W, [datas[i] for i in members], [seeds[i] for i in members],
+            width, height, schedule, grid_metric,
+        )
+        for row, i in enumerate(members):
+            out[i] = replace(soms[i], weights=W[row], labels=None)
+    return out
+
+
+def _train_stack(W, datas, seeds, width, height, schedule, grid_metric) -> None:
+    """Online training of the (M, k, d) weight stack ``W`` in place: per
+    sample, every neuron of map m moves toward map m's input by
+    lr(t) * h_sigma(t)(n, winner of map m)."""
+    n = datas[0].shape[0]
+    dsq = grid_squared_distances(width, height, grid_metric)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    diff = np.empty_like(W)
+    sq = np.empty_like(W)
+    dist = np.empty(W.shape[:2])
+    for t in range(schedule.epochs):
+        lr = decay(t, schedule.epochs, schedule.lr_start, schedule.lr_end)
+        sigma = decay(t, schedule.epochs, schedule.sigma_start, schedule.sigma_end)
+        denom = 2.0 * sigma * sigma
+        # dsq is symmetric, so row s is the winner's column: (k, k, 1).
+        table = (lr * np.exp(-dsq / denom))[:, :, None]
+        # Sample i of every map, stacked: (n, M, 1, d).
+        inputs = np.stack([X[rng.permutation(n)] for X, rng in zip(datas, rngs)], axis=1)
+        for v in inputs[:, :, None, :]:
+            np.subtract(v, W, out=diff)
+            np.multiply(diff, diff, out=sq)
+            np.add.reduce(sq, axis=2, out=dist)
+            np.sqrt(dist, out=dist)
+            np.multiply(table[dist.argmin(axis=1)], diff, out=diff)
+            W += diff
+
+
 def train(
     som: SomGrid,
     data: np.ndarray,
@@ -204,28 +278,10 @@ def train(
 
     Sample order is reshuffled every epoch from ``seed``; lr and sigma decay
     once per epoch, so epoch t runs with decay(t, ...) throughout.  The result
-    is bit-reproducible for a fixed (seed, data, schedule, metric).
+    is bit-reproducible for a fixed (seed, data, schedule, metric).  This is
+    the one-map case of ``train_many``.
     """
-    X = np.ascontiguousarray(data, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != som.dim:
-        raise ValueError(f"data shape {X.shape} does not match som dim {som.dim}")
-    if X.shape[0] == 0:
-        raise ValueError("empty dataset")
-    W = som.weights.copy()
-    dsq = grid_squared_distances(som.width, som.height, grid_metric)
-    rng = np.random.default_rng(seed)
-    for t in range(schedule.epochs):
-        lr = decay(t, schedule.epochs, schedule.lr_start, schedule.lr_end)
-        sigma = decay(t, schedule.epochs, schedule.sigma_start, schedule.sigma_end)
-        denom = 2.0 * sigma * sigma
-        for i in rng.permutation(X.shape[0]):
-            v = X[i]
-            diff = v - W
-            dist = np.sqrt(np.sum(diff * diff, axis=1))
-            s = int(np.argmin(dist))
-            h = np.exp(-dsq[:, s] / denom)
-            W += (lr * h)[:, None] * diff
-    return replace(som, weights=W, labels=None)
+    return train_many([som], [data], schedule, [seed], grid_metric)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from resom.experiments import (
     ExperimentSpec,
     SpecError,
     StageCache,
+    alpha_sweep,
     format_spec,
     load_dataset,
     parse_spec,
@@ -137,6 +138,17 @@ class TestPipeline:
         warm = time.perf_counter() - t0
         assert second.content_hash() == first.content_hash()
         assert warm < cold / 2
+
+    def test_partly_cached_seed_matches_uncached(self, tmp_path):
+        # alpha_sweep caches map x only; the pipeline then fetches x and
+        # trains y alone, and must give the uncached result.
+        spec = ExperimentSpec(**TINY)
+        cache = StageCache(str(tmp_path))
+        alpha_sweep(spec, alphas=(1.0,), modality="x", cache=cache)
+        assert len(list(tmp_path.glob("*.bin"))) == 1
+        partly = run_pipeline(spec, cache)
+        assert len(list(tmp_path.glob("*.bin"))) == 3  # + map y + synapses
+        assert partly.content_hash() == run_pipeline(spec, StageCache(None)).content_hash()
 
     def test_diverge_label_mode(self):
         spec = ExperimentSpec(**{**TINY, "label_mode_y": "diverge", "label_fraction_y": 0.0})

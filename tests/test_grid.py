@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from resom.grid import (
     CellSummary,
@@ -87,8 +90,37 @@ class TestWinnerWave:
         with pytest.raises(ValueError, match="rectangular"):
             winner_wave(np.zeros(5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_activities(self, bad):
+        a = np.random.default_rng(10).random((3, 4))
+        a[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            winner_wave(a)
+
+
+# Few distinct values (signed zeros included) make value ties common.
+tie_heavy_grids = st.tuples(st.integers(1, 6), st.integers(1, 7)).flatmap(
+    lambda shape: hnp.arrays(
+        np.float64, shape, elements=st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0])
+    )
+)
+
 
 class TestCellwiseReference:
+    @settings(max_examples=200, deadline=None)
+    @given(tie_heavy_grids)
+    @example(np.array([[0.5, 1.0, 1.0, 0.0, -0.0, 0.0, 0.5]]))
+    @example(np.array([[0.0], [0.5], [0.5], [-0.0], [1.0], [0.0]]))
+    def test_all_fields_match_on_tie_heavy_grids(self, a):
+        fast, slow = winner_wave(a), winner_wave_cellwise(a)
+        assert fast.steps == slow.steps
+        for field in ("best_values", "best_origins", "worst_values",
+                      "worst_origins", "distance_to_bmu"):
+            got, want = getattr(fast, field), getattr(slow, field)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want), field
+            assert np.array_equal(np.signbit(got), np.signbit(want)), field
+
     def test_matches_vectorized(self):
         rng = np.random.default_rng(2)
         for shape in ((1, 1), (2, 5), (4, 4), (5, 3)):
@@ -134,10 +166,10 @@ class TestLocality:
             state_b = _wave_step(state_b, step)
             untouched = hop > step
             assert np.array_equal(
-                state_a["best_values"][untouched], state_b["best_values"][untouched]
+                state_a["values"][0][untouched], state_b["values"][0][untouched]
             )
             assert np.array_equal(
-                state_a["best_origins"][untouched], state_b["best_origins"][untouched]
+                state_a["origins"][0][untouched], state_b["origins"][0][untouched]
             )
 
 
@@ -196,6 +228,18 @@ class TestCellularTraining:
         som = make_som(2, 2, 3, seed=0)
         with pytest.raises(ValueError, match="dim"):
             ig_train(som, np.zeros((4, 5)), TrainSchedule(1), seed=0)
+
+    def test_rejects_empty_dataset(self):
+        som = make_som(2, 2, 3, seed=0)
+        with pytest.raises(ValueError, match="empty"):
+            ig_train(som, np.empty((0, 3)), TrainSchedule(1), seed=0)
+
+    def test_rejects_non_finite_data(self):
+        som = make_som(2, 2, 3, seed=0)
+        X = np.random.default_rng(11).random((4, 3))
+        X[2, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            ig_train(som, X, TrainSchedule(1), seed=0)
 
 
 class TestCostReport:

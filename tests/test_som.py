@@ -20,6 +20,7 @@ from resom.som import (
     roundtrip_som,
     save_som,
     train,
+    train_many,
 )
 
 
@@ -197,6 +198,16 @@ class TestTrain:
             train(s, np.empty((0, 3)), self.schedule, seed=0)
         with pytest.raises(ValueError, match="dim"):
             train(s, np.zeros((5, 4)), self.schedule, seed=0)
+        with pytest.raises(ValueError, match="one seed per map"):
+            train_many([s, s], [np.zeros((5, 3))] * 2, self.schedule, [0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_data(self, bad):
+        s = make_som(2, 2, 3, seed=0)
+        X = np.random.default_rng(12).random((5, 3))
+        X[3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            train_many([s, s], [X[:4], X], self.schedule, [0, 1])
 
 
 class TestCheckpoint:
