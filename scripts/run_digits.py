@@ -22,53 +22,19 @@ import numpy as np
 from resom import experiments as exp
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--data-dir", default="data")
     ap.add_argument("--seeds", type=int, default=10)
     ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--out", default="results/digits_record.csv")
-    args = ap.parse_args()
-    data = Path(args.data_dir)
+    args = ap.parse_args(argv)
 
-    needed = [
-        data / "mnist" / "train-images-idx3-ubyte",
-        data / "mnist" / "train-labels-idx1-ubyte",
-        data / "mnist" / "t10k-images-idx3-ubyte",
-        data / "mnist" / "t10k-labels-idx1-ubyte",
-        data / "digits" / "smnist_train.rsm1",
-        data / "digits" / "smnist_test.rsm1",
-    ]
-    missing = [str(p) for p in needed if not p.exists()]
+    spec = exp.digits_spec(args.data_dir, tuple(range(args.seeds)))
+    missing = exp.missing_files(spec)
     if missing:
         print("missing data files:\n  " + "\n  ".join(missing), file=sys.stderr)
         return 3
-
-    spec = exp.ExperimentSpec(
-        dataset="files",
-        normalize_y="zscore-minmax",  # MFCC features; image pixels stay at /255
-        x_train=str(needed[0]),
-        x_train_labels=str(needed[1]),
-        x_test=str(needed[2]),
-        x_test_labels=str(needed[3]),
-        y_train=str(needed[4]),
-        y_test=str(needed[5]),
-        grid_x=(10, 10),
-        grid_y=(16, 16),
-        epochs=10,
-        label_fraction_x=0.01,
-        label_fraction_y=0.1,
-        alpha_x=1.0,
-        alpha_y=0.1,
-        rule="hebb",
-        keep_fraction=0.1,
-        update="max",
-        activities="norm",
-        neurons="bmu",
-        beta_x=10.0,
-        beta_y=10.0,
-        seeds=tuple(range(args.seeds)),
-    )
     record = exp.run_pipeline(spec, jobs=args.jobs)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     exp.write_record_csv(record, args.out)

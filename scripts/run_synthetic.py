@@ -6,55 +6,35 @@ Usage: python scripts/run_synthetic.py [--seeds N] [--out-dir results]
 """
 
 import argparse
-import itertools
 from pathlib import Path
 
 import numpy as np
 
-from resom import association as assoc
 from resom import experiments as exp
-from resom import inference, labeling
+from resom import inference
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--seeds", type=int, default=10)
     ap.add_argument("--out-dir", default="results")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     spec = exp.ExperimentSpec(seeds=tuple(range(args.seeds)))
     print(f"building {args.seeds} seeds of the default synthetic pipeline ...")
     per_seed = [exp.build_stages(spec, s) for s in spec.seeds]
-
-    uni_rows = []
-    prepared = []
-    for st in per_seed:
-        som_y = labeling.label_som(st.som_y, st.subset_y, spec.alpha_y)
-        ux = inference.evaluate_unimodal(st.som_x, st.test_pairs.x, st.n_classes).accuracy
-        uy = inference.evaluate_unimodal(som_y, st.test_pairs.y, st.n_classes).accuracy
-        uni_rows.append({"uni_x": ux, "uni_y": uy})
-        prepared.append((
-            st, som_y,
-            assoc.prune(st.syn_xy, spec.keep_fraction),
-            assoc.prune(st.syn_yx, spec.keep_fraction),
-        ))
-    ux = np.mean([r["uni_x"] for r in uni_rows])
-    uy = np.mean([r["uni_y"] for r in uni_rows])
+    uni = [exp.unimodal_accuracies(st) for st in per_seed]
+    ux = np.mean([x for x, _ in uni])
+    uy = np.mean([y for _, y in uni])
     print(f"unimodal: x {100 * ux:.2f}%  y {100 * uy:.2f}%")
 
+    configs = inference.ALL_VARIANTS
+    evals = [exp.evaluate_seed(spec, st, spec.keep_fraction, configs) for st in per_seed]
     variant_rows = []
-    for update, act, neurons in itertools.product(
-        ("max", "sum"), ("raw", "norm"), ("all", "bmu")
-    ):
-        cfg = inference.ConvergenceConfig(update, act, neurons, 1.0, 1.0)
-        accs = [
-            inference.evaluate_convergence(
-                st.som_x, som_y, sxy, syx, st.test_pairs, cfg, st.n_classes
-            ).accuracy
-            for st, som_y, sxy, syx in prepared
-        ]
+    for i, cfg in enumerate(configs):
+        accs = [ev.convergence[i].accuracy for ev in evals]
         variant_rows.append({
             "variant": cfg.name(),
             "accuracy_mean": float(np.mean(accs)),
@@ -68,7 +48,9 @@ def main():
     exp.write_rows_csv(variant_rows, out / "convergence_variants.csv")
 
     print("pruning sweep (divergence and convergence paths) ...")
-    sweep = exp.prune_sweep(spec, fractions=(0.02, 0.05, 0.1, 0.25, 0.5, 1.0))
+    sweep = exp.prune_sweep(
+        spec, fractions=(0.02, 0.05, 0.1, 0.25, 0.5, 1.0), per_seed=per_seed
+    )
     exp.write_rows_csv(sweep, out / "prune_sweep.csv")
     for row in sweep:
         print(

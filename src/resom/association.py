@@ -17,10 +17,12 @@ from math import ceil
 
 import numpy as np
 
-from .data import PairedDataset
+from .data import DataFormatError, PairedDataset, _read_exact
 from .som import SomGrid, bmu_stream
 
 RLAT_MAGIC = b"RLAT"
+RLAT_MAX_NEURONS = 1 << 16  # neuron indices are stored as u16
+_RLAT_TRIPLE = np.dtype([("s", "<u2"), ("d", "<u2"), ("w", "<f4")])
 RULES = ("hebb", "oja")
 
 
@@ -57,16 +59,9 @@ class LateralSynapses:
     def n_synapses(self) -> int:
         return int(self.exists.sum())
 
-    def counts_per_source(self) -> np.ndarray:
-        return self.exists.sum(axis=1)
-
     def targets_of(self, src: int) -> tuple[np.ndarray, np.ndarray]:
         idx = np.flatnonzero(self.exists[src])
         return idx, self.weights[src, idx]
-
-    def connected_sources(self) -> np.ndarray:
-        """Mask of target neurons reachable through at least one synapse."""
-        return self.exists.any(axis=0)
 
     def copy(self) -> "LateralSynapses":
         return LateralSynapses(
@@ -169,14 +164,17 @@ def save_synapses(syn: LateralSynapses, path_or_file, direction: str = "XY") -> 
     tag = direction.encode("ascii")
     if len(tag) != 2:
         raise ValueError("direction tag must be two characters")
+    if max(syn.n_source, syn.n_target) > RLAT_MAX_NEURONS:
+        raise ValueError(
+            f"RLAT holds at most {RLAT_MAX_NEURONS} neurons per map, "
+            f"got {syn.n_source} x {syn.n_target}"
+        )
     src, dst = np.nonzero(syn.exists)
     f = path_or_file if hasattr(path_or_file, "write") else open(path_or_file, "wb")
     try:
         f.write(RLAT_MAGIC + tag)
         f.write(struct.pack("<III", syn.n_source, syn.n_target, src.size))
-        triples = np.empty(
-            src.size, dtype=np.dtype([("s", "<u2"), ("d", "<u2"), ("w", "<f4")])
-        )
+        triples = np.empty(src.size, dtype=_RLAT_TRIPLE)
         triples["s"], triples["d"] = src, dst
         triples["w"] = syn.weights[src, dst]
         f.write(triples.tobytes())
@@ -188,18 +186,20 @@ def save_synapses(syn: LateralSynapses, path_or_file, direction: str = "XY") -> 
 def load_synapses(path_or_file) -> tuple[LateralSynapses, str]:
     f = path_or_file if hasattr(path_or_file, "read") else open(path_or_file, "rb")
     try:
-        magic = f.read(4)
+        magic = _read_exact(f, 4)
         if magic != RLAT_MAGIC:
-            raise ValueError(f"bad synapse file magic {magic!r}")
-        direction = f.read(2).decode("ascii")
-        n_source, n_target, count = struct.unpack("<III", f.read(12))
-        triples = np.frombuffer(
-            f.read(count * 8), dtype=np.dtype([("s", "<u2"), ("d", "<u2"), ("w", "<f4")])
-        )
+            raise DataFormatError(f"bad synapse file magic {magic!r}")
+        direction = _read_exact(f, 2)
+        if not direction.isascii():
+            raise DataFormatError(f"bad synapse direction tag {direction!r}")
+        n_source, n_target, count = struct.unpack("<III", _read_exact(f, 12))
+        triples = np.frombuffer(_read_exact(f, count * 8), dtype=_RLAT_TRIPLE)
+        if count and (triples["s"].max() >= n_source or triples["d"].max() >= n_target):
+            raise DataFormatError(f"synapse index out of range for {n_source} x {n_target}")
         syn = LateralSynapses.empty(n_source, n_target)
         syn.exists[triples["s"], triples["d"]] = True
         syn.weights[triples["s"], triples["d"]] = triples["w"].astype(np.float64)
-        return syn, direction
+        return syn, direction.decode("ascii")
     finally:
         if f is not path_or_file:
             f.close()

@@ -28,27 +28,19 @@ class VerificationError(RuntimeError):
     pass
 
 
-def _parse_grid_arg(text: str) -> tuple[int, int]:
-    return exp._parse_grid(text)
-
-
-def _load(path, labels=None):
-    return load_features(path, labels)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    data = _load(args.modality, args.labels)
-    width, height = _parse_grid_arg(args.grid)
+    data = load_features(args.modality, args.labels)
+    width, height = exp.parse_grid(args.grid)
     schedule = som_mod.TrainSchedule(
         args.epochs, args.lr_start, args.lr_end, args.sigma_start, args.sigma_end
     )
-    grid_som = som_mod.make_som(width, height, data.n_features, args.seed)
     grid_som = som_mod.train(
-        grid_som, data.values, schedule, args.seed, args.grid_metric
+        som_mod.make_som(width, height, data.n_features, args.seed),
+        data.values, schedule, args.seed, args.grid_metric,
     )
     som_mod.save_som(grid_som, args.out)
     print(f"trained {width}x{height} map on {data.n_samples} samples -> {args.out}")
@@ -57,7 +49,7 @@ def cmd_train(args) -> int:
 
 def cmd_label(args) -> int:
     grid_som = som_mod.load_som(args.som)
-    data = _load(args.data, args.labels)
+    data = load_features(args.data, args.labels)
     subset = labeling.select_label_subset(data, args.subset_frac, args.seed)
     labeled = labeling.label_som(grid_som, subset, args.alpha)
     som_mod.save_som(labeled, args.out)
@@ -79,8 +71,8 @@ def cmd_alpha_sweep(args) -> int:
 def cmd_associate(args) -> int:
     som_x = som_mod.load_som(args.som_x)
     som_y = som_mod.load_som(args.som_y)
-    x = _load(args.pairs_x, args.labels_x)
-    y = _load(args.pairs_y, args.labels_y)
+    x = load_features(args.pairs_x, args.labels_x)
+    y = load_features(args.pairs_y, args.labels_y)
     pairs = pair_by_class(x, y, args.pair_seed)
     syn_xy, syn_yx = assoc.associate(
         som_x, som_y, pairs, args.rule, args.eta, args.assoc_epochs
@@ -104,7 +96,7 @@ def cmd_diverge_label(args) -> int:
         raise exp.SpecError("--som-x must be a labeled checkpoint")
     som_y = som_mod.load_som(args.som_y)
     syn_xy, _ = assoc.load_synapses(args.syn_xy)
-    data = _load(args.data_x, args.labels_x)
+    data = load_features(args.data_x, args.labels_x)
     subset = labeling.select_label_subset(data, args.subset_frac, args.seed)
     labeled = inference.diverge_label(som_x, som_y, syn_xy, subset, args.beta)
     som_mod.save_som(labeled, args.out)
@@ -120,8 +112,8 @@ def cmd_converge(args) -> int:
         raise exp.SpecError("--som-x and --som-y must be labeled checkpoints")
     syn_xy, _ = assoc.load_synapses(args.syn_xy)
     syn_yx, _ = assoc.load_synapses(args.syn_yx)
-    x = _load(args.test_x, args.test_labels_x)
-    y = _load(args.test_y, args.test_labels_y)
+    x = load_features(args.test_x, args.test_labels_x)
+    y = load_features(args.test_y, args.test_labels_y)
     pairs = pair_by_class(x, y, args.pair_seed)
     n_classes = max(x.n_classes, int(som_x.labels.max()) + 1)
     cfg = inference.ConvergenceConfig(
@@ -161,7 +153,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_ig_verify(args) -> int:
-    width, height = _parse_grid_arg(args.grid)
+    width, height = exp.parse_grid(args.grid)
     rng = np.random.default_rng(args.seed)
     mismatches = 0
     for trial in range(args.trials):
@@ -197,10 +189,8 @@ def cmd_ig_verify(args) -> int:
 
 def cmd_pipeline(args) -> int:
     spec = exp.load_spec(args.spec)
-    cache = exp.StageCache(args.cache) if args.cache else exp.StageCache.from_env()
-    record = exp.run_pipeline(
-        spec, cache, jobs=args.jobs, artifact_dir=args.artifacts
-    )
+    cache = exp.StageCache(args.cache) if args.cache else None
+    record = exp.run_pipeline(spec, cache, jobs=args.jobs, artifact_dir=args.artifacts)
     exp.write_record_csv(record, args.out)
     print(
         f"convergence accuracy {100 * record.mean:.2f} +/- {100 * record.std:.2f} "

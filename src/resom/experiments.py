@@ -1,12 +1,12 @@
 """End-to-end reproduction harness: spec files, stage cache, seed sweeps.
 
 A pipeline run is described by a flat key=value spec (diff-able, hashable)
-and executed independently per seed: train both maps, label map x from a
-small subset, learn and prune lateral synapses, label map y directly and/or
-by divergence, then evaluate unimodal and convergence accuracy on the test
-pairs.  Every stage output passes through its binary file encoding (float32
-weights), so a cached stage and a freshly computed one feed bit-identical
-state downstream.
+and executed independently per seed in two steps: build_stages trains both
+maps, labels them from small subsets and learns the lateral synapses once;
+evaluate_seed prunes those at a keep fraction, labels map y as the spec says
+and classifies the test pairs.  Every stage output passes through its binary
+file encoding (float32 weights), so a cached stage and a freshly computed one
+feed bit-identical state downstream.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from functools import partial
+from typing import get_type_hints
 
 import numpy as np
 
@@ -42,12 +44,18 @@ SEED_PAIR_TRAIN = 4
 SEED_PAIR_TEST = 5
 SEED_DATA = 6
 
+_NORMALIZERS = {
+    "none": lambda train, test: (train, test),
+    "minmax": normalize_minmax,
+    "zscore-minmax": standardize_then_minmax,
+}
+
 
 class SpecError(ValueError):
     """Invalid experiment spec (unknown key, bad value, missing file)."""
 
 
-def _parse_grid(text: str) -> tuple[int, int]:
+def parse_grid(text: str) -> tuple[int, int]:
     try:
         w, h = text.lower().split("x")
         return int(w), int(h)
@@ -64,6 +72,10 @@ def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
         a, b = item.split(":")
         out.append((int(a), int(b)))
     return tuple(out)
+
+
+def _parse_ints(text: str) -> tuple[int, ...]:
+    return tuple(int(s) for s in text.split(",") if s.strip())
 
 
 @dataclass
@@ -127,7 +139,7 @@ class ExperimentSpec:
         if self.dataset not in ("synthetic", "files"):
             raise SpecError(f"dataset must be synthetic or files, got {self.dataset!r}")
         for mode in (self.normalize_x, self.normalize_y):
-            if mode not in ("none", "minmax", "zscore-minmax"):
+            if mode not in _NORMALIZERS:
                 raise SpecError(f"unknown normalize mode {mode!r}")
         if self.label_mode_y not in ("direct", "diverge"):
             raise SpecError(f"unknown label_mode_y {self.label_mode_y!r}")
@@ -172,23 +184,32 @@ class ExperimentSpec:
         )
 
 
+# (format, parse) per field type.  format_spec's text is the spec_hash input,
+# so a format may never change.
+_CODECS = {
+    str: (str, str),
+    int: (str, int),
+    float: (str, float),
+    tuple[int, int]: (lambda v: f"{v[0]}x{v[1]}", parse_grid),
+    tuple[tuple[int, int], ...]: (
+        lambda v: ",".join(f"{a}:{b}" for a, b in v), _parse_pairs
+    ),
+    tuple[int, ...]: (lambda v: ",".join(str(s) for s in v), _parse_ints),
+}
+_FIELD_CODECS = {
+    name: _CODECS[typ] for name, typ in get_type_hints(ExperimentSpec).items()
+}
+
+
 def format_spec(spec: ExperimentSpec) -> str:
     """Canonical key=value text (also the hashing input)."""
-    lines = []
-    for f in sorted(fields(ExperimentSpec), key=lambda f: f.name):
-        v = getattr(spec, f.name)
-        if f.name in ("grid_x", "grid_y"):
-            v = f"{v[0]}x{v[1]}"
-        elif f.name in ("confused_x", "confused_y"):
-            v = ",".join(f"{a}:{b}" for a, b in v)
-        elif f.name == "seeds":
-            v = ",".join(str(s) for s in v)
-        lines.append(f"{f.name} = {v}")
-    return "\n".join(lines) + "\n"
+    return "".join(
+        f"{name} = {_FIELD_CODECS[name][0](getattr(spec, name))}\n"
+        for name in sorted(_FIELD_CODECS)
+    )
 
 
 def parse_spec(text: str) -> ExperimentSpec:
-    field_types = {f.name: f for f in fields(ExperimentSpec)}
     kwargs = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -197,22 +218,9 @@ def parse_spec(text: str) -> ExperimentSpec:
         if "=" not in line:
             raise SpecError(f"line {lineno}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in field_types:
+        if key not in _FIELD_CODECS:
             raise SpecError(f"line {lineno}: unknown key {key!r}")
-        if key in ("grid_x", "grid_y"):
-            kwargs[key] = _parse_grid(value)
-        elif key in ("confused_x", "confused_y"):
-            kwargs[key] = _parse_pairs(value)
-        elif key == "seeds":
-            kwargs[key] = tuple(int(s) for s in value.split(",") if s.strip())
-        else:
-            typ = field_types[key].type
-            if typ == "int":
-                kwargs[key] = int(value)
-            elif typ == "float":
-                kwargs[key] = float(value)
-            else:
-                kwargs[key] = value
+        kwargs[key] = _FIELD_CODECS[key][1](value)
     return ExperimentSpec(**kwargs)
 
 
@@ -369,6 +377,9 @@ class SeedResult:
     wall_time: float
 
 
+RECORD_COLUMNS = tuple(f.name for f in fields(SeedResult))
+
+
 @dataclass
 class RunRecord:
     spec_digest: str
@@ -391,12 +402,7 @@ class RunRecord:
         """Hash of everything except wall times (those vary run to run)."""
         parts = [self.spec_digest]
         for r in sorted(self.results, key=lambda r: r.seed):
-            parts.extend([
-                r.seed, r.uni_x, r.uni_y, r.uni_y_direct, r.uni_y_diverged,
-                r.convergence, r.n_no_decision,
-                r.synapses_xy_pre, r.synapses_xy_post,
-                r.synapses_yx_pre, r.synapses_yx_post,
-            ])
+            parts.extend(getattr(r, c) for c in RECORD_COLUMNS if c != "wall_time")
         return _digest(*parts)
 
 
@@ -417,62 +423,136 @@ def load_dataset(spec: ExperimentSpec, seed: int) -> tuple[PairedDataset, Paired
     x_test = _load_file_matrix(spec.x_test, spec.x_test_labels)
     y_train = _load_file_matrix(spec.y_train, spec.y_train_labels)
     y_test = _load_file_matrix(spec.y_test, spec.y_test_labels)
-
-    def normalized(mode, train_m, test_m):
-        if mode == "minmax":
-            return normalize_minmax(train_m, test_m)
-        if mode == "zscore-minmax":
-            return standardize_then_minmax(train_m, test_m)
-        return train_m, test_m
-
-    x_train, x_test = normalized(spec.normalize_x, x_train, x_test)
-    y_train, y_test = normalized(spec.normalize_y, y_train, y_test)
+    x_train, x_test = _NORMALIZERS[spec.normalize_x](x_train, x_test)
+    y_train, y_test = _NORMALIZERS[spec.normalize_y](y_train, y_test)
     train = pair_by_class(x_train, y_train, seed * 1000 + SEED_PAIR_TRAIN)
     test = pair_by_class(x_test, y_test, seed * 1000 + SEED_PAIR_TEST)
     return train, test
 
 
+def digits_spec(data_dir, seeds: tuple[int, ...] = tuple(range(10))) -> ExperimentSpec:
+    """The paper's written/spoken digits run on the files under ``data_dir``.
+
+    The file layout is in the README; every other field keeps its default,
+    which is the paper's value.
+    """
+    mnist = os.path.join(data_dir, "mnist", "")
+    digits = os.path.join(data_dir, "digits", "")
+    return ExperimentSpec(
+        dataset="files", normalize_y="zscore-minmax",  # MFCC rows; pixels stay at /255
+        x_train=mnist + "train-images-idx3-ubyte", x_train_labels=mnist + "train-labels-idx1-ubyte",
+        x_test=mnist + "t10k-images-idx3-ubyte", x_test_labels=mnist + "t10k-labels-idx1-ubyte",
+        y_train=digits + "smnist_train.rsm1", y_test=digits + "smnist_test.rsm1",
+        grid_x=(10, 10), grid_y=(16, 16), label_fraction_x=0.01, alpha_y=0.1,
+        keep_fraction=0.1, beta_x=10.0, beta_y=10.0, seeds=tuple(seeds),
+    )
+
+
+def missing_files(spec: ExperimentSpec) -> list[str]:
+    """The data files a spec names that do not exist."""
+    paths = [getattr(spec, name) for name in _FIELD_CODECS if name[:2] in ("x_", "y_")]
+    return [p for p in paths if p and not os.path.exists(p)]
+
+
+def _n_classes(train: PairedDataset, test: PairedDataset) -> int:
+    """Classes of both splits: a test-only class still needs a confusion row."""
+    return max(train.x.n_classes, test.x.n_classes)
+
+
 @dataclass
 class SeedStages:
-    """Intermediate state of one seed, for sweeps that reuse the front end."""
+    """One seed's state up to pruning, which evaluate_seed reads at any keep."""
 
     train_pairs: PairedDataset
     test_pairs: PairedDataset
     som_x: som_mod.SomGrid  # labeled
     som_y: som_mod.SomGrid  # unlabeled
+    som_y_direct: som_mod.SomGrid | None  # labeled from the y subset, if any
     subset_x: FeatureMatrix
-    subset_y: FeatureMatrix | None
     syn_xy: assoc.LateralSynapses  # unpruned
     syn_yx: assoc.LateralSynapses
     n_classes: int
 
 
-def build_stages(
-    spec: ExperimentSpec, seed: int, cache: StageCache | None = None
-) -> SeedStages:
+def build_stages(spec: ExperimentSpec, seed: int, cache: StageCache | None = None) -> SeedStages:
+    """Train both maps, label x (and y directly, given a y subset), associate."""
     cache = cache or StageCache.from_env()
     train_pairs, test_pairs = load_dataset(spec, seed)
-    n_classes = train_pairs.x.n_classes
+    base = seed * 1000
     som_x, som_y = _train_cached(
         cache,
-        [(spec.grid_x, train_pairs.x, seed * 1000 + SEED_TRAIN_X),
-         (spec.grid_y, train_pairs.y, seed * 1000 + SEED_TRAIN_Y)],
+        [(spec.grid_x, train_pairs.x, base + SEED_TRAIN_X),
+         (spec.grid_y, train_pairs.y, base + SEED_TRAIN_Y)],
         spec.schedule(), spec.grid_metric,
     )
     subset_x = labeling.select_label_subset(
-        train_pairs.x, spec.label_fraction_x, seed * 1000 + SEED_SUBSET_X
+        train_pairs.x, spec.label_fraction_x, base + SEED_SUBSET_X
     )
     som_x = labeling.label_som(som_x, subset_x, spec.alpha_x)
-    subset_y = None
+    som_y_direct = None
     if spec.label_fraction_y > 0:
         subset_y = labeling.select_label_subset(
-            train_pairs.y, spec.label_fraction_y, seed * 1000 + SEED_SUBSET_Y
+            train_pairs.y, spec.label_fraction_y, base + SEED_SUBSET_Y
         )
+        som_y_direct = labeling.label_som(som_y, subset_y, spec.alpha_y)
     syn_xy, syn_yx = _associate_cached(cache, som_x, som_y, train_pairs, spec)
     return SeedStages(
-        train_pairs, test_pairs, som_x, som_y, subset_x, subset_y,
-        syn_xy, syn_yx, n_classes,
+        train_pairs, test_pairs, som_x, som_y, som_y_direct, subset_x,
+        syn_xy, syn_yx, _n_classes(train_pairs, test_pairs),
     )
+
+
+def unimodal_accuracies(stages: SeedStages) -> tuple[float, float | None]:
+    """Test accuracy of map x and of the directly labeled map y (if any)."""
+    test, n_classes = stages.test_pairs, stages.n_classes
+    uni_x = inference.evaluate_unimodal(stages.som_x, test.x, n_classes).accuracy
+    if stages.som_y_direct is None:
+        return uni_x, None
+    return uni_x, inference.evaluate_unimodal(stages.som_y_direct, test.y, n_classes).accuracy
+
+
+@dataclass
+class SeedEval:
+    """A built seed evaluated at one keep fraction."""
+
+    syn_xy: assoc.LateralSynapses  # pruned
+    syn_yx: assoc.LateralSynapses
+    som_y: som_mod.SomGrid  # map y as labeled for convergence
+    som_y_diverged: som_mod.SomGrid | None
+    uni_y_diverged: float | None
+    convergence: list[inference.ConvergenceEval]  # one per config
+
+
+def evaluate_seed(
+    spec: ExperimentSpec, stages: SeedStages, keep_fraction: float, configs,
+    diverge: bool = False,
+) -> SeedEval:
+    """Prune both directions, label map y and classify the test pairs.
+
+    Map y is labeled as ``spec.label_mode_y`` says: directly (done once in
+    build_stages) or by divergence through the pruned x->y synapses.  With
+    ``diverge`` the divergence labeling is also done in direct mode, for its
+    accuracy.  Convergence runs once per config in ``configs``.
+    """
+    syn_xy = assoc.prune(stages.syn_xy, keep_fraction)
+    syn_yx = assoc.prune(stages.syn_yx, keep_fraction)
+    diverged = uni_y_diverged = None
+    if diverge or spec.label_mode_y == "diverge":
+        diverged = inference.diverge_label(
+            stages.som_x, stages.som_y, syn_xy, stages.subset_x,
+            spec.diverge_beta, stages.n_classes,
+        )
+        uni_y_diverged = inference.evaluate_unimodal(
+            diverged, stages.test_pairs.y, stages.n_classes
+        ).accuracy
+    som_y = diverged if spec.label_mode_y == "diverge" else stages.som_y_direct
+    convergence = [
+        inference.evaluate_convergence(
+            stages.som_x, som_y, syn_xy, syn_yx, stages.test_pairs, cfg, stages.n_classes
+        )
+        for cfg in configs
+    ]
+    return SeedEval(syn_xy, syn_yx, som_y, diverged, uni_y_diverged, convergence)
 
 
 def run_seed(
@@ -484,66 +564,34 @@ def run_seed(
     """Execute every stage for one seed; optionally dump artifact files."""
     started = time.perf_counter()
     stages = build_stages(spec, seed, cache)
-    syn_xy = assoc.roundtrip_synapses(assoc.prune(stages.syn_xy, spec.keep_fraction))
-    syn_yx = assoc.roundtrip_synapses(assoc.prune(stages.syn_yx, spec.keep_fraction))
-
-    som_y_direct = None
-    uni_y_direct = None
-    if stages.subset_y is not None:
-        som_y_direct = labeling.label_som(stages.som_y, stages.subset_y, spec.alpha_y)
-        uni_y_direct = inference.evaluate_unimodal(
-            som_y_direct, stages.test_pairs.y, stages.n_classes
-        ).accuracy
-
-    som_y_diverged = None
-    uni_y_diverged = None
-    if spec.label_mode_y == "diverge" or stages.subset_y is None:
-        som_y_diverged = inference.diverge_label(
-            stages.som_x, stages.som_y, syn_xy, stages.subset_x,
-            spec.diverge_beta, stages.n_classes,
-        )
-        uni_y_diverged = inference.evaluate_unimodal(
-            som_y_diverged, stages.test_pairs.y, stages.n_classes
-        ).accuracy
-
-    som_y = som_y_diverged if spec.label_mode_y == "diverge" else som_y_direct
-    uni_x = inference.evaluate_unimodal(
-        stages.som_x, stages.test_pairs.x, stages.n_classes
-    ).accuracy
-    conv = inference.evaluate_convergence(
-        stages.som_x, som_y, syn_xy, syn_yx, stages.test_pairs,
-        spec.convergence_config(), stages.n_classes,
-    )
+    ev = evaluate_seed(spec, stages, spec.keep_fraction, [spec.convergence_config()])
+    (conv,) = ev.convergence
+    uni_x, uni_y_direct = unimodal_accuracies(stages)
 
     if artifact_dir:
         os.makedirs(artifact_dir, exist_ok=True)
         som_mod.save_som(stages.som_x, os.path.join(artifact_dir, f"som_x_{seed}.rsom"))
-        som_mod.save_som(som_y, os.path.join(artifact_dir, f"som_y_{seed}.rsom"))
+        som_mod.save_som(ev.som_y, os.path.join(artifact_dir, f"som_y_{seed}.rsom"))
         assoc.save_synapses(stages.syn_xy, os.path.join(artifact_dir, f"syn_xy_raw_{seed}.rlat"), "XY")
         assoc.save_synapses(stages.syn_yx, os.path.join(artifact_dir, f"syn_yx_raw_{seed}.rlat"), "YX")
-        assoc.save_synapses(syn_xy, os.path.join(artifact_dir, f"syn_xy_{seed}.rlat"), "XY")
-        assoc.save_synapses(syn_yx, os.path.join(artifact_dir, f"syn_yx_{seed}.rlat"), "YX")
+        assoc.save_synapses(ev.syn_xy, os.path.join(artifact_dir, f"syn_xy_{seed}.rlat"), "XY")
+        assoc.save_synapses(ev.syn_yx, os.path.join(artifact_dir, f"syn_yx_{seed}.rlat"), "YX")
 
-    uni_y = uni_y_diverged if spec.label_mode_y == "diverge" else uni_y_direct
+    uni_y = ev.uni_y_diverged if spec.label_mode_y == "diverge" else uni_y_direct
     return SeedResult(
         seed=seed,
         uni_x=uni_x,
         uni_y=float(uni_y),
         uni_y_direct=uni_y_direct,
-        uni_y_diverged=uni_y_diverged,
+        uni_y_diverged=ev.uni_y_diverged,
         convergence=conv.accuracy,
         n_no_decision=conv.n_no_decision,
         synapses_xy_pre=stages.syn_xy.n_synapses,
-        synapses_xy_post=syn_xy.n_synapses,
+        synapses_xy_post=ev.syn_xy.n_synapses,
         synapses_yx_pre=stages.syn_yx.n_synapses,
-        synapses_yx_post=syn_yx.n_synapses,
+        synapses_yx_post=ev.syn_yx.n_synapses,
         wall_time=time.perf_counter() - started,
     )
-
-
-def _run_seed_star(args) -> SeedResult:
-    spec_text, seed, cache_dir = args
-    return run_seed(parse_spec(spec_text), seed, StageCache(cache_dir))
 
 
 def run_pipeline(
@@ -554,11 +602,9 @@ def run_pipeline(
 ) -> RunRecord:
     """All seeds of a spec; seeds are independent jobs when jobs > 1."""
     started = time.perf_counter()
-    cache = cache or StageCache.from_env()
     if jobs > 1 and len(spec.seeds) > 1 and artifact_dir is None:
-        args = [(format_spec(spec), s, cache.directory) for s in spec.seeds]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_seed_star, args))
+            results = list(pool.map(partial(run_seed, spec, cache=cache), spec.seeds))
     else:
         results = [run_seed(spec, s, cache, artifact_dir) for s in spec.seeds]
     results.sort(key=lambda r: r.seed)
@@ -570,44 +616,23 @@ def run_pipeline(
 # ---------------------------------------------------------------------------
 
 def prune_sweep(
-    spec: ExperimentSpec,
-    fractions: tuple[float, ...],
-    cache: StageCache | None = None,
+    spec: ExperimentSpec, fractions: tuple[float, ...], cache: StageCache | None = None,
+    per_seed: list[SeedStages] | None = None,
 ) -> list[dict]:
     """Divergence and convergence accuracy per keep fraction.
 
-    The expensive front end (training, labeling, association) is built once
-    per seed and reused across fractions.
+    Each seed is built once (or taken from ``per_seed``) and evaluated at
+    every fraction; convergence labels map y as ``spec.label_mode_y`` says.
     """
-    cache = cache or StageCache.from_env()
-    per_seed = [build_stages(spec, s, cache) for s in spec.seeds]
+    if per_seed is None:
+        per_seed = [build_stages(spec, s, cache) for s in spec.seeds]
+    configs = [spec.convergence_config()]
     rows = []
     for fraction in fractions:
-        div, conv, post = [], [], []
-        for stages in per_seed:
-            syn_xy = assoc.prune(stages.syn_xy, fraction)
-            syn_yx = assoc.prune(stages.syn_yx, fraction)
-            diverged = inference.diverge_label(
-                stages.som_x, stages.som_y, syn_xy, stages.subset_x,
-                spec.diverge_beta, stages.n_classes,
-            )
-            div.append(
-                inference.evaluate_unimodal(
-                    diverged, stages.test_pairs.y, stages.n_classes
-                ).accuracy
-            )
-            som_y = (
-                labeling.label_som(stages.som_y, stages.subset_y, spec.alpha_y)
-                if stages.subset_y is not None
-                else diverged
-            )
-            conv.append(
-                inference.evaluate_convergence(
-                    stages.som_x, som_y, syn_xy, syn_yx, stages.test_pairs,
-                    spec.convergence_config(), stages.n_classes,
-                ).accuracy
-            )
-            post.append(syn_xy.n_synapses)
+        evals = [evaluate_seed(spec, st, fraction, configs, diverge=True) for st in per_seed]
+        div = [ev.uni_y_diverged for ev in evals]
+        conv = [ev.convergence[0].accuracy for ev in evals]
+        post = [ev.syn_xy.n_synapses for ev in evals]
         rows.append({
             "keep_fraction": fraction,
             "divergence_mean": float(np.mean(div)),
@@ -628,25 +653,24 @@ def alpha_sweep(
     """Unimodal test accuracy of one map across labeling kernel widths."""
     if modality not in ("x", "y"):
         raise SpecError("modality must be x or y")
+    grid, fraction, train_offset, subset_offset = (
+        (spec.grid_x, spec.label_fraction_x, SEED_TRAIN_X, SEED_SUBSET_X)
+        if modality == "x"
+        else (spec.grid_y, spec.label_fraction_y, SEED_TRAIN_Y, SEED_SUBSET_Y)
+    )
     cache = cache or StageCache.from_env()
-    rows = []
     per_seed = []
     for seed in spec.seeds:
         train_pairs, test_pairs = load_dataset(spec, seed)
-        mat = train_pairs.x if modality == "x" else train_pairs.y
-        test = test_pairs.x if modality == "x" else test_pairs.y
-        grid = spec.grid_x if modality == "x" else spec.grid_y
+        train = getattr(train_pairs, modality)
         (grid_som,) = _train_cached(
-            cache,
-            [(grid, mat, seed * 1000 + (SEED_TRAIN_X if modality == "x" else SEED_TRAIN_Y))],
+            cache, [(grid, train, seed * 1000 + train_offset)],
             spec.schedule(), spec.grid_metric,
         )
-        fraction = spec.label_fraction_x if modality == "x" else spec.label_fraction_y
-        subset = labeling.select_label_subset(
-            mat, fraction,
-            seed * 1000 + (SEED_SUBSET_X if modality == "x" else SEED_SUBSET_Y),
-        )
-        per_seed.append((grid_som, subset, test, train_pairs.x.n_classes))
+        subset = labeling.select_label_subset(train, fraction, seed * 1000 + subset_offset)
+        test = getattr(test_pairs, modality)
+        per_seed.append((grid_som, subset, test, _n_classes(train_pairs, test_pairs)))
+    rows = []
     for alpha in alphas:
         accs = [
             inference.evaluate_unimodal(
@@ -666,11 +690,6 @@ def alpha_sweep(
 # CSV records
 # ---------------------------------------------------------------------------
 
-RECORD_COLUMNS = (
-    "seed", "uni_x", "uni_y", "uni_y_direct", "uni_y_diverged", "convergence",
-    "n_no_decision", "synapses_xy_pre", "synapses_xy_post",
-    "synapses_yx_pre", "synapses_yx_post", "wall_time",
-)
 
 
 def write_record_csv(record: RunRecord, path) -> None:
@@ -698,9 +717,4 @@ def read_record_csv(path) -> tuple[str, list[dict]]:
     if lines and lines[0].startswith("# spec_hash="):
         digest = lines.pop(0).split("=", 1)[1]
     cols = lines[0].split(",")
-    rows = []
-    for ln in lines[1:]:
-        if not ln:
-            continue
-        rows.append(dict(zip(cols, ln.split(","))))
-    return digest, rows
+    return digest, [dict(zip(cols, ln.split(","))) for ln in lines[1:] if ln]

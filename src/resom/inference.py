@@ -16,6 +16,7 @@ contributions only, leaving the two competing afferent activities raw.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,6 +56,15 @@ class ConvergenceConfig:
 
     def name(self) -> str:
         return f"{self.update}-{self.activities}-{self.neurons}"
+
+
+# Every update x activities x neurons combination, unit kernel widths.
+ALL_VARIANTS = tuple(
+    ConvergenceConfig(update, activities, neurons)
+    for update, activities, neurons in itertools.product(
+        UPDATES, ACTIVITY_MODES, NEURON_MODES
+    )
+)
 
 
 @dataclass(frozen=True)
@@ -116,12 +126,7 @@ def diverge_label(
     induced = divergent_field_batch(syn_xy, ax)
     peak = induced.max(axis=1)
     induced /= np.where(peak > 0, peak, 1.0)[:, None]
-    acc = np.zeros((som_y.n_neurons, n_classes))
-    for c in range(n_classes):
-        rows = subset_x.labels == c
-        if rows.any():
-            acc[:, c] = induced[rows].sum(axis=0)
-    accs = ClassAccumulators(acc, subset_x.class_counts(n_classes))
+    accs = ClassAccumulators.from_activities(induced, subset_x.labels, n_classes)
     return replace(som_y, labels=accs.argmax_labels())
 
 

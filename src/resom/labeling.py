@@ -26,6 +26,18 @@ class ClassAccumulators:
     acc: np.ndarray
     samples_per_class: np.ndarray
 
+    @classmethod
+    def from_activities(
+        cls, activities: np.ndarray, labels: np.ndarray, n_classes: int
+    ) -> "ClassAccumulators":
+        """Sum the (n_samples, n_neurons) activity rows of each class."""
+        acc = np.zeros((activities.shape[1], n_classes))
+        for c in range(n_classes):
+            rows = labels == c
+            if rows.any():
+                acc[:, c] = activities[rows].sum(axis=0)
+        return cls(acc, np.bincount(labels, minlength=n_classes))
+
     def averaged(self) -> np.ndarray:
         # A class with no samples also has an all-zero accumulator column, so
         # clamping its divisor keeps the average total without changing it.
@@ -84,7 +96,6 @@ def accumulate_class_activity(
     if subset.labels is None:
         raise ValueError("labeled subset required")
     n_classes = n_classes or subset.n_classes
-    counts = subset.class_counts(n_classes)
     acts = activities_batch(som, subset.values, kernel_width)
     peak = acts[np.arange(acts.shape[0]), np.argmax(acts, axis=1)]
     if (peak == 0).any():
@@ -92,12 +103,7 @@ def accumulate_class_activity(
             f"kernel width {kernel_width} underflows every activity for some sample"
         )
     acts /= peak[:, None]
-    acc = np.zeros((som.n_neurons, n_classes))
-    for c in range(n_classes):
-        rows = subset.labels == c
-        if rows.any():
-            acc[:, c] = acts[rows].sum(axis=0)
-    return ClassAccumulators(acc, counts)
+    return ClassAccumulators.from_activities(acts, subset.labels, n_classes)
 
 
 def label_som(som: SomGrid, subset: FeatureMatrix, kernel_width: float) -> SomGrid:

@@ -28,6 +28,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .data import DataFormatError, _read_exact
+
 RSOM_MAGIC = b"RSOM"
 GRID_METRICS = ("euclidean", "manhattan")
 
@@ -306,15 +308,15 @@ def save_som(som: SomGrid, path_or_file) -> None:
 def load_som(path_or_file) -> SomGrid:
     f = path_or_file if hasattr(path_or_file, "read") else open(path_or_file, "rb")
     try:
-        magic = f.read(4)
+        magic = _read_exact(f, 4)
         if magic != RSOM_MAGIC:
-            raise ValueError(f"bad checkpoint magic {magic!r}")
-        width, height, dim, has_labels = struct.unpack("<IIIB", f.read(13))
+            raise DataFormatError(f"bad checkpoint magic {magic!r}")
+        width, height, dim, has_labels = struct.unpack("<IIIB", _read_exact(f, 13))
         k = width * height
-        weights = np.frombuffer(f.read(k * dim * 4), dtype="<f4").reshape(k, dim)
+        weights = np.frombuffer(_read_exact(f, k * dim * 4), dtype="<f4").reshape(k, dim)
         labels = None
         if has_labels:
-            labels = np.frombuffer(f.read(k * 2), dtype="<u2").astype(np.int64)
+            labels = np.frombuffer(_read_exact(f, k * 2), dtype="<u2").astype(np.int64)
         return SomGrid(width, height, weights.astype(np.float64), labels)
     finally:
         if f is not path_or_file:

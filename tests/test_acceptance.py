@@ -7,7 +7,6 @@ the README for the expected layout.
 """
 
 import hashlib
-import itertools
 import math
 import os
 import time
@@ -122,40 +121,9 @@ def test_mnist_unimodal_reproduction():
 def test_multimodal_digits_reproduction():
     """Paired written/spoken digits: 95.07 +/- 1.5 convergence, gain >= +4."""
     with criterion("Multimodal convergence reproduction"):
-        digits = DATA_DIR / "digits"
-        mnist = DATA_DIR / "mnist"
-        needed = [
-            mnist / "train-images-idx3-ubyte", mnist / "train-labels-idx1-ubyte",
-            mnist / "t10k-images-idx3-ubyte", mnist / "t10k-labels-idx1-ubyte",
-            digits / "smnist_train.rsm1", digits / "smnist_test.rsm1",
-        ]
-        if not all(p.exists() for p in needed):
-            pytest.skip(f"paired digit feature files not found under {digits}")
-        spec = exp.ExperimentSpec(
-            dataset="files",
-            normalize_y="zscore-minmax",  # image pixels stay at /255
-            x_train=str(mnist / "train-images-idx3-ubyte"),
-            x_train_labels=str(mnist / "train-labels-idx1-ubyte"),
-            x_test=str(mnist / "t10k-images-idx3-ubyte"),
-            x_test_labels=str(mnist / "t10k-labels-idx1-ubyte"),
-            y_train=str(digits / "smnist_train.rsm1"),
-            y_test=str(digits / "smnist_test.rsm1"),
-            grid_x=(10, 10),
-            grid_y=(16, 16),
-            epochs=10,
-            label_fraction_x=0.01,
-            label_fraction_y=0.1,
-            alpha_x=1.0,
-            alpha_y=0.1,
-            rule="hebb",
-            keep_fraction=0.1,
-            update="max",
-            activities="norm",
-            neurons="bmu",
-            beta_x=10.0,
-            beta_y=10.0,
-            seeds=tuple(range(10)),
-        )
+        spec = exp.digits_spec(DATA_DIR)
+        if exp.missing_files(spec):
+            pytest.skip(f"paired digit feature files not found under {DATA_DIR}")
         record = exp.run_pipeline(spec)
         best_uni = np.mean([max(r.uni_x, r.uni_y) for r in record.results])
         assert abs(record.mean - 0.9507) <= 0.015, f"convergence {record.mean:.4f}"
@@ -169,32 +137,13 @@ def test_synthetic_fallback_all_variants():
     with criterion("Synthetic fallback"):
         spec = exp.ExperimentSpec(seeds=tuple(range(10)))
         per_seed = [exp.build_stages(spec, s) for s in spec.seeds]
-        max_uni = []
-        prepared = []
-        for st in per_seed:
-            som_y = labeling.label_som(st.som_y, st.subset_y, spec.alpha_y)
-            uni_x = inference.evaluate_unimodal(st.som_x, st.test_pairs.x, st.n_classes)
-            uni_y = inference.evaluate_unimodal(som_y, st.test_pairs.y, st.n_classes)
-            max_uni.append(max(uni_x.accuracy, uni_y.accuracy))
-            prepared.append((
-                st,
-                som_y,
-                assoc.prune(st.syn_xy, spec.keep_fraction),
-                assoc.prune(st.syn_yx, spec.keep_fraction),
-            ))
-        max_uni = float(np.mean(max_uni))
-        variant_means = {}
-        for update, act, neurons in itertools.product(
-            ("max", "sum"), ("raw", "norm"), ("all", "bmu")
-        ):
-            cfg = inference.ConvergenceConfig(update, act, neurons, 1.0, 1.0)
-            accs = [
-                inference.evaluate_convergence(
-                    st.som_x, som_y, syn_xy, syn_yx, st.test_pairs, cfg, st.n_classes
-                ).accuracy
-                for st, som_y, syn_xy, syn_yx in prepared
-            ]
-            variant_means[cfg.name()] = float(np.mean(accs))
+        max_uni = float(np.mean([max(exp.unimodal_accuracies(st)) for st in per_seed]))
+        configs = inference.ALL_VARIANTS
+        evals = [exp.evaluate_seed(spec, st, spec.keep_fraction, configs) for st in per_seed]
+        variant_means = {
+            cfg.name(): float(np.mean([ev.convergence[i].accuracy for ev in evals]))
+            for i, cfg in enumerate(configs)
+        }
         floor = max_uni - 0.01
         for name, mean in variant_means.items():
             assert mean >= floor, f"{name}: {mean:.4f} under floor {floor:.4f}"
@@ -213,24 +162,14 @@ def test_divergence_labeling_parity():
         per_seed = [exp.build_stages(spec, s) for s in spec.seeds]
         direct, healthy, starved = [], [], []
         for st in per_seed:
-            som_y = labeling.label_som(st.som_y, st.subset_y, spec.alpha_y)
-            direct.append(
-                inference.evaluate_unimodal(som_y, st.test_pairs.y, st.n_classes).accuracy
-            )
+            direct.append(exp.unimodal_accuracies(st)[1])
             for keep, sink in ((0.25, healthy), (0.02, starved)):
-                syn = assoc.prune(st.syn_xy, keep)
-                diverged = inference.diverge_label(
-                    st.som_x, st.som_y, syn, st.subset_x, spec.diverge_beta, st.n_classes
-                )
-                disconnected = inference.disconnected_targets(syn)
-                assert (diverged.labels[disconnected] == 0).all()
+                ev = exp.evaluate_seed(spec, st, keep, (), diverge=True)
+                disconnected = inference.disconnected_targets(ev.syn_xy)
+                assert (ev.som_y_diverged.labels[disconnected] == 0).all()
                 if keep == 0.02:
                     assert disconnected.any(), "expected starved connectivity"
-                sink.append(
-                    inference.evaluate_unimodal(
-                        diverged, st.test_pairs.y, st.n_classes
-                    ).accuracy
-                )
+                sink.append(ev.uni_y_diverged)
         direct_mean = float(np.mean(direct))
         healthy_mean = float(np.mean(healthy))
         starved_mean = float(np.mean(starved))

@@ -1,9 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 from resom.cli import main
 from resom.data import FeatureMatrix, save_rsm1
-from resom.som import load_som
+from resom.som import load_som, make_som, save_som
 from resom.synthetic import SyntheticSpec, make_paired_dataset
 
 TINY_SPEC = """
@@ -147,3 +149,55 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli.ig, "winner_wave", lying_wave)
         assert run("ig-verify", "--grid", "3x3", "--trials", 2) == 4
+
+
+def labeled_map(path, width=2, height=2, dim=6, seed=0):
+    grid = make_som(width, height, dim, seed)
+    grid.labels = np.arange(width * height) % 2
+    save_som(grid, path)
+    return path
+
+
+class TestBinaryInputExitCodes:
+    @pytest.mark.parametrize("blob", [
+        b"RSOM\x02\x00\x00\x00",
+        b"RSOM" + struct.pack("<IIIB", 2, 2, 6, 0) + bytes(40),
+        b"JUNK" + struct.pack("<IIIB", 2, 2, 6, 0) + bytes(96),
+    ], ids=["truncated-header", "short-payload", "bad-magic"])
+    def test_bad_checkpoint_is_data_error(self, workspace, tmp_path, blob):
+        bad = tmp_path / "bad.rsom"
+        bad.write_bytes(blob)
+        assert run(
+            "label", "--som", bad, "--data", workspace / "x_train.rsm1",
+            "--out", tmp_path / "out.rsom",
+        ) == 3
+
+    @pytest.mark.parametrize("blob", [
+        b"RLATXY\x04\x00\x00",
+        b"RLATXY" + struct.pack("<III", 4, 4, 2) + bytes(12),
+        b"JUNKXY" + struct.pack("<III", 4, 4, 0),
+        b"RLAT\xff\xff" + struct.pack("<III", 4, 4, 0),
+        b"RLATXY" + struct.pack("<III", 4, 4, 1) + struct.pack("<HHf", 9, 0, 1.0),
+    ], ids=["truncated-header", "short-payload", "bad-magic", "bad-tag", "index-range"])
+    def test_bad_synapse_file_is_data_error(self, workspace, tmp_path, blob):
+        bad = tmp_path / "bad.rlat"
+        bad.write_bytes(blob)
+        assert run(
+            "diverge-label", "--som-x", labeled_map(tmp_path / "x.rsom"),
+            "--som-y", labeled_map(tmp_path / "y.rsom", seed=1), "--syn-xy", bad,
+            "--data-x", workspace / "x_train.rsm1", "--out", tmp_path / "out.rsom",
+        ) == 3
+
+    def test_map_beyond_u16_synapse_indices_is_refused(self, tmp_path):
+        rng = np.random.default_rng(0)
+        for name in ("x", "y"):
+            m = FeatureMatrix(rng.random((4, 1)), np.array([0, 0, 1, 1]))
+            save_rsm1(m, tmp_path / f"{name}.rsm1")
+        save_som(make_som(257, 256, 1, seed=0), tmp_path / "big.rsom")  # 65 792 neurons
+        save_som(make_som(2, 2, 1, seed=1), tmp_path / "small.rsom")
+        assert run(
+            "associate", "--som-x", tmp_path / "big.rsom", "--som-y", tmp_path / "small.rsom",
+            "--pairs-x", tmp_path / "x.rsm1", "--pairs-y", tmp_path / "y.rsm1",
+            "--out-xy", tmp_path / "xy.rlat", "--out-yx", tmp_path / "yx.rlat",
+        ) == 2
+        assert not (tmp_path / "xy.rlat").exists()

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -170,6 +171,16 @@ class TestSweeps:
         record = run_pipeline(ExperimentSpec(**{**TINY, "keep_fraction": 1.0}))
         assert rows[0]["convergence_mean"] == pytest.approx(record.mean, abs=1e-12)
 
+    @pytest.mark.parametrize("mode", ["direct", "diverge"])
+    def test_prune_sweep_rows_match_pipeline_per_keep(self, mode):
+        # Both label map y as label_mode_y says, also with a y subset drawn.
+        spec = ExperimentSpec(**{**TINY, "seeds": (0, 1, 2), "label_mode_y": mode})
+        fractions = (0.1, 0.25, 1.0)
+        rows = prune_sweep(spec, fractions, StageCache(None))
+        for row, keep in zip(rows, fractions):
+            record = run_pipeline(replace(spec, keep_fraction=keep), StageCache(None))
+            assert row["convergence_mean"] == pytest.approx(record.mean, abs=1e-12)
+
     def test_prune_sweep_monotone_synapse_counts(self):
         spec = ExperimentSpec(**TINY)
         rows = prune_sweep(spec, fractions=(0.05, 0.25, 1.0))
@@ -200,6 +211,24 @@ class TestFiles:
         train, test = load_dataset(spec, seed=0)
         assert train.n_samples == 60 and test.n_samples == 60
         assert np.array_equal(train.x.labels, train.y.labels[train.pairing])
+
+    def test_class_only_in_test_split(self, tmp_path):
+        rng = np.random.default_rng(1)
+        splits = {"train": np.repeat(np.arange(3), 20), "test": np.repeat(np.arange(4), 5)}
+        paths = {}
+        for modality in ("x", "y"):
+            for split, labels in splits.items():
+                m = FeatureMatrix(rng.random((labels.size, 4)).astype(np.float32), labels)
+                paths[f"{modality}_{split}"] = str(tmp_path / f"{modality}_{split}.rsm1")
+                save_rsm1(m, paths[f"{modality}_{split}"])
+        spec = ExperimentSpec(
+            dataset="files", **paths, grid_x=(3, 3), grid_y=(3, 3), epochs=2,
+            label_fraction_x=0.2, label_fraction_y=0.2, seeds=(0,),
+        )
+        record = run_pipeline(spec, StageCache(None))
+        assert 0.0 <= record.mean <= 0.75  # class 3 can never be predicted
+        for modality in ("x", "y"):
+            assert len(alpha_sweep(spec, (1.0,), modality, StageCache(None))) == 1
 
     def test_missing_file_is_spec_error(self, tmp_path):
         spec = ExperimentSpec(

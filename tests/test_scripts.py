@@ -1,0 +1,23 @@
+"""The runnable scripts under scripts/, called in-process through main(argv)."""
+
+import runpy
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def script_main(name):
+    return runpy.run_path(str(SCRIPTS / name))["main"]
+
+
+def test_run_synthetic_writes_variants_and_sweep(tmp_path, monkeypatch):
+    monkeypatch.delenv("RESOM_CACHE_DIR", raising=False)
+    script_main("run_synthetic.py")(["--seeds", "1", "--out-dir", str(tmp_path)])
+    variants = (tmp_path / "convergence_variants.csv").read_text().splitlines()
+    sweep = (tmp_path / "prune_sweep.csv").read_text().splitlines()
+    assert len(variants) == 1 + 8
+    assert len(sweep) == 1 + 6
+
+
+def test_run_digits_without_data_returns_3(tmp_path):
+    assert script_main("run_digits.py")(["--data-dir", str(tmp_path)]) == 3
