@@ -115,7 +115,10 @@ def cmd_converge(args) -> int:
     x = load_features(args.test_x, args.test_labels_x)
     y = load_features(args.test_y, args.test_labels_y)
     pairs = pair_by_class(x, y, args.pair_seed)
-    n_classes = max(x.n_classes, int(som_x.labels.max()) + 1)
+    # Every class a test row or a neuron names needs a confusion row.
+    n_classes = max(
+        x.n_classes, y.n_classes, int(som_x.labels.max()) + 1, int(som_y.labels.max()) + 1
+    )
     cfg = inference.ConvergenceConfig(
         update=args.update,
         activities=args.activities,

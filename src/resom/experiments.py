@@ -2,11 +2,13 @@
 
 A pipeline run is described by a flat key=value spec (diff-able, hashable)
 and executed independently per seed in two steps: build_stages trains both
-maps, labels them from small subsets and learns the lateral synapses once;
-evaluate_seed prunes those at a keep fraction, labels map y as the spec says
-and classifies the test pairs.  Every stage output passes through its binary
-file encoding (float32 weights), so a cached stage and a freshly computed one
-feed bit-identical state downstream.
+maps, labels them from small subsets, learns the lateral synapses and
+computes the test rows' distances to both maps, once per seed;
+evaluate_seed prunes the synapses at a keep fraction, labels map y as the
+spec says and classifies the test pairs from those distances, so no keep
+fraction or labeling of map y recomputes them.  Every stage output passes
+through its binary file encoding (float32 weights), so a cached stage and a
+freshly computed one feed bit-identical state downstream.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import io
 import os
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -34,6 +37,7 @@ from .data import (
 )
 
 CACHE_ENV_VAR = "RESOM_CACHE_DIR"
+_CHECK_SIZE = hashlib.sha256().digest_size  # header of every stored cache blob
 
 # Stage-specific offsets keep the per-seed random streams distinct.
 SEED_TRAIN_X = 0
@@ -249,7 +253,13 @@ def write_metrics(metrics: dict, path_or_file) -> None:
 # ---------------------------------------------------------------------------
 
 class StageCache:
-    """Byte blobs keyed by content hashes of their inputs."""
+    """Byte blobs keyed by content hashes of their inputs.
+
+    A stored file is the sha256 digest of the blob followed by the blob.  It
+    is written through a unique temporary file and renamed into place, so
+    runs sharing one directory never read a half-written file; a short or
+    corrupt file reads as a miss, and the stage is recomputed and rewritten.
+    """
 
     def __init__(self, directory: str | None):
         self.directory = directory
@@ -268,17 +278,24 @@ class StageCache:
             return None
         try:
             with open(self._path(key), "rb") as f:
-                return f.read()
+                stored = f.read()
         except FileNotFoundError:
             return None
+        digest, blob = stored[:_CHECK_SIZE], stored[_CHECK_SIZE:]
+        return blob if hashlib.sha256(blob).digest() == digest else None
 
     def put(self, key: str, blob: bytes) -> None:
         if not self.directory:
             return
-        tmp = self._path(key) + ".tmp"
-        with open(tmp, "wb") as f:
-            f.write(blob)
-        os.replace(tmp, self._path(key))
+        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=key + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as f:
+                f.write(hashlib.sha256(blob).digest())
+                f.write(blob)
+            os.replace(tmp, self._path(key))
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 def _digest(*parts) -> str:
@@ -472,10 +489,13 @@ class SeedStages:
     syn_xy: assoc.LateralSynapses  # unpruned
     syn_yx: assoc.LateralSynapses
     n_classes: int
+    dist_x: np.ndarray  # test_pairs.x rows to som_x's weights
+    dist_y: np.ndarray  # test_pairs.y rows (unpaired) to som_y's weights
 
 
 def build_stages(spec: ExperimentSpec, seed: int, cache: StageCache | None = None) -> SeedStages:
-    """Train both maps, label x (and y directly, given a y subset), associate."""
+    """Train both maps, label x (and y directly, given a y subset), associate,
+    and measure the test rows' distances to both maps."""
     cache = cache or StageCache.from_env()
     train_pairs, test_pairs = load_dataset(spec, seed)
     base = seed * 1000
@@ -499,16 +519,26 @@ def build_stages(spec: ExperimentSpec, seed: int, cache: StageCache | None = Non
     return SeedStages(
         train_pairs, test_pairs, som_x, som_y, som_y_direct, subset_x,
         syn_xy, syn_yx, _n_classes(train_pairs, test_pairs),
+        som_mod.distances(som_x, test_pairs.x.values),
+        som_mod.distances(som_y, test_pairs.y.values),
     )
+
+
+def _unimodal_accuracy(stages: SeedStages, som: som_mod.SomGrid, modality: str) -> float:
+    """Test accuracy of a labeling of som_x or som_y (modality "x" or "y")."""
+    dist = stages.dist_x if modality == "x" else stages.dist_y
+    true = getattr(stages.test_pairs, modality).labels
+    return inference.evaluate_unimodal_from_bmus(
+        som, np.argmin(dist, axis=1), true, stages.n_classes
+    ).accuracy
 
 
 def unimodal_accuracies(stages: SeedStages) -> tuple[float, float | None]:
     """Test accuracy of map x and of the directly labeled map y (if any)."""
-    test, n_classes = stages.test_pairs, stages.n_classes
-    uni_x = inference.evaluate_unimodal(stages.som_x, test.x, n_classes).accuracy
+    uni_x = _unimodal_accuracy(stages, stages.som_x, "x")
     if stages.som_y_direct is None:
         return uni_x, None
-    return uni_x, inference.evaluate_unimodal(stages.som_y_direct, test.y, n_classes).accuracy
+    return uni_x, _unimodal_accuracy(stages, stages.som_y_direct, "y")
 
 
 @dataclass
@@ -542,13 +572,15 @@ def evaluate_seed(
             stages.som_x, stages.som_y, syn_xy, stages.subset_x,
             spec.diverge_beta, stages.n_classes,
         )
-        uni_y_diverged = inference.evaluate_unimodal(
-            diverged, stages.test_pairs.y, stages.n_classes
-        ).accuracy
+        uni_y_diverged = _unimodal_accuracy(stages, diverged, "y")
     som_y = diverged if spec.label_mode_y == "diverge" else stages.som_y_direct
+    pairing = stages.test_pairs.pairing
     convergence = [
-        inference.evaluate_convergence(
-            stages.som_x, som_y, syn_xy, syn_yx, stages.test_pairs, cfg, stages.n_classes
+        inference.evaluate_convergence_from_fields(
+            stages.som_x, som_y, syn_xy, syn_yx,
+            som_mod.activities_from_distances(stages.dist_x, cfg.kernel_width_x),
+            som_mod.activities_from_distances(stages.dist_y[pairing], cfg.kernel_width_y),
+            stages.test_pairs.x.labels, cfg, stages.n_classes,
         )
         for cfg in configs
     ]
@@ -669,14 +701,16 @@ def alpha_sweep(
         )
         subset = labeling.select_label_subset(train, fraction, seed * 1000 + subset_offset)
         test = getattr(test_pairs, modality)
-        per_seed.append((grid_som, subset, test, _n_classes(train_pairs, test_pairs)))
+        # Only the labels change with alpha; the test BMUs are computed once.
+        bmu = np.argmin(som_mod.distances(grid_som, test.values), axis=1)
+        per_seed.append((grid_som, subset, bmu, test.labels, _n_classes(train_pairs, test_pairs)))
     rows = []
     for alpha in alphas:
         accs = [
-            inference.evaluate_unimodal(
-                labeling.label_som(grid_som, subset, alpha), test, n_classes
+            inference.evaluate_unimodal_from_bmus(
+                labeling.label_som(grid_som, subset, alpha), bmu, true, n_classes
             ).accuracy
-            for grid_som, subset, test, n_classes in per_seed
+            for grid_som, subset, bmu, true, n_classes in per_seed
         ]
         rows.append({
             "alpha": alpha,

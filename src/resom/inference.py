@@ -12,6 +12,12 @@ normalized activities, and all-neurons vs BMUs-only updates.  In BMUs-only
 mode every non-BMU activity is zeroed, so the global winner is always one of
 the two local BMUs, and normalization (when enabled) applies to the lateral
 contributions only, leaving the two competing afferent activities raw.
+
+Each evaluator is a core that reads precomputed BMUs or afferent fields
+(``evaluate_unimodal_from_bmus``, ``evaluate_convergence_from_fields``) and a
+thin wrapper that derives them from feature rows through ``som.distances``.
+The experiment layer computes a built seed's test distances once and feeds
+the cores at every keep fraction and labeling of map y.
 """
 
 from __future__ import annotations
@@ -20,12 +26,11 @@ import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .association import LateralSynapses
 from .data import FeatureMatrix, PairedDataset
 from .labeling import ClassAccumulators
-from .som import SomGrid, activities_batch
+from .som import SomGrid, activities_batch, distances
 
 UPDATES = ("max", "sum")
 ACTIVITY_MODES = ("raw", "norm")
@@ -160,6 +165,16 @@ def lateral_support(
     return out, connected
 
 
+def _support_at(
+    syn: LateralSynapses, other_fields: np.ndarray, neurons: np.ndarray, update: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """lateral_support at one source neuron per sample, and the connected
+    mask; the (n_samples, n_source) support and input die here, one map at a
+    time, which keeps them off the peak memory of convergence."""
+    support, connected = lateral_support(syn, other_fields, update)
+    return support[np.arange(neurons.size), neurons], connected
+
+
 @dataclass
 class ConvergenceBatch:
     """Vectorized decisions: map_ids[i] is '' for a no-decision sample."""
@@ -184,8 +199,6 @@ def converge_classify_batch(
     values_y: np.ndarray,
     cfg: ConvergenceConfig,
 ) -> ConvergenceBatch:
-    if som_x.labels is None or som_y.labels is None:
-        raise ValueError("both maps must be labeled")
     ax = activities_batch(som_x, values_x, cfg.kernel_width_x)
     ay = activities_batch(som_y, values_y, cfg.kernel_width_y)
     return converge_from_fields(som_x, som_y, syn_xy, syn_yx, ax, ay, cfg)
@@ -201,6 +214,8 @@ def converge_from_fields(
     cfg: ConvergenceConfig,
 ) -> ConvergenceBatch:
     """Decision phase on precomputed afferent fields (one row per sample)."""
+    if som_x.labels is None or som_y.labels is None:
+        raise ValueError("both maps must be labeled")
     n = ax.shape[0]
     bmu_x = np.argmax(ax, axis=1)
     bmu_y = np.argmax(ay, axis=1)
@@ -220,14 +235,11 @@ def converge_from_fields(
         best_x = new_x[np.arange(n), best_x_idx]
         best_y = new_y[np.arange(n), best_y_idx]
     else:  # bmu: only the two local BMUs keep (updated) activity
-        lat_x = minmax_rows(ay) if cfg.activities == "norm" else ay
-        lat_y = minmax_rows(ax) if cfg.activities == "norm" else ax
-        sup_x, conn_x = lateral_support(syn_xy, lat_x, cfg.update)
-        sup_y, conn_y = lateral_support(syn_yx, lat_y, cfg.update)
+        lateral = minmax_rows if cfg.activities == "norm" else (lambda a: a)
+        bmu_sup_x, conn_x = _support_at(syn_xy, lateral(ay), bmu_x, cfg.update)
+        bmu_sup_y, conn_y = _support_at(syn_yx, lateral(ax), bmu_y, cfg.update)
         raw_x = ax[np.arange(n), bmu_x]
         raw_y = ay[np.arange(n), bmu_y]
-        bmu_sup_x = sup_x[np.arange(n), bmu_x]
-        bmu_sup_y = sup_y[np.arange(n), bmu_y]
         if cfg.disconnected == "keep":
             bmu_sup_x = np.where(conn_x[bmu_x], bmu_sup_x, 1.0)
             bmu_sup_y = np.where(conn_y[bmu_y], bmu_sup_y, 1.0)
@@ -289,15 +301,6 @@ class ConvergenceEval:
     winner_counts_y: np.ndarray
 
 
-def classify_unimodal_batch(som: SomGrid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted labels via the BMU's label (kernel width cancels out)."""
-    if som.labels is None:
-        raise ValueError("map must be labeled")
-    d = cdist(np.ascontiguousarray(values, dtype=np.float64), som.weights)
-    bmu = np.argmin(d, axis=1)
-    return som.labels[bmu], bmu
-
-
 def confusion_matrix(true: np.ndarray, pred: np.ndarray, n_classes: int) -> np.ndarray:
     """(n_classes, n_classes) counts, rows = true class; pred<0 is skipped."""
     ok = pred >= 0
@@ -306,13 +309,51 @@ def confusion_matrix(true: np.ndarray, pred: np.ndarray, n_classes: int) -> np.n
     return m
 
 
-def evaluate_unimodal(som: SomGrid, matrix: FeatureMatrix, n_classes: int) -> UnimodalEval:
-    pred, bmu = classify_unimodal_batch(som, matrix.values)
-    acc = float(np.mean(pred == matrix.labels))
+def evaluate_unimodal_from_bmus(
+    som: SomGrid, bmu: np.ndarray, true: np.ndarray, n_classes: int
+) -> UnimodalEval:
+    """Each row is predicted as its BMU's label (kernel width cancels out).
+
+    ``bmu`` holds each test row's BMU on ``som``'s weights; maps that share
+    weights but not labels reuse it.
+    """
+    if som.labels is None:
+        raise ValueError("map must be labeled")
+    pred = som.labels[bmu]
     return UnimodalEval(
-        accuracy=acc,
-        confusion=confusion_matrix(matrix.labels, pred, n_classes),
+        accuracy=float(np.mean(pred == true)),
+        confusion=confusion_matrix(true, pred, n_classes),
         bmu_counts=np.bincount(bmu, minlength=som.n_neurons),
+    )
+
+
+def evaluate_unimodal(som: SomGrid, matrix: FeatureMatrix, n_classes: int) -> UnimodalEval:
+    bmu = np.argmin(distances(som, matrix.values), axis=1)
+    return evaluate_unimodal_from_bmus(som, bmu, matrix.labels, n_classes)
+
+
+def evaluate_convergence_from_fields(
+    som_x: SomGrid,
+    som_y: SomGrid,
+    syn_xy: LateralSynapses,
+    syn_yx: LateralSynapses,
+    ax: np.ndarray,
+    ay: np.ndarray,
+    true: np.ndarray,
+    cfg: ConvergenceConfig,
+    n_classes: int,
+) -> ConvergenceEval:
+    """Accuracy from the pairs' afferent fields (row i of ``ax`` and ``ay``
+    is pair i); no-decision samples count as errors."""
+    batch = converge_from_fields(som_x, som_y, syn_xy, syn_yx, ax, ay, cfg)
+    wins_x = np.bincount(batch.neurons[batch.map_ids == "x"], minlength=som_x.n_neurons)
+    wins_y = np.bincount(batch.neurons[batch.map_ids == "y"], minlength=som_y.n_neurons)
+    return ConvergenceEval(
+        accuracy=float(np.mean(batch.labels == true)),
+        confusion=confusion_matrix(true, batch.labels, n_classes),
+        n_no_decision=int(batch.no_decision.sum()),
+        winner_counts_x=wins_x,
+        winner_counts_y=wins_y,
     )
 
 
@@ -326,19 +367,10 @@ def evaluate_convergence(
     n_classes: int,
 ) -> ConvergenceEval:
     """Accuracy over a paired test set; no-decision samples count as errors."""
-    batch = converge_classify_batch(
-        som_x, som_y, syn_xy, syn_yx, pairs.x.values, pairs.y_values, cfg
-    )
-    true = pairs.x.labels
-    acc = float(np.mean(batch.labels == true))
-    wins_x = np.bincount(batch.neurons[batch.map_ids == "x"], minlength=som_x.n_neurons)
-    wins_y = np.bincount(batch.neurons[batch.map_ids == "y"], minlength=som_y.n_neurons)
-    return ConvergenceEval(
-        accuracy=acc,
-        confusion=confusion_matrix(true, batch.labels, n_classes),
-        n_no_decision=int(batch.no_decision.sum()),
-        winner_counts_x=wins_x,
-        winner_counts_y=wins_y,
+    ax = activities_batch(som_x, pairs.x.values, cfg.kernel_width_x)
+    ay = activities_batch(som_y, pairs.y_values, cfg.kernel_width_y)
+    return evaluate_convergence_from_fields(
+        som_x, som_y, syn_xy, syn_yx, ax, ay, pairs.x.labels, cfg, n_classes
     )
 
 

@@ -159,12 +159,29 @@ def activation_field(som: SomGrid, v: np.ndarray, kernel_width: float) -> Activa
     return ActivationField(acts, bmu, wmu)
 
 
-def activities_batch(som: SomGrid, values: np.ndarray, kernel_width: float) -> np.ndarray:
-    """(n_samples, n_neurons) Gaussian activities."""
+def distances(som: SomGrid, values: np.ndarray) -> np.ndarray:
+    """(n_samples, n_neurons) Euclidean input-to-weight distances.
+
+    The one distance kernel: every activity field, BMU and unimodal
+    prediction derives from it.  Each row depends on its input row alone, so
+    distances of gathered rows equal the gathered rows of the distances.
+    """
+    return cdist(np.ascontiguousarray(values, dtype=np.float64), som.weights)
+
+
+def activities_from_distances(d: np.ndarray, kernel_width: float) -> np.ndarray:
+    """Gaussian activities exp(-d / kernel_width) of a distance matrix."""
     if kernel_width <= 0:
         raise ValueError("kernel width must be positive")
-    v = np.ascontiguousarray(values, dtype=np.float64)
-    return np.exp(-cdist(v, som.weights) / kernel_width)
+    # The steps of np.exp(-d / kernel_width), bit for bit, in one fresh array.
+    a = np.negative(d)
+    a /= kernel_width
+    return np.exp(a, out=a)
+
+
+def activities_batch(som: SomGrid, values: np.ndarray, kernel_width: float) -> np.ndarray:
+    """(n_samples, n_neurons) Gaussian activities."""
+    return activities_from_distances(distances(som, values), kernel_width)
 
 
 def bmu_stream(
@@ -175,7 +192,7 @@ def bmu_stream(
     idx = np.empty(v.shape[0], dtype=np.int64)
     val = np.empty(v.shape[0], dtype=np.float64)
     for start in range(0, v.shape[0], block):
-        d = cdist(v[start : start + block], som.weights)
+        d = distances(som, v[start : start + block])
         b = np.argmin(d, axis=1)
         idx[start : start + d.shape[0]] = b
         val[start : start + d.shape[0]] = np.exp(

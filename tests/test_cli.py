@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from resom.association import LateralSynapses, save_synapses
 from resom.cli import main
 from resom.data import FeatureMatrix, save_rsm1
 from resom.som import load_som, make_som, save_som
@@ -156,6 +157,31 @@ def labeled_map(path, width=2, height=2, dim=6, seed=0):
     grid.labels = np.arange(width * height) % 2
     save_som(grid, path)
     return path
+
+
+class TestConverge:
+    def test_map_y_label_beyond_test_classes(self, tmp_path):
+        # Three test classes; map y names class 5, which needs a confusion row.
+        rng = np.random.default_rng(0)
+        labels = np.repeat(np.arange(3), 4)
+        for name in ("x", "y"):
+            save_rsm1(FeatureMatrix(rng.random((12, 6)), labels), tmp_path / f"{name}.rsm1")
+        labeled_map(tmp_path / "x.rsom")
+        som_y = make_som(2, 2, 6, seed=1)
+        som_y.labels = np.full(4, 5)
+        save_som(som_y, tmp_path / "y.rsom")
+        for name in ("xy", "yx"):
+            save_synapses(LateralSynapses.empty(4, 4), tmp_path / f"{name}.rlat")
+        confusion = tmp_path / "confusion.csv"
+        assert run(
+            "converge", "--som-x", tmp_path / "x.rsom", "--som-y", tmp_path / "y.rsom",
+            "--syn-xy", tmp_path / "xy.rlat", "--syn-yx", tmp_path / "yx.rlat",
+            "--test-x", tmp_path / "x.rsm1", "--test-y", tmp_path / "y.rsm1",
+            "--disconnected", "keep", "--metrics", tmp_path / "m.txt",
+            "--confusion-csv", confusion,
+        ) == 0
+        counts = np.loadtxt(confusion, delimiter=",")
+        assert counts.shape == (6, 6) and counts.sum() == 12
 
 
 class TestBinaryInputExitCodes:

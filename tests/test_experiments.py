@@ -1,15 +1,24 @@
+import sys
+import threading
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import resom.som
+from resom import association as assoc, inference, labeling
+from resom.cli import main
 from resom.data import FeatureMatrix, save_rsm1
 from resom.experiments import (
+    SEED_SUBSET_X,
+    SEED_SUBSET_Y,
     ExperimentSpec,
     SpecError,
     StageCache,
     alpha_sweep,
+    build_stages,
+    evaluate_seed,
     format_spec,
     load_dataset,
     parse_spec,
@@ -18,6 +27,7 @@ from resom.experiments import (
     run_pipeline,
     run_seed,
     spec_hash,
+    unimodal_accuracies,
     write_metrics,
     write_record_csv,
 )
@@ -108,6 +118,24 @@ class TestSynthetic:
             SyntheticSpec(confused_x=((0, 1), (1, 2)))
 
 
+def files_spec(tmp_path, **overrides) -> ExperimentSpec:
+    """A 3-class files dataset whose y test split has fewer rows per class
+    than its x test split, so test pairs share y rows."""
+    rng = np.random.default_rng(5)
+    paths = {}
+    for modality, test_per_class in (("x", 12), ("y", 5)):
+        for split, per_class in (("train", 40), ("test", test_per_class)):
+            labels = np.repeat(np.arange(3), per_class)
+            values = rng.random((labels.size, 5)) + 0.3 * labels[:, None]
+            paths[f"{modality}_{split}"] = str(tmp_path / f"{modality}_{split}.rsm1")
+            save_rsm1(FeatureMatrix(values, labels), paths[f"{modality}_{split}"])
+    return ExperimentSpec(**{
+        "dataset": "files", **paths, "normalize_x": "minmax", "normalize_y": "minmax",
+        "grid_x": (3, 3), "grid_y": (4, 4), "epochs": 3, "label_fraction_x": 0.2,
+        "label_fraction_y": 0.2, "seeds": (0,), **overrides,
+    })
+
+
 class TestPipeline:
     def test_seed_rerun_is_bit_identical(self, tmp_path):
         spec = ExperimentSpec(**TINY)
@@ -162,6 +190,143 @@ class TestPipeline:
         serial = run_pipeline(spec, StageCache(None), jobs=1)
         parallel = run_pipeline(spec, StageCache(None), jobs=2)
         assert serial.content_hash() == parallel.content_hash()
+
+
+class TestStageCache:
+    def test_truncated_blobs_are_recomputed(self, tmp_path):
+        spec = ExperimentSpec(**TINY)
+        spec_path = tmp_path / "spec.txt"
+        spec_path.write_text(format_spec(spec))
+        cache_dir = tmp_path / "cache"
+        first = run_pipeline(spec, StageCache(str(cache_dir)))
+        blobs = sorted(cache_dir.glob("*.bin"))
+        assert len(blobs) == 3  # map x, map y, synapses
+        for blob in blobs:
+            blob.write_bytes(blob.read_bytes()[: blob.stat().st_size // 2])
+        assert main(["pipeline", "--spec", str(spec_path), "--out", str(tmp_path / "r.csv"),
+                     "--cache", str(cache_dir)]) == 0
+        cache = StageCache(str(cache_dir))
+        assert all(cache.get(blob.stem) is not None for blob in blobs)  # rewritten
+        assert run_pipeline(spec, cache).content_hash() == first.content_hash()
+
+    @pytest.mark.parametrize("damage", ["empty", "short", "flipped", "unchecked"])
+    def test_damaged_blob_is_a_miss(self, tmp_path, damage):
+        cache = StageCache(str(tmp_path))
+        cache.put("k", b"payload")
+        path = tmp_path / "k.bin"
+        stored = path.read_bytes()
+        path.write_bytes({
+            "empty": b"",
+            "short": stored[:20],
+            "flipped": stored[:-1] + bytes([stored[-1] ^ 1]),
+            "unchecked": b"payload",
+        }[damage])
+        assert cache.get("k") is None
+
+    def test_concurrent_puts_leave_one_valid_blob(self, tmp_path):
+        cache = StageCache(str(tmp_path))
+        blobs = [bytes([i]) * (1 << 20) for i in range(4)]  # more writers than cores
+        errors = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                start = threading.Barrier(len(blobs))
+
+                def put(blob):
+                    start.wait()
+                    try:
+                        cache.put("k", blob)
+                    except Exception as e:  # asserted on below, in the test's thread
+                        errors.append(e)
+
+                threads = [threading.Thread(target=put, args=(b,)) for b in blobs]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert not errors
+                assert cache.get("k") in blobs
+                assert [p.name for p in tmp_path.iterdir()] == ["k.bin"]
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestSharedDistances:
+    """evaluate_seed and the sweeps reuse each built seed's test distances."""
+
+    @pytest.mark.parametrize("mode", ["direct", "diverge"])
+    def test_evaluate_seed_matches_evaluators_from_scratch(self, tmp_path, mode):
+        spec = files_spec(tmp_path, label_mode_y=mode)
+        stages = build_stages(spec, 0, StageCache(None))
+        test, n_classes = stages.test_pairs, stages.n_classes
+        assert np.unique(test.pairing).size < test.n_samples  # pairs reuse y rows
+        assert unimodal_accuracies(stages) == (
+            inference.evaluate_unimodal(stages.som_x, test.x, n_classes).accuracy,
+            inference.evaluate_unimodal(stages.som_y_direct, test.y, n_classes).accuracy,
+        )
+        configs = [replace(cfg, kernel_width_x=width, kernel_width_y=width)
+                   for cfg in inference.ALL_VARIANTS for width in (1.0, 10.0)]
+        keep = 0.3
+        ev = evaluate_seed(spec, stages, keep, configs, diverge=True)
+        syn_xy = assoc.prune(stages.syn_xy, keep)
+        syn_yx = assoc.prune(stages.syn_yx, keep)
+        diverged = inference.diverge_label(
+            stages.som_x, stages.som_y, syn_xy, stages.subset_x, spec.diverge_beta, n_classes
+        )
+        assert ev.uni_y_diverged == inference.evaluate_unimodal(diverged, test.y, n_classes).accuracy
+        som_y = diverged if mode == "diverge" else stages.som_y_direct
+        assert np.array_equal(ev.som_y.labels, som_y.labels)
+        for cfg, got in zip(configs, ev.convergence, strict=True):
+            want = inference.evaluate_convergence(
+                stages.som_x, som_y, syn_xy, syn_yx, test, cfg, n_classes
+            )
+            assert (got.accuracy, got.n_no_decision) == (want.accuracy, want.n_no_decision)
+            for name in ("confusion", "winner_counts_x", "winner_counts_y"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_prune_sweep_measures_test_distances_once_per_map_and_seed(self, monkeypatch):
+        spec = ExperimentSpec(**{**TINY, "grid_y": (5, 5), "seeds": (0, 1)})
+        n_test = TINY["classes"] * TINY["test_per_class"]  # no other row block is this long
+        calls = []
+        cdist = resom.som.cdist
+
+        def counting_cdist(values, weights):
+            calls.append((values.shape[0], weights.shape[0]))
+            return cdist(values, weights)
+
+        monkeypatch.setattr(resom.som, "cdist", counting_cdist)
+        prune_sweep(spec, (0.05, 0.1, 0.25, 1.0), StageCache(None))
+        neurons = sorted(k for rows, k in calls if rows == n_test)
+        assert neurons == [16, 16, 25, 25]  # x and y, two seeds
+
+    @pytest.mark.parametrize("modality", ["x", "y"])
+    def test_alpha_sweep_matches_evaluate_unimodal_per_alpha(self, modality):
+        spec = ExperimentSpec(**{**TINY, "seeds": (0, 1)})
+        alphas = (0.1, 1.0, 20.0)
+        rows = alpha_sweep(spec, alphas, modality, StageCache(None))
+        fraction, offset = (
+            (spec.label_fraction_x, SEED_SUBSET_X) if modality == "x"
+            else (spec.label_fraction_y, SEED_SUBSET_Y)
+        )
+        per_seed = []
+        for seed in spec.seeds:
+            stages = build_stages(spec, seed, StageCache(None))
+            subset = labeling.select_label_subset(
+                getattr(stages.train_pairs, modality), fraction, seed * 1000 + offset
+            )
+            grid = stages.som_x if modality == "x" else stages.som_y
+            per_seed.append((grid, subset, getattr(stages.test_pairs, modality), stages.n_classes))
+        for alpha, row in zip(alphas, rows, strict=True):
+            accs = [
+                inference.evaluate_unimodal(
+                    labeling.label_som(grid, subset, alpha), test, n_classes
+                ).accuracy
+                for grid, subset, test, n_classes in per_seed
+            ]
+            assert row == {"alpha": alpha, "accuracy_mean": float(np.mean(accs)),
+                           "accuracy_std": float(np.std(accs))}
 
 
 class TestSweeps:
