@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, inf
 
 import numpy as np
 
@@ -58,10 +58,6 @@ class LateralSynapses:
     @property
     def n_synapses(self) -> int:
         return int(self.exists.sum())
-
-    def targets_of(self, src: int) -> tuple[np.ndarray, np.ndarray]:
-        idx = np.flatnonzero(self.exists[src])
-        return idx, self.weights[src, idx]
 
     def copy(self) -> "LateralSynapses":
         return LateralSynapses(
@@ -131,8 +127,8 @@ def associate(
 
 
 def prune_quota(keep_fraction: float, n_target: int) -> int:
-    if keep_fraction <= 0:
-        raise ValueError("keep_fraction must be positive")
+    if not 0 < keep_fraction < inf:
+        raise ValueError(f"keep_fraction must be positive and finite, got {keep_fraction}")
     return ceil(keep_fraction * n_target)
 
 
@@ -143,14 +139,14 @@ def prune(syn: LateralSynapses, keep_fraction: float) -> LateralSynapses:
     deterministic.  Neurons with fewer synapses than the quota keep them all.
     """
     quota = prune_quota(keep_fraction, syn.n_target)
+    # One stable sort per row: existing synapses first, strongest first, and
+    # the lower target index first on equal keys.
+    order = np.lexsort((-syn.weights, ~syn.exists), axis=1)[:, :quota]
+    keep = np.take_along_axis(syn.exists, order, axis=1)
+    src, dst = np.nonzero(keep)[0], order[keep]
     out = LateralSynapses.empty(syn.n_source, syn.n_target, syn.rule, syn.eta)
-    for s in range(syn.n_source):
-        idx, w = syn.targets_of(s)
-        if idx.size > quota:
-            order = np.lexsort((idx, -w))[:quota]
-            idx, w = idx[order], w[order]
-        out.exists[s, idx] = True
-        out.weights[s, idx] = w
+    out.exists[src, dst] = True
+    out.weights[src, dst] = syn.weights[src, dst]
     return out
 
 

@@ -8,6 +8,7 @@ Gaussian activity kernel downstream stays in (0, 1].
 
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass
 
@@ -101,6 +102,15 @@ class PairedDataset:
 # ---------------------------------------------------------------------------
 
 def _read_exact(f, n: int) -> bytes:
+    """Exactly ``n`` bytes of ``f``.  A seekable file is checked against the
+    bytes it has left before reading, so a header announcing more than the
+    file holds allocates nothing."""
+    if f.seekable():
+        here = f.tell()
+        left = f.seek(0, io.SEEK_END) - here
+        f.seek(here)
+        if n > left:
+            raise DataFormatError(f"truncated payload: wanted {n} bytes, {left} left")
     data = f.read(n)
     if len(data) != n:
         raise DataFormatError(f"truncated payload: wanted {n} bytes, got {len(data)}")
@@ -133,6 +143,8 @@ def load_idx(path, labels_path=None) -> FeatureMatrix:
         count = _read_be_u32(f)
         rows = _read_be_u32(f)
         cols = _read_be_u32(f)
+        if rows * cols == 0:
+            raise DataFormatError(f"IDX images of {rows}x{cols} hold no pixels")
         raw = _read_exact(f, count * rows * cols)
     pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
     values = pixels.astype(np.float32) / np.float32(255.0)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import os
 import tempfile
 import time
@@ -140,6 +141,9 @@ class ExperimentSpec:
     seeds: tuple[int, ...] = (0,)
 
     def __post_init__(self):
+        for name in _FLOAT_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise SpecError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dataset not in ("synthetic", "files"):
             raise SpecError(f"dataset must be synthetic or files, got {self.dataset!r}")
         for mode in (self.normalize_x, self.normalize_y):
@@ -203,6 +207,11 @@ _CODECS = {
 _FIELD_CODECS = {
     name: _CODECS[typ] for name, typ in get_type_hints(ExperimentSpec).items()
 }
+
+
+_FLOAT_FIELDS = tuple(
+    name for name, typ in get_type_hints(ExperimentSpec).items() if typ is float
+)
 
 
 def format_spec(spec: ExperimentSpec) -> str:
@@ -653,18 +662,25 @@ def prune_sweep(
 ) -> list[dict]:
     """Divergence and convergence accuracy per keep fraction.
 
-    Each seed is built once (or taken from ``per_seed``) and evaluated at
-    every fraction; convergence labels map y as ``spec.label_mode_y`` says.
+    Each seed is built (or taken from ``per_seed``) and evaluated at every
+    fraction before the next seed is built, so one seed's stages are alive at
+    a time; convergence labels map y as ``spec.label_mode_y`` says.
     """
-    if per_seed is None:
-        per_seed = [build_stages(spec, s, cache) for s in spec.seeds]
     configs = [spec.convergence_config()]
+
+    def measure(stages: SeedStages) -> list[tuple[float, float, int]]:
+        evals = (evaluate_seed(spec, stages, f, configs, diverge=True) for f in fractions)
+        return [(ev.uni_y_diverged, ev.convergence[0].accuracy, ev.syn_xy.n_synapses)
+                for ev in evals]
+
+    if per_seed is None:
+        # Built as the argument, a seed's stages die once it is measured.
+        cells = [measure(build_stages(spec, s, cache)) for s in spec.seeds]
+    else:
+        cells = [measure(stages) for stages in per_seed]
     rows = []
-    for fraction in fractions:
-        evals = [evaluate_seed(spec, st, fraction, configs, diverge=True) for st in per_seed]
-        div = [ev.uni_y_diverged for ev in evals]
-        conv = [ev.convergence[0].accuracy for ev in evals]
-        post = [ev.syn_xy.n_synapses for ev in evals]
+    for fraction, per_fraction in zip(fractions, zip(*cells)):
+        div, conv, post = zip(*per_fraction)
         rows.append({
             "keep_fraction": fraction,
             "divergence_mean": float(np.mean(div)),

@@ -1,17 +1,22 @@
 """Cross-map inference: divergence labeling and convergence classification.
 
-Divergence drives one map's activity purely through its incoming lateral
-synapses (max of weight * source activity) and reuses the accumulator-based
-labeling on those induced activities; neurons left without any incoming
-synapse keep the default label 0.
+Both directions of the reentrant step are one max-product operator on the
+synapses, ``synapse_max``: divergence sets each neuron of one map to the max
+over its incoming synapses of weight * source activity, and convergence's
+max lateral support is the same operation on the transposed synapses (W
+and Wᵀ).  Divergence reuses the accumulator-based labeling on the induced
+activities; neurons left without any incoming synapse keep the default
+label 0.
 
 Convergence computes each map's afferent field, multiplies it by lateral
 support from the other map, and elects a single global winner across both
 maps.  The eight variants combine max/sum lateral support, raw/min-max
 normalized activities, and all-neurons vs BMUs-only updates.  In BMUs-only
 mode every non-BMU activity is zeroed, so the global winner is always one of
-the two local BMUs, and normalization (when enabled) applies to the lateral
-contributions only, leaving the two competing afferent activities raw.
+the two local BMUs, the support is evaluated at each sample's BMU only, and
+normalization (when enabled) applies to the lateral contributions only,
+leaving the two competing afferent activities raw.  The sum variant's
+support (the mean over a neuron's synapses) is one masked matrix product.
 
 Each evaluator is a core that reads precomputed BMUs or afferent fields
 (``evaluate_unimodal_from_bmus``, ``evaluate_convergence_from_fields``) and a
@@ -23,6 +28,7 @@ the cores at every keep fraction and labeling of map y.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,8 +62,8 @@ class ConvergenceConfig:
             raise ValueError(f"neurons must be one of {NEURON_MODES}")
         if self.disconnected not in DISCONNECTED_MODES:
             raise ValueError(f"disconnected must be one of {DISCONNECTED_MODES}")
-        if self.kernel_width_x <= 0 or self.kernel_width_y <= 0:
-            raise ValueError("kernel widths must be positive")
+        if not (0 < self.kernel_width_x < math.inf and 0 < self.kernel_width_y < math.inf):
+            raise ValueError("kernel widths must be positive and finite")
 
     def name(self) -> str:
         return f"{self.update}-{self.activities}-{self.neurons}"
@@ -87,21 +93,33 @@ def minmax_rows(fields: np.ndarray) -> np.ndarray:
     return out
 
 
-def divergent_activity(syn: LateralSynapses, field_src: np.ndarray, target: int) -> float:
-    """max over incoming synapses of weight * source activity; 0 if none."""
-    src = np.flatnonzero(syn.exists[:, target])
-    if src.size == 0:
-        return 0.0
-    return float(np.max(syn.weights[src, target] * np.asarray(field_src)[src]))
+def synapse_max(
+    weights: np.ndarray, exists: np.ndarray, fields: np.ndarray, at: np.ndarray | None = None
+) -> np.ndarray:
+    """Max-product transmission through the existing synapses of (W, E).
 
-
-def divergent_field_batch(syn: LateralSynapses, src_fields: np.ndarray) -> np.ndarray:
-    """(n_samples, n_target) induced activities from (n_samples, n_source)."""
-    out = np.zeros((src_fields.shape[0], syn.n_target))
-    for t in range(syn.n_target):
-        src = np.flatnonzero(syn.exists[:, t])
-        if src.size:
-            out[:, t] = (src_fields[:, src] * syn.weights[src, t]).max(axis=1)
+    Column j of the result is the max, over the inputs i with ``exists[i, j]``,
+    of ``fields[:, i] * weights[i, j]``, and 0 where column j has no input.
+    Divergence passes a direction's (W, E) and max lateral support passes
+    (Wᵀ, Eᵀ).  With ``at``, sample s gets only column ``at[s]`` (one value
+    per sample); the samples are grouped by that column, so the work is
+    O(n_samples * inputs per column) rather than O(n_samples * columns * inputs).
+    """
+    # One group per output column j: (j, the rows of ``fields`` it reads,
+    # the cells of ``out`` it writes).
+    n = fields.shape[0]
+    if at is None:
+        out = np.zeros((n, exists.shape[1]))
+        groups = ((j, slice(None), (slice(None), j)) for j in range(exists.shape[1]))
+    else:
+        out = np.zeros(n)
+        order = np.argsort(at, kind="stable")
+        cols, starts = np.unique(at[order], return_index=True)
+        groups = ((j, rows[:, None], rows) for j, rows in zip(cols, np.split(order, starts[1:])))
+    for j, rows, cell in groups:
+        inputs = np.flatnonzero(exists[:, j])
+        if inputs.size:
+            out[cell] = (fields[rows, inputs] * weights[inputs, j]).max(axis=1)
     return out
 
 
@@ -128,7 +146,7 @@ def diverge_label(
         raise ValueError("labeled subset required")
     n_classes = n_classes or subset_x.n_classes
     ax = activities_batch(som_x, subset_x.values, kernel_width)
-    induced = divergent_field_batch(syn_xy, ax)
+    induced = synapse_max(syn_xy.weights, syn_xy.exists, ax)
     peak = induced.max(axis=1)
     induced /= np.where(peak > 0, peak, 1.0)[:, None]
     accs = ClassAccumulators.from_activities(induced, subset_x.labels, n_classes)
@@ -139,40 +157,19 @@ def diverge_label(
 # Convergence
 # ---------------------------------------------------------------------------
 
-def lateral_support(
-    syn: LateralSynapses, other_fields: np.ndarray, update: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per source neuron, max or mean of weight * other-map activity.
-
-    Returns (support (n_samples, n_source), connected mask (n_source,)); the
-    support of a disconnected neuron is reported as 0, the caller decides
-    whether that zeroes the neuron or leaves it untouched.
-    """
-    connected = syn.exists.any(axis=1)
-    if update == "sum":
-        masked = np.where(syn.exists, syn.weights, 0.0)
-        out = other_fields @ masked.T
-        counts = syn.exists.sum(axis=1)
-        out[:, connected] /= counts[connected]
-        out[:, ~connected] = 0.0
-    elif update == "max":
-        out = np.zeros((other_fields.shape[0], syn.n_source))
-        for s in np.flatnonzero(connected):
-            idx = np.flatnonzero(syn.exists[s])
-            out[:, s] = (other_fields[:, idx] * syn.weights[s, idx]).max(axis=1)
-    else:
-        raise ValueError(f"unknown update {update!r}")
-    return out, connected
-
-
-def _support_at(
-    syn: LateralSynapses, other_fields: np.ndarray, neurons: np.ndarray, update: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """lateral_support at one source neuron per sample, and the connected
-    mask; the (n_samples, n_source) support and input die here, one map at a
-    time, which keeps them off the peak memory of convergence."""
-    support, connected = lateral_support(syn, other_fields, update)
-    return support[np.arange(neurons.size), neurons], connected
+def _synapse_mean(
+    syn: LateralSynapses, fields: np.ndarray, at: np.ndarray | None = None
+) -> np.ndarray:
+    """The "sum" update's support: each source neuron's mean of weight *
+    other-map activity over its synapses, 0 if it has none; with ``at``,
+    only at neuron ``at[s]`` for sample s.  It stays one masked matmul,
+    gathered afterwards, because a BLAS product does not sum in the order of
+    an elementwise sum."""
+    total = fields @ np.where(syn.exists, syn.weights, 0.0).T
+    counts = syn.exists.sum(axis=1)
+    if at is not None:
+        total, counts = total[np.arange(at.size), at], counts[at]
+    return np.where(counts > 0, total / np.maximum(counts, 1), 0.0)
 
 
 @dataclass
@@ -216,35 +213,36 @@ def converge_from_fields(
     """Decision phase on precomputed afferent fields (one row per sample)."""
     if som_x.labels is None or som_y.labels is None:
         raise ValueError("both maps must be labeled")
-    n = ax.shape[0]
+    rows = np.arange(ax.shape[0])
     bmu_x = np.argmax(ax, axis=1)
     bmu_y = np.argmax(ay, axis=1)
+
+    def support(syn, other_fields, at=None):
+        """Lateral support of syn's source neurons from the other map (only
+        neuron ``at[s]`` for sample s, given ``at``); a neuron without
+        synapses gets 0, or 1 under the "keep" convention."""
+        if cfg.update == "max":
+            sup = synapse_max(syn.weights.T, syn.exists.T, other_fields, at)
+        else:
+            sup = _synapse_mean(syn, other_fields, at)
+        if cfg.disconnected == "keep":
+            connected = syn.exists.any(axis=1)
+            sup = np.where(connected if at is None else connected[at], sup, 1.0)
+        return sup
 
     if cfg.neurons == "all":
         if cfg.activities == "norm":
             ax, ay = minmax_rows(ax), minmax_rows(ay)
-        sup_x, conn_x = lateral_support(syn_xy, ay, cfg.update)
-        sup_y, conn_y = lateral_support(syn_yx, ax, cfg.update)
-        new_x = ax * sup_x
-        new_y = ay * sup_y
-        if cfg.disconnected == "keep":
-            new_x[:, ~conn_x] = ax[:, ~conn_x]
-            new_y[:, ~conn_y] = ay[:, ~conn_y]
+        new_x = ax * support(syn_xy, ay)
+        new_y = ay * support(syn_yx, ax)
         best_x_idx = np.argmax(new_x, axis=1)
         best_y_idx = np.argmax(new_y, axis=1)
-        best_x = new_x[np.arange(n), best_x_idx]
-        best_y = new_y[np.arange(n), best_y_idx]
+        best_x = new_x[rows, best_x_idx]
+        best_y = new_y[rows, best_y_idx]
     else:  # bmu: only the two local BMUs keep (updated) activity
         lateral = minmax_rows if cfg.activities == "norm" else (lambda a: a)
-        bmu_sup_x, conn_x = _support_at(syn_xy, lateral(ay), bmu_x, cfg.update)
-        bmu_sup_y, conn_y = _support_at(syn_yx, lateral(ax), bmu_y, cfg.update)
-        raw_x = ax[np.arange(n), bmu_x]
-        raw_y = ay[np.arange(n), bmu_y]
-        if cfg.disconnected == "keep":
-            bmu_sup_x = np.where(conn_x[bmu_x], bmu_sup_x, 1.0)
-            bmu_sup_y = np.where(conn_y[bmu_y], bmu_sup_y, 1.0)
-        best_x = raw_x * bmu_sup_x
-        best_y = raw_y * bmu_sup_y
+        best_x = ax[rows, bmu_x] * support(syn_xy, lateral(ay), bmu_x)
+        best_y = ay[rows, bmu_y] * support(syn_yx, lateral(ax), bmu_y)
         best_x_idx, best_y_idx = bmu_x, bmu_y
 
     x_wins = best_x >= best_y  # fixed map order: x wins exact ties

@@ -84,12 +84,6 @@ def select_label_subset(
     )
 
 
-def bmu_normalized(activities: np.ndarray) -> np.ndarray:
-    """Activities divided by the BMU activity (BMU maps to exactly 1.0)."""
-    activities = np.asarray(activities, dtype=np.float64)
-    return activities / activities[np.argmax(activities)]
-
-
 def accumulate_class_activity(
     som: SomGrid, subset: FeatureMatrix, kernel_width: float, n_classes: int | None = None
 ) -> ClassAccumulators:

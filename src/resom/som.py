@@ -22,6 +22,7 @@ one-map loop.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -91,15 +92,6 @@ class SomGrid:
         return SomGrid(self.width, self.height, self.weights.copy(), labels)
 
 
-@dataclass
-class ActivationField:
-    """Per-neuron activities for one input, with elected best/worst units."""
-
-    activities: np.ndarray
-    bmu: int
-    wmu: int
-
-
 def make_som(width: int, height: int, dim: int, seed: int) -> SomGrid:
     """Fresh grid with weights drawn uniformly from [0, 1)."""
     rng = np.random.default_rng(seed)
@@ -111,52 +103,6 @@ def decay(t: int, t_final: int, v_start: float, v_end: float) -> float:
     if not 0 <= t <= t_final:
         raise ValueError(f"epoch {t} outside [0, {t_final}]")
     return v_start * (v_end / v_start) ** (t / t_final)
-
-
-def activity(v: np.ndarray, w: np.ndarray, kernel_width: float) -> float:
-    """exp(-||v - w|| / kernel_width); the norm is NOT squared."""
-    v = np.asarray(v, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    if v.shape != w.shape:
-        raise ValueError(f"dimension mismatch: {v.shape} vs {w.shape}")
-    if kernel_width <= 0:
-        raise ValueError("kernel width must be positive")
-    diff = v - w
-    return float(np.exp(-np.sqrt(np.sum(diff * diff)) / kernel_width))
-
-
-def neighborhood(p_n, p_s, sigma: float, grid_metric: str = "euclidean") -> float:
-    """exp(-d^2 / (2 sigma^2)) over the chosen grid distance (squared here)."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    dr = float(p_n[0] - p_s[0])
-    dc = float(p_n[1] - p_s[1])
-    if grid_metric == "manhattan":
-        d = abs(dr) + abs(dc)
-        dsq = d * d
-    elif grid_metric == "euclidean":
-        dsq = dr * dr + dc * dc
-    else:
-        raise ValueError(f"unknown grid metric {grid_metric!r}")
-    return float(np.exp(-dsq / (2.0 * sigma * sigma)))
-
-
-def elect_bmu_wmu(activities: np.ndarray) -> tuple[int, int]:
-    """(argmax, argmin) with lowest-index tie-breaking."""
-    activities = np.asarray(activities)
-    if activities.size == 0:
-        raise ValueError("empty activation field")
-    return int(np.argmax(activities)), int(np.argmin(activities))
-
-
-def activation_field(som: SomGrid, v: np.ndarray, kernel_width: float) -> ActivationField:
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (som.dim,):
-        raise ValueError(f"input dim {v.shape} does not match som dim {som.dim}")
-    diff = v - som.weights
-    acts = np.exp(-np.sqrt(np.sum(diff * diff, axis=1)) / kernel_width)
-    bmu, wmu = elect_bmu_wmu(acts)
-    return ActivationField(acts, bmu, wmu)
 
 
 def distances(som: SomGrid, values: np.ndarray) -> np.ndarray:
@@ -171,8 +117,8 @@ def distances(som: SomGrid, values: np.ndarray) -> np.ndarray:
 
 def activities_from_distances(d: np.ndarray, kernel_width: float) -> np.ndarray:
     """Gaussian activities exp(-d / kernel_width) of a distance matrix."""
-    if kernel_width <= 0:
-        raise ValueError("kernel width must be positive")
+    if not 0 < kernel_width < math.inf:
+        raise ValueError(f"kernel width must be positive and finite, got {kernel_width}")
     # The steps of np.exp(-d / kernel_width), bit for bit, in one fresh array.
     a = np.negative(d)
     a /= kernel_width
@@ -330,6 +276,8 @@ def load_som(path_or_file) -> SomGrid:
             raise DataFormatError(f"bad checkpoint magic {magic!r}")
         width, height, dim, has_labels = struct.unpack("<IIIB", _read_exact(f, 13))
         k = width * height
+        if k == 0 or dim == 0:
+            raise DataFormatError(f"checkpoint holds no weights: {width}x{height}, dim {dim}")
         weights = np.frombuffer(_read_exact(f, k * dim * 4), dtype="<f4").reshape(k, dim)
         labels = None
         if has_labels:

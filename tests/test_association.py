@@ -123,6 +123,22 @@ class TestOjaDynamics:
         assert w == pytest.approx(0.5 / 0.4, abs=1e-6)
 
 
+def reference_prune(syn, keep_fraction):
+    """The per-source loop prune ran before it became one sort: each source's
+    existing synapses, lexsorted by weight (descending) then target index."""
+    quota = prune_quota(keep_fraction, syn.n_target)
+    out = LateralSynapses.empty(syn.n_source, syn.n_target, syn.rule, syn.eta)
+    for s in range(syn.n_source):
+        idx = np.flatnonzero(syn.exists[s])
+        w = syn.weights[s, idx]
+        if idx.size > quota:
+            order = np.lexsort((idx, -w))[:quota]
+            idx, w = idx[order], w[order]
+        out.exists[s, idx] = True
+        out.weights[s, idx] = w
+    return out
+
+
 class TestPrune:
     def make(self, rows):
         n_target = max(len(r) for r in rows)
@@ -179,6 +195,30 @@ class TestPrune:
         syn = self.make([[None, 0.1, None, None]])
         out = prune(syn, keep_fraction=0.5)
         assert out.exists[0, 1] and out.n_synapses == 1
+
+    def test_matches_per_source_loop_bit_for_bit(self):
+        # Few distinct weights make ties common; negative weights and -0.0
+        # occur through RLAT files and Oja with eta > 1; sparse rows leave
+        # sources under their quota.
+        rng = np.random.default_rng(6)
+        values = np.array([-2.0, -0.5, -0.0, 0.0, 0.25, 0.25, 1.0, 3.0])
+        for trial in range(200):
+            n_source, n_target = rng.integers(1, 12, 2)
+            syn = LateralSynapses.empty(int(n_source), int(n_target), "oja", 1.5)
+            syn.exists[:] = rng.random(syn.exists.shape) < rng.random()
+            syn.weights[:] = (rng.choice(values, syn.weights.shape) if trial % 2
+                              else rng.normal(size=syn.weights.shape))
+            for fraction in (0.01, 0.2, 0.5, 1.0, 3.0):
+                got, want = prune(syn, fraction), reference_prune(syn, fraction)
+                assert np.array_equal(got.exists, want.exists)
+                assert np.array_equal(got.weights, want.weights)
+                assert np.array_equal(np.signbit(got.weights), np.signbit(want.weights))
+                assert (got.rule, got.eta) == ("oja", 1.5)
+
+    @pytest.mark.parametrize("fraction", [float("nan"), float("inf"), -0.5])
+    def test_quota_refuses_non_finite_and_non_positive_fractions(self, fraction):
+        with pytest.raises(ValueError, match="keep_fraction"):
+            prune_quota(fraction, 10)
 
 
 class TestSynapseFile:

@@ -189,7 +189,8 @@ class TestBinaryInputExitCodes:
         b"RSOM\x02\x00\x00\x00",
         b"RSOM" + struct.pack("<IIIB", 2, 2, 6, 0) + bytes(40),
         b"JUNK" + struct.pack("<IIIB", 2, 2, 6, 0) + bytes(96),
-    ], ids=["truncated-header", "short-payload", "bad-magic"])
+        b"RSOM" + struct.pack("<IIIB", 0xFFFFFFFF, 0xFFFFFFFF, 0, 0),
+    ], ids=["truncated-header", "short-payload", "bad-magic", "no-weights"])
     def test_bad_checkpoint_is_data_error(self, workspace, tmp_path, blob):
         bad = tmp_path / "bad.rsom"
         bad.write_bytes(blob)
@@ -227,3 +228,60 @@ class TestBinaryInputExitCodes:
             "--out-xy", tmp_path / "xy.rlat", "--out-yx", tmp_path / "yx.rlat",
         ) == 2
         assert not (tmp_path / "xy.rlat").exists()
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("line", [
+        "beta_x = nan\nbeta_y = nan",  # printed accuracy 0.00 and exit 0
+        "alpha_x = nan",  # labeled every neuron 0 and exit 0
+        "keep_fraction = inf",  # OverflowError traceback from the prune quota
+    ], ids=["beta-nan", "alpha-nan", "keep-inf"])
+    def test_spec_is_refused_before_training(self, tmp_path, monkeypatch, line):
+        import resom.experiments as exp
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained on an invalid spec")
+
+        monkeypatch.setattr(exp.som_mod, "train_many", no_training)
+        spec = tmp_path / "spec.txt"
+        spec.write_text(TINY_SPEC + line + "\n")
+        assert run("pipeline", "--spec", spec, "--out", tmp_path / "r.csv") == 2
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_label_alpha_flag(self, workspace, tmp_path, value):
+        assert run(
+            "label", "--som", labeled_map(tmp_path / "x.rsom"),
+            "--data", workspace / "x_train.rsm1", "--subset-frac", 0.2,
+            "--alpha", value, "--out", tmp_path / "out.rsom",
+        ) == 2
+
+    @pytest.mark.parametrize("flag", ["--beta-x", "--beta-y"])
+    def test_converge_beta_flags(self, workspace, tmp_path, flag):
+        for name in ("xy", "yx"):
+            save_synapses(LateralSynapses.empty(4, 4), tmp_path / f"{name}.rlat")
+        assert run(
+            "converge", "--som-x", labeled_map(tmp_path / "x.rsom"),
+            "--som-y", labeled_map(tmp_path / "y.rsom", seed=1),
+            "--syn-xy", tmp_path / "xy.rlat", "--syn-yx", tmp_path / "yx.rlat",
+            "--test-x", workspace / "x_test.rsm1", "--test-y", workspace / "y_test.rsm1",
+            flag, "nan", "--metrics", tmp_path / "m.txt",
+        ) == 2
+
+
+class TestOversizeHeaders:
+    """Headers announcing more bytes than the file holds are data errors,
+    found before any read or allocation."""
+
+    def test_rsm1_rows_and_cols_at_u32_max(self, tmp_path):
+        bad = tmp_path / "huge.rsm1"
+        bad.write_bytes(b"RSM1" + struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF) + bytes(16))
+        assert run("train", "--modality", bad, "--grid", "2x2", "--out", tmp_path / "s.rsom") == 3
+
+    def test_rsom_grid_and_dim_at_u32_max(self, workspace, tmp_path):
+        bad = tmp_path / "huge.rsom"
+        bad.write_bytes(b"RSOM" + struct.pack("<IIIB", *[0xFFFFFFFF] * 3, 1) + bytes(16))
+        assert run(
+            "label", "--som", bad, "--data", workspace / "x_train.rsm1",
+            "--out", tmp_path / "out.rsom",
+        ) == 3

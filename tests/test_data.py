@@ -1,3 +1,4 @@
+import io
 import struct
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from resom.association import LateralSynapses, load_synapses, save_synapses
 from resom.data import (
     DataFormatError,
     FeatureMatrix,
@@ -19,6 +21,7 @@ from resom.data import (
     standardize_then_minmax,
     to_csv,
 )
+from resom.som import SomGrid, load_som, save_som
 
 
 def idx_image_bytes(images: np.ndarray) -> bytes:
@@ -59,6 +62,13 @@ class TestIdx:
         path = tmp_path / "bad.idx"
         path.write_bytes(struct.pack(">IIII", 0xDEAD, 1, 1, 1) + b"\x00")
         with pytest.raises(DataFormatError, match="magic"):
+            load_idx(path)
+
+    def test_images_without_pixels(self, tmp_path):
+        # 16 bytes announcing 2^32 - 1 images of 0x0 pixels
+        path = tmp_path / "empty.idx"
+        path.write_bytes(struct.pack(">IIII", 0x803, 0xFFFFFFFF, 0, 0))
+        with pytest.raises(DataFormatError, match="no pixels"):
             load_idx(path)
 
     def test_truncated_payload(self, tmp_path):
@@ -117,6 +127,98 @@ class TestRsm1:
         idx = tmp_path / "m.idx"
         idx.write_bytes(idx_image_bytes(np.zeros((1, 2, 2), dtype=np.uint8)))
         assert load_features(idx).values.shape == (1, 4)
+
+
+def assert_every_prefix_is_a_data_error(blob: bytes, load) -> None:
+    for cut in range(len(blob)):
+        with pytest.raises(DataFormatError):
+            load(blob[:cut])
+
+
+def load_via_file(tmp_dir, reader):
+    path = tmp_dir / "blob"
+
+    def load(blob):
+        path.write_bytes(blob)
+        return reader(path)
+
+    return load
+
+
+small_sides = st.integers(0, 4)
+f32_values = st.floats(-1e6, 1e6, width=32)
+
+
+class TestCodecFuzz:
+    """Round trip and prefix truncation of IDX, RSM1, RSOM and RLAT: a
+    well-formed file decodes to what was encoded, and every proper prefix of
+    it is a DataFormatError (CLI exit 3), never a traceback or a short read."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(images=hnp.arrays(np.uint8, st.tuples(small_sides, st.integers(1, 4), st.integers(1, 4))),
+           data=st.data())
+    def test_idx(self, tmp_path_factory, images, data):
+        labels = data.draw(hnp.arrays(np.uint8, images.shape[0]))
+        tmp = tmp_path_factory.mktemp("idx")
+        (tmp / "i.idx").write_bytes(idx_image_bytes(images))
+        (tmp / "l.idx").write_bytes(idx_label_bytes(labels))
+        m = load_idx(tmp / "i.idx", tmp / "l.idx")
+        flat = images.reshape(images.shape[0], images.shape[1] * images.shape[2])
+        assert np.array_equal(m.values, flat.astype(np.float32) / np.float32(255.0))
+        assert np.array_equal(m.labels, labels)
+        assert_every_prefix_is_a_data_error(idx_image_bytes(images), load_via_file(tmp, load_idx))
+        assert_every_prefix_is_a_data_error(
+            idx_label_bytes(labels), load_via_file(tmp, load_idx_labels)
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(values=hnp.arrays(np.float32, st.tuples(small_sides, small_sides), elements=f32_values),
+           data=st.data())
+    def test_rsm1(self, tmp_path_factory, values, data):
+        labels = data.draw(hnp.arrays(np.int64, values.shape[0], elements=st.integers(0, 0xFFFF)))
+        tmp = tmp_path_factory.mktemp("rsm1")
+        save_rsm1(FeatureMatrix(values, labels), tmp / "m.rsm1")
+        back = load_rsm1(tmp / "m.rsm1")
+        assert np.array_equal(back.values, values) and np.array_equal(back.labels, labels)
+        blob = (tmp / "m.rsm1").read_bytes()
+        assert_every_prefix_is_a_data_error(blob, load_via_file(tmp, load_rsm1))
+
+    @settings(max_examples=25, deadline=None)
+    @given(width=st.integers(1, 3), height=st.integers(1, 3), dim=st.integers(1, 4),
+           labeled=st.booleans(), data=st.data())
+    def test_rsom(self, width, height, dim, labeled, data):
+        k = width * height
+        weights = data.draw(hnp.arrays(np.float32, (k, dim), elements=f32_values))
+        labels = data.draw(hnp.arrays(np.int64, k, elements=st.integers(0, 0xFFFF)))
+        grid = SomGrid(width, height, weights, labels if labeled else None)
+        buf = io.BytesIO()
+        save_som(grid, buf)
+        back = load_som(io.BytesIO(buf.getvalue()))
+        assert (back.width, back.height) == (width, height)
+        assert np.array_equal(back.weights, grid.weights)
+        assert (back.labels is None) == (not labeled)
+        if labeled:
+            assert np.array_equal(back.labels, labels)
+        assert_every_prefix_is_a_data_error(buf.getvalue(), lambda b: load_som(io.BytesIO(b)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(n_source=st.integers(1, 5), n_target=st.integers(1, 5),
+           tag=st.text("XYAB", min_size=2, max_size=2), data=st.data())
+    def test_rlat(self, n_source, n_target, tag, data):
+        syn = LateralSynapses.empty(n_source, n_target)
+        syn.exists[:] = data.draw(hnp.arrays(bool, (n_source, n_target)))
+        syn.weights[syn.exists] = data.draw(
+            hnp.arrays(np.float32, syn.n_synapses, elements=f32_values)
+        )
+        buf = io.BytesIO()
+        save_synapses(syn, buf, tag)
+        back, direction = load_synapses(io.BytesIO(buf.getvalue()))
+        assert direction == tag
+        assert np.array_equal(back.exists, syn.exists)
+        assert np.array_equal(back.weights, syn.weights)
+        assert_every_prefix_is_a_data_error(
+            buf.getvalue(), lambda b: load_synapses(io.BytesIO(b))
+        )
 
 
 class TestNormalization:

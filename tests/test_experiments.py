@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -345,6 +346,36 @@ class TestSweeps:
         for row, keep in zip(rows, fractions):
             record = run_pipeline(replace(spec, keep_fraction=keep), StageCache(None))
             assert row["convergence_mean"] == pytest.approx(record.mean, abs=1e-12)
+
+    def test_prune_sweep_holds_one_seed_at_a_time(self, monkeypatch):
+        import resom.experiments as exp_mod
+
+        spec = ExperimentSpec(**{**TINY, "seeds": (0, 1, 2)})
+        fractions = (0.1, 1.0)
+        build, evaluate = exp_mod.build_stages, exp_mod.evaluate_seed
+        calls, built = [], []
+
+        def recording_build(spec, seed, cache=None):
+            assert all(ref() is None for ref in built)  # earlier seeds are freed
+            stages = build(spec, seed, cache)
+            built.append(weakref.ref(stages))
+            calls.append(("build", seed))
+            return stages
+
+        def recording_evaluate(spec, stages, keep, configs, diverge=False):
+            calls.append(("evaluate", keep))
+            return evaluate(spec, stages, keep, configs, diverge)
+
+        monkeypatch.setattr(exp_mod, "build_stages", recording_build)
+        monkeypatch.setattr(exp_mod, "evaluate_seed", recording_evaluate)
+        rows = prune_sweep(spec, fractions, StageCache(None))
+        assert calls == [
+            call for seed in spec.seeds
+            for call in [("build", seed)] + [("evaluate", f) for f in fractions]
+        ]
+        monkeypatch.undo()
+        per_seed = [build_stages(spec, seed, StageCache(None)) for seed in spec.seeds]
+        assert prune_sweep(spec, fractions, per_seed=per_seed) == rows
 
     def test_prune_sweep_monotone_synapse_counts(self):
         spec = ExperimentSpec(**TINY)

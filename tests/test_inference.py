@@ -14,15 +14,15 @@ from resom.inference import (
     confusion_matrix,
     disconnected_targets,
     diverge_label,
-    divergent_activity,
-    divergent_field_batch,
     evaluate_convergence,
     evaluate_unimodal,
     gain_matrix,
     minmax_rows,
+    synapse_max,
 )
 from resom.labeling import label_som
 from resom.som import SomGrid
+from scalar_oracles import activation_field
 
 
 def synapses_from(weights_or_none):
@@ -36,6 +36,14 @@ def synapses_from(weights_or_none):
                 syn.exists[i, j] = True
                 syn.weights[i, j] = w
     return syn
+
+
+def divergent_activity(syn: LateralSynapses, field_src: np.ndarray, target: int) -> float:
+    """max over incoming synapses of weight * source activity; 0 if none."""
+    src = np.flatnonzero(syn.exists[:, target])
+    if src.size == 0:
+        return 0.0
+    return float(np.max(syn.weights[src, target] * np.asarray(field_src)[src]))
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +143,6 @@ class TestConvergenceAgainstOracle:
         for trial in range(40):
             som_x, som_y, syn_xy, syn_yx = self.random_instance(rng)
             vx, vy = rng.random(2), rng.random(2)
-            from resom.som import activation_field
-
             for cfg in ALL_VARIANTS:
                 ax = activation_field(som_x, vx, cfg.kernel_width_x).activities
                 ay = activation_field(som_y, vy, cfg.kernel_width_y).activities
@@ -247,6 +253,12 @@ class TestConvergenceAgainstOracle:
         ) is not None
 
 
+@pytest.mark.parametrize("widths", [(math.nan, 1.0), (1.0, math.inf), (0.0, 1.0)])
+def test_config_kernel_widths_must_be_positive_and_finite(widths):
+    with pytest.raises(ValueError, match="kernel widths"):
+        ConvergenceConfig(kernel_width_x=widths[0], kernel_width_y=widths[1])
+
+
 class TestMinMax:
     def test_bmu_one_wmu_zero_argmax_unchanged(self):
         rng = np.random.default_rng(4)
@@ -283,7 +295,7 @@ class TestDivergence:
         syn.exists[:] = mask
         syn.weights[mask] = rng.random(mask.sum())
         fields = rng.random((10, 6))
-        batch = divergent_field_batch(syn, fields)
+        batch = synapse_max(syn.weights, syn.exists, fields)
         for i in range(10):
             for t in range(4):
                 assert batch[i, t] == pytest.approx(
@@ -314,6 +326,52 @@ class TestDivergence:
         subset = FeatureMatrix(rng.random((20, 3)), rng.integers(1, 3, 20))
         labeled = diverge_label(som_x, som_y, syn, subset, 1.0, n_classes=3)
         assert labeled.labels[2] == 0 and labeled.labels[3] == 0
+
+
+class TestSynapseMax:
+    """One max-product operator: divergence on (W, E), lateral support on (Wᵀ, Eᵀ)."""
+
+    def random_synapses(self, rng, n_source, n_target):
+        syn = LateralSynapses.empty(n_source, n_target)
+        syn.exists[:] = rng.random((n_source, n_target)) < rng.random()
+        # Few distinct values give ties; negative weights come from RLAT
+        # files and from Oja with eta > 1.
+        syn.weights[:] = rng.choice([-1.5, -0.25, 0.0, 0.5, 0.5, 2.0], (n_source, n_target))
+        return syn
+
+    def test_matches_scalar_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        for _ in range(100):
+            syn = self.random_synapses(rng, *rng.integers(1, 8, 2))
+            fields = rng.choice([0.0, 0.3, 1.0], (5, syn.n_source))
+            out = synapse_max(syn.weights, syn.exists, fields)
+            for i, t in itertools.product(range(5), range(syn.n_target)):
+                assert out[i, t] == divergent_activity(syn, fields[i], t)
+
+    def test_negative_support_is_not_clipped(self):
+        syn = synapses_from([[-2.0, None], [-0.5, None]])
+        out = synapse_max(syn.weights, syn.exists, np.array([[1.0, 1.0]]))
+        assert out.tolist() == [[-0.5, 0.0]]  # max over existing synapses only
+
+    def test_transpose_gives_each_sources_max_over_its_targets(self):
+        rng = np.random.default_rng(10)
+        syn = self.random_synapses(rng, 6, 9)
+        other = rng.random((4, 9))
+        out = synapse_max(syn.weights.T, syn.exists.T, other)
+        for i, s in itertools.product(range(4), range(6)):
+            idx = np.flatnonzero(syn.exists[s])
+            want = (other[i, idx] * syn.weights[s, idx]).max() if idx.size else 0.0
+            assert out[i, s] == want
+
+    def test_at_equals_the_full_operator_gathered(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            syn = self.random_synapses(rng, *rng.integers(1, 8, 2))
+            fields = rng.random((12, syn.n_source))
+            at = rng.integers(0, syn.n_target, 12)
+            full = synapse_max(syn.weights, syn.exists, fields)
+            got = synapse_max(syn.weights, syn.exists, fields, at)
+            assert np.array_equal(got, full[np.arange(12), at])
 
 
 class TestEvaluation:

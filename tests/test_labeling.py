@@ -7,11 +7,11 @@ from resom.data import FeatureMatrix
 from resom.labeling import (
     ClassAccumulators,
     accumulate_class_activity,
-    bmu_normalized,
     label_som,
     select_label_subset,
 )
 from resom.som import SomGrid
+from scalar_oracles import bmu_normalized
 
 
 def toy_som():

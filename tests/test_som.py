@@ -9,19 +9,17 @@ from hypothesis import strategies as st
 from resom.som import (
     SomGrid,
     TrainSchedule,
-    activation_field,
-    activity,
+    activities_from_distances,
     decay,
-    elect_bmu_wmu,
     grid_squared_distances,
     load_som,
     make_som,
-    neighborhood,
     roundtrip_som,
     save_som,
     train,
     train_many,
 )
+from scalar_oracles import activation_field, activity, elect_bmu_wmu, neighborhood
 
 
 class TestActivity:
@@ -42,6 +40,13 @@ class TestActivity:
     def test_kernel_width_must_be_positive(self):
         with pytest.raises(ValueError):
             activity(np.zeros(2), np.zeros(2), 0.0)
+
+
+class TestActivitiesFromDistances:
+    @pytest.mark.parametrize("width", [0.0, -1.0, math.nan, math.inf])
+    def test_kernel_width_must_be_positive_and_finite(self, width):
+        with pytest.raises(ValueError, match="kernel width"):
+            activities_from_distances(np.ones((2, 3)), width)
 
 
 class TestElection:
