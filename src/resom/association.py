@@ -11,13 +11,14 @@ synapses that happen to exist.
 
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass
 from math import ceil, inf
 
 import numpy as np
 
-from .data import DataFormatError, PairedDataset, _read_exact
+from .data import DataFormatError, PairedDataset, _read_exact, opened
 from .som import SomGrid, bmu_stream
 
 RLAT_MAGIC = b"RLAT"
@@ -58,12 +59,6 @@ class LateralSynapses:
     @property
     def n_synapses(self) -> int:
         return int(self.exists.sum())
-
-    def copy(self) -> "LateralSynapses":
-        return LateralSynapses(
-            self.n_source, self.n_target, self.weights.copy(), self.exists.copy(),
-            self.rule, self.eta,
-        )
 
 
 def hebb_update(w: float, a_src: float, a_dst: float, eta: float) -> float:
@@ -166,22 +161,17 @@ def save_synapses(syn: LateralSynapses, path_or_file, direction: str = "XY") -> 
             f"got {syn.n_source} x {syn.n_target}"
         )
     src, dst = np.nonzero(syn.exists)
-    f = path_or_file if hasattr(path_or_file, "write") else open(path_or_file, "wb")
-    try:
+    with opened(path_or_file, "wb") as f:
         f.write(RLAT_MAGIC + tag)
         f.write(struct.pack("<III", syn.n_source, syn.n_target, src.size))
         triples = np.empty(src.size, dtype=_RLAT_TRIPLE)
         triples["s"], triples["d"] = src, dst
         triples["w"] = syn.weights[src, dst]
         f.write(triples.tobytes())
-    finally:
-        if f is not path_or_file:
-            f.close()
 
 
 def load_synapses(path_or_file) -> tuple[LateralSynapses, str]:
-    f = path_or_file if hasattr(path_or_file, "read") else open(path_or_file, "rb")
-    try:
+    with opened(path_or_file, "rb") as f:
         magic = _read_exact(f, 4)
         if magic != RLAT_MAGIC:
             raise DataFormatError(f"bad synapse file magic {magic!r}")
@@ -196,15 +186,10 @@ def load_synapses(path_or_file) -> tuple[LateralSynapses, str]:
         syn.exists[triples["s"], triples["d"]] = True
         syn.weights[triples["s"], triples["d"]] = triples["w"].astype(np.float64)
         return syn, direction.decode("ascii")
-    finally:
-        if f is not path_or_file:
-            f.close()
 
 
 def roundtrip_synapses(syn: LateralSynapses) -> LateralSynapses:
     """Pass synapses through the file encoding (weights rounded to f32)."""
-    import io
-
     buf = io.BytesIO()
     save_synapses(syn, buf)
     buf.seek(0)

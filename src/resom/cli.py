@@ -32,15 +32,18 @@ class VerificationError(RuntimeError):
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _spec(args) -> exp.ExperimentSpec:
+    """The spec the parameter flags describe, checked before any file is read."""
+    return exp.ExperimentSpec(**{k: v for k, v in vars(args).items() if k in exp._FIELD_CODECS})
+
+
 def cmd_train(args) -> int:
-    data = load_features(args.modality, args.labels)
+    spec = _spec(args)
     width, height = exp.parse_grid(args.grid)
-    schedule = som_mod.TrainSchedule(
-        args.epochs, args.lr_start, args.lr_end, args.sigma_start, args.sigma_end
-    )
+    data = load_features(args.modality, args.labels)
     grid_som = som_mod.train(
         som_mod.make_som(width, height, data.n_features, args.seed),
-        data.values, schedule, args.seed, args.grid_metric,
+        data.values, spec.schedule(), args.seed, spec.grid_metric,
     )
     som_mod.save_som(grid_som, args.out)
     print(f"trained {width}x{height} map on {data.n_samples} samples -> {args.out}")
@@ -48,10 +51,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_label(args) -> int:
+    spec = _spec(args)
     grid_som = som_mod.load_som(args.som)
     data = load_features(args.data, args.labels)
-    subset = labeling.select_label_subset(data, args.subset_frac, args.seed)
-    labeled = labeling.label_som(grid_som, subset, args.alpha)
+    subset = labeling.select_label_subset(data, spec.label_fraction_x, args.seed)
+    labeled = labeling.label_som(grid_som, subset, spec.alpha_x)
     som_mod.save_som(labeled, args.out)
     print(f"labeled {labeled.n_neurons} neurons from {subset.n_samples} samples -> {args.out}")
     return 0
@@ -69,18 +73,16 @@ def cmd_alpha_sweep(args) -> int:
 
 
 def cmd_associate(args) -> int:
+    spec = _spec(args)
     som_x = som_mod.load_som(args.som_x)
     som_y = som_mod.load_som(args.som_y)
     x = load_features(args.pairs_x, args.labels_x)
     y = load_features(args.pairs_y, args.labels_y)
     pairs = pair_by_class(x, y, args.pair_seed)
-    syn_xy, syn_yx = assoc.associate(
-        som_x, som_y, pairs, args.rule, args.eta, args.assoc_epochs
-    )
+    syn_xy, syn_yx = assoc.associate(som_x, som_y, pairs, spec.rule, spec.eta, spec.assoc_epochs)
     pre = (syn_xy.n_synapses, syn_yx.n_synapses)
-    if args.keep < 1.0:
-        syn_xy = assoc.prune(syn_xy, args.keep)
-        syn_yx = assoc.prune(syn_yx, args.keep)
+    # A keep fraction of 1 or more keeps every synapse.
+    syn_xy, syn_yx = (assoc.prune(syn, spec.keep_fraction) for syn in (syn_xy, syn_yx))
     assoc.save_synapses(syn_xy, args.out_xy, "XY")
     assoc.save_synapses(syn_yx, args.out_yx, "YX")
     print(
@@ -91,14 +93,15 @@ def cmd_associate(args) -> int:
 
 
 def cmd_diverge_label(args) -> int:
+    spec = _spec(args)
     som_x = som_mod.load_som(args.som_x)
     if som_x.labels is None:
         raise exp.SpecError("--som-x must be a labeled checkpoint")
     som_y = som_mod.load_som(args.som_y)
     syn_xy, _ = assoc.load_synapses(args.syn_xy)
     data = load_features(args.data_x, args.labels_x)
-    subset = labeling.select_label_subset(data, args.subset_frac, args.seed)
-    labeled = inference.diverge_label(som_x, som_y, syn_xy, subset, args.beta)
+    subset = labeling.select_label_subset(data, spec.label_fraction_x, args.seed)
+    labeled = inference.diverge_label(som_x, som_y, syn_xy, subset, spec.diverge_beta)
     som_mod.save_som(labeled, args.out)
     n_disc = int(inference.disconnected_targets(syn_xy).sum())
     print(f"diverge-labeled {labeled.n_neurons} neurons ({n_disc} disconnected) -> {args.out}")
@@ -106,6 +109,7 @@ def cmd_diverge_label(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    cfg = _spec(args).convergence_config()
     som_x = som_mod.load_som(args.som_x)
     som_y = som_mod.load_som(args.som_y)
     if som_x.labels is None or som_y.labels is None:
@@ -119,17 +123,7 @@ def cmd_converge(args) -> int:
     n_classes = max(
         x.n_classes, y.n_classes, int(som_x.labels.max()) + 1, int(som_y.labels.max()) + 1
     )
-    cfg = inference.ConvergenceConfig(
-        update=args.update,
-        activities=args.activities,
-        neurons=args.neurons,
-        kernel_width_x=args.beta_x,
-        kernel_width_y=args.beta_y,
-        disconnected=args.disconnected,
-    )
-    result = inference.evaluate_convergence(
-        som_x, som_y, syn_xy, syn_yx, pairs, cfg, n_classes
-    )
+    result = inference.evaluate_convergence(som_x, som_y, syn_xy, syn_yx, pairs, cfg, n_classes)
     uni_x = inference.evaluate_unimodal(som_x, pairs.x, n_classes)
     uni_y = inference.evaluate_unimodal(som_y, pairs.y, n_classes)
     metrics = {
@@ -234,6 +228,25 @@ def cmd_report(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+# Parameter flags whose names differ from the ExperimentSpec field they set.
+_FLAG_NAMES = {"alpha_x": "--alpha", "diverge_beta": "--beta",
+               "keep_fraction": "--keep", "label_fraction_x": "--subset-frac"}
+
+
+def _spec_flags(parser, *names: str, **overrides) -> None:
+    """A flag per ExperimentSpec field: ``lr_start`` is ``--lr-start`` unless
+    _FLAG_NAMES renames it, parsed as in spec files, defaulting to the spec's
+    value unless ``overrides`` gives one."""
+    defaults = exp.ExperimentSpec()
+    for name in names:
+        choices = exp._FIELD_CHOICES.get(name)
+        parser.add_argument(
+            _FLAG_NAMES.get(name, "--" + name.replace("_", "-")), dest=name,
+            type=exp._FIELD_CODECS[name][1], default=overrides.get(name, getattr(defaults, name)),
+            metavar=choices and "{" + ",".join(choices) + "}",  # else the field's name
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="resom", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -242,13 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--modality", required=True, help="feature file (IDX or RSM1)")
     t.add_argument("--labels", help="IDX label file when --modality is IDX images")
     t.add_argument("--grid", required=True, help="map size, e.g. 10x10")
-    t.add_argument("--epochs", type=int, default=10)
     t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--lr-start", type=float, default=1.0)
-    t.add_argument("--lr-end", type=float, default=0.01)
-    t.add_argument("--sigma-start", type=float, default=5.0)
-    t.add_argument("--sigma-end", type=float, default=0.01)
-    t.add_argument("--grid-metric", choices=som_mod.GRID_METRICS, default="euclidean")
+    _spec_flags(t, "epochs", "lr_start", "lr_end", "sigma_start", "sigma_end", "grid_metric")
     t.add_argument("--out", required=True)
     t.set_defaults(func=cmd_train)
 
@@ -256,8 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--som", required=True)
     l.add_argument("--data", required=True)
     l.add_argument("--labels")
-    l.add_argument("--subset-frac", type=float, default=0.01)
-    l.add_argument("--alpha", type=float, default=1.0, help="labeling kernel width")
+    _spec_flags(l, "label_fraction_x", "alpha_x", label_fraction_x=0.01)
     l.add_argument("--seed", type=int, default=0)
     l.add_argument("--out", required=True)
     l.set_defaults(func=cmd_label)
@@ -277,10 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--labels-x")
     a.add_argument("--labels-y")
     a.add_argument("--pair-seed", type=int, default=0)
-    a.add_argument("--rule", choices=assoc.RULES, default="hebb")
-    a.add_argument("--eta", type=float, default=1.0)
-    a.add_argument("--assoc-epochs", type=int, default=1)
-    a.add_argument("--keep", type=float, default=1.0, help="keep fraction after pruning")
+    _spec_flags(a, "rule", "eta", "assoc_epochs", "keep_fraction", keep_fraction=1.0)
     a.add_argument("--out-xy", required=True)
     a.add_argument("--out-yx", required=True)
     a.set_defaults(func=cmd_associate)
@@ -291,9 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--syn-xy", required=True)
     d.add_argument("--data-x", required=True)
     d.add_argument("--labels-x")
-    d.add_argument("--subset-frac", type=float, default=0.01)
     d.add_argument("--seed", type=int, default=0)
-    d.add_argument("--beta", type=float, default=1.0, help="divergence kernel width")
+    _spec_flags(d, "label_fraction_x", "diverge_beta", label_fraction_x=0.01)
     d.add_argument("--out", required=True)
     d.set_defaults(func=cmd_diverge_label)
 
@@ -307,12 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--test-labels-x")
     c.add_argument("--test-labels-y")
     c.add_argument("--pair-seed", type=int, default=0)
-    c.add_argument("--update", choices=inference.UPDATES, default="max")
-    c.add_argument("--activities", choices=inference.ACTIVITY_MODES, default="norm")
-    c.add_argument("--neurons", choices=inference.NEURON_MODES, default="bmu")
-    c.add_argument("--beta-x", type=float, default=1.0)
-    c.add_argument("--beta-y", type=float, default=1.0)
-    c.add_argument("--disconnected", choices=inference.DISCONNECTED_MODES, default="zero")
+    _spec_flags(c, "update", "activities", "neurons", "beta_x", "beta_y", "disconnected")
     c.add_argument("--metrics", help="key=value metrics file (stdout if omitted)")
     c.add_argument("--confusion-csv")
     c.add_argument("--gain-csv")
@@ -350,16 +348,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except exp.SpecError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     except (DataFormatError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except VerificationError as e:
         print(f"verification failed: {e}", file=sys.stderr)
         return EXIT_VERIFY
-    except ValueError as e:
+    except ValueError as e:  # SpecError included; DataFormatError is caught above
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -8,6 +8,7 @@ Gaussian activity kernel downstream stays in (0, 1].
 
 from __future__ import annotations
 
+import contextlib
 import io
 import struct
 from dataclasses import dataclass
@@ -55,9 +56,6 @@ class FeatureMatrix:
             raise ValueError("matrix carries no labels")
         return int(self.labels.max()) + 1 if self.labels.size else 0
 
-    def class_counts(self, n_classes: int | None = None) -> np.ndarray:
-        return np.bincount(self.labels, minlength=n_classes or self.n_classes)
-
     def take(self, rows: np.ndarray) -> "FeatureMatrix":
         labels = None if self.labels is None else self.labels[rows]
         return FeatureMatrix(self.values[rows], labels)
@@ -95,6 +93,14 @@ class PairedDataset:
         x = self.x.take(rows)
         y = self.y.take(self.pairing[rows])
         return PairedDataset(x, y, np.arange(len(rows)))
+
+
+def opened(path_or_file, mode: str):
+    """A context manager over ``path_or_file``: a path is opened in ``mode``
+    and closed on exit; an open file is used as is and left open."""
+    if hasattr(path_or_file, "write" if "w" in mode else "read"):
+        return contextlib.nullcontext(path_or_file)
+    return open(path_or_file, mode)
 
 
 # ---------------------------------------------------------------------------

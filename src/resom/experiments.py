@@ -33,6 +33,7 @@ from .data import (
     PairedDataset,
     load_features,
     normalize_minmax,
+    opened,
     pair_by_class,
     standardize_then_minmax,
 )
@@ -55,6 +56,20 @@ _NORMALIZERS = {
     "zscore-minmax": standardize_then_minmax,
 }
 
+# The values each choice field of ExperimentSpec accepts.
+_FIELD_CHOICES = {
+    "dataset": ("synthetic", "files"),
+    "normalize_x": tuple(_NORMALIZERS),
+    "normalize_y": tuple(_NORMALIZERS),
+    "grid_metric": som_mod.GRID_METRICS,
+    "label_mode_y": ("direct", "diverge"),
+    "rule": assoc.RULES,
+    "update": inference.UPDATES,
+    "activities": inference.ACTIVITY_MODES,
+    "neurons": inference.NEURON_MODES,
+    "disconnected": inference.DISCONNECTED_MODES,
+}
+
 
 class SpecError(ValueError):
     """Invalid experiment spec (unknown key, bad value, missing file)."""
@@ -62,10 +77,12 @@ class SpecError(ValueError):
 
 def parse_grid(text: str) -> tuple[int, int]:
     try:
-        w, h = text.lower().split("x")
-        return int(w), int(h)
+        w, h = (int(side) for side in text.lower().split("x"))
     except ValueError as e:
         raise SpecError(f"grid must look like 10x10, got {text!r}") from e
+    if w < 1 or h < 1:
+        raise SpecError(f"grid sides must be at least 1, got {text!r}")
+    return w, h
 
 
 def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
@@ -141,18 +158,23 @@ class ExperimentSpec:
     seeds: tuple[int, ...] = (0,)
 
     def __post_init__(self):
+        """Every run parameter is checked here, so a bad value fails before
+        any stage runs; the stepwise CLI flags build a spec too."""
         for name in _FLOAT_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise SpecError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.dataset not in ("synthetic", "files"):
-            raise SpecError(f"dataset must be synthetic or files, got {self.dataset!r}")
-        for mode in (self.normalize_x, self.normalize_y):
-            if mode not in _NORMALIZERS:
-                raise SpecError(f"unknown normalize mode {mode!r}")
-        if self.label_mode_y not in ("direct", "diverge"):
-            raise SpecError(f"unknown label_mode_y {self.label_mode_y!r}")
-        if self.rule not in assoc.RULES:
-            raise SpecError(f"rule must be one of {assoc.RULES}")
+        for name, allowed in _FIELD_CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise SpecError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
+        for name in ("alpha_x", "alpha_y", "diverge_beta", "keep_fraction"):
+            if not getattr(self, name) > 0:
+                raise SpecError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not 0 < self.label_fraction_x <= 1:
+            raise SpecError(f"label_fraction_x must be in (0, 1], got {self.label_fraction_x}")
+        if not 0 <= self.label_fraction_y <= 1:
+            raise SpecError(f"label_fraction_y must be in [0, 1], got {self.label_fraction_y}")
+        if self.assoc_epochs < 1:
+            raise SpecError(f"assoc_epochs must be >= 1, got {self.assoc_epochs}")
         if not self.seeds:
             raise SpecError("at least one seed required")
         if self.dataset == "files":
@@ -161,6 +183,11 @@ class ExperimentSpec:
                     raise SpecError(f"files dataset requires {key}")
         if self.label_mode_y == "direct" and self.label_fraction_y <= 0:
             raise SpecError("direct labeling of map y needs label_fraction_y > 0")
+        try:
+            self.schedule()
+            self.convergence_config()
+        except ValueError as e:
+            raise SpecError(str(e)) from e
 
     def schedule(self) -> som_mod.TrainSchedule:
         return som_mod.TrainSchedule(
@@ -248,13 +275,9 @@ def spec_hash(spec: ExperimentSpec) -> str:
 
 def write_metrics(metrics: dict, path_or_file) -> None:
     """Line-oriented key=value text, keys sorted."""
-    f = path_or_file if hasattr(path_or_file, "write") else open(path_or_file, "w")
-    try:
+    with opened(path_or_file, "w") as f:
         for key in sorted(metrics):
             f.write(f"{key}={metrics[key]}\n")
-    finally:
-        if f is not path_or_file:
-            f.close()
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +762,6 @@ def alpha_sweep(
 # ---------------------------------------------------------------------------
 # CSV records
 # ---------------------------------------------------------------------------
-
 
 
 def write_record_csv(record: RunRecord, path) -> None:

@@ -11,8 +11,8 @@ neighborhood distance: no second wave is needed.
 All step functions are double-buffered (new state built purely from the
 previous snapshot), so results cannot depend on cell iteration order.  A
 wave step merges each cell's own record with its four neighbours' in one
-stacked max/min-origin operation; ``winner_wave_cellwise`` is the explicit
-per-cell reference it must match in every field.
+stacked max/min-origin operation; the tests hold an explicit per-cell
+reference (``winner_wave_cellwise``) that it must match in every field.
 
 Cellular training is written row-wise: row n of each array is cell n's own
 weights, activity, wave output and update, and nothing crosses rows.  It is
@@ -28,8 +28,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .som import SomGrid, TrainSchedule, decay, validate_training_data
-
-CARDINAL_OFFSETS = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
 
 def propagation_steps(rows: int, cols: int) -> int:
@@ -123,7 +121,7 @@ def _wave_step(state: dict, step: int) -> dict:
     neighbours' with the extreme value (max for best, min for worst), the
     lowest origin among equal values.  A record's value and origin are taken
     together from the winning candidate, so for finite activities this is
-    the sequential pairwise merge of ``merge_summaries``.
+    the sequential pairwise merge of the per-cell reference in the tests.
     """
     values, origins = state["values"], state["origins"]
     cand_v = _with_neighbours(values, _NO_VALUE)
@@ -187,68 +185,6 @@ def wave_trace(activities: np.ndarray) -> list[dict]:
         state = _wave_step(state, step)
         snapshot(step)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Cell-wise reference (explicit neighbor passing)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CellSummary:
-    """Everything a cell shares with its neighbors in one step."""
-
-    best_value: float
-    best_origin: int
-    worst_value: float
-    worst_origin: int
-
-
-def merge_summaries(own: CellSummary, seen: CellSummary) -> CellSummary:
-    bv, bo = own.best_value, own.best_origin
-    if (seen.best_value > bv) or (seen.best_value == bv and seen.best_origin < bo):
-        bv, bo = seen.best_value, seen.best_origin
-    wv, wo = own.worst_value, own.worst_origin
-    if (seen.worst_value < wv) or (seen.worst_value == wv and seen.worst_origin < wo):
-        wv, wo = seen.worst_value, seen.worst_origin
-    return CellSummary(bv, bo, wv, wo)
-
-
-def winner_wave_cellwise(activities: np.ndarray, cell_order=None) -> WaveResult:
-    """Slow reference: each cell is handed only its cardinal neighbors' state.
-
-    ``cell_order`` permutes the within-step update order; double buffering
-    makes the result independent of it (pinned by tests).
-    """
-    a = np.asarray(activities, dtype=np.float64)
-    rows, cols = a.shape
-    cells = [(r, c) for r in range(rows) for c in range(cols)]
-    if cell_order is None:
-        cell_order = cells
-    states = {
-        (r, c): CellSummary(a[r, c], r * cols + c, a[r, c], r * cols + c)
-        for r, c in cells
-    }
-    adopt = np.zeros((rows, cols), dtype=np.int64)
-    t_p = propagation_steps(rows, cols)
-    for step in range(1, t_p + 1):
-        new = {}
-        for r, c in cell_order:
-            s = states[(r, c)]
-            for dr, dc in CARDINAL_OFFSETS:
-                nr, nc = r + dr, c + dc
-                if 0 <= nr < rows and 0 <= nc < cols:
-                    s = merge_summaries(s, states[(nr, nc)])
-            new[(r, c)] = s
-            if (s.best_value, s.best_origin) != (
-                states[(r, c)].best_value, states[(r, c)].best_origin
-            ):
-                adopt[r, c] = step
-        states = new
-    bv = np.array([[states[(r, c)].best_value for c in range(cols)] for r in range(rows)])
-    bo = np.array([[states[(r, c)].best_origin for c in range(cols)] for r in range(rows)])
-    wv = np.array([[states[(r, c)].worst_value for c in range(cols)] for r in range(rows)])
-    wo = np.array([[states[(r, c)].worst_origin for c in range(cols)] for r in range(rows)])
-    return WaveResult(bv, bo, wv, wo, adopt, t_p)
 
 
 # ---------------------------------------------------------------------------

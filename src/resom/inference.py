@@ -187,20 +187,6 @@ class ConvergenceBatch:
         return self.map_ids == ""
 
 
-def converge_classify_batch(
-    som_x: SomGrid,
-    som_y: SomGrid,
-    syn_xy: LateralSynapses,
-    syn_yx: LateralSynapses,
-    values_x: np.ndarray,
-    values_y: np.ndarray,
-    cfg: ConvergenceConfig,
-) -> ConvergenceBatch:
-    ax = activities_batch(som_x, values_x, cfg.kernel_width_x)
-    ay = activities_batch(som_y, values_y, cfg.kernel_width_y)
-    return converge_from_fields(som_x, som_y, syn_xy, syn_yx, ax, ay, cfg)
-
-
 def converge_from_fields(
     som_x: SomGrid,
     som_y: SomGrid,
@@ -270,9 +256,11 @@ def converge_classify(
     cfg: ConvergenceConfig,
 ) -> GlobalDecision | None:
     """Single-sample convergence; None signals an explicit no-decision."""
-    batch = converge_classify_batch(
+    batch = converge_from_fields(
         som_x, som_y, syn_xy, syn_yx,
-        np.asarray(v_x)[None, :], np.asarray(v_y)[None, :], cfg,
+        activities_batch(som_x, np.asarray(v_x)[None, :], cfg.kernel_width_x),
+        activities_batch(som_y, np.asarray(v_y)[None, :], cfg.kernel_width_y),
+        cfg,
     )
     if batch.no_decision[0]:
         return None

@@ -22,6 +22,7 @@ one-map loop.
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 from dataclasses import dataclass, replace
@@ -29,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .data import DataFormatError, _read_exact
+from .data import DataFormatError, _read_exact, opened
 
 RSOM_MAGIC = b"RSOM"
 GRID_METRICS = ("euclidean", "manhattan")
@@ -255,22 +256,19 @@ def train(
 # ---------------------------------------------------------------------------
 
 def save_som(som: SomGrid, path_or_file) -> None:
-    f = path_or_file if hasattr(path_or_file, "write") else open(path_or_file, "wb")
-    try:
+    if som.labels is not None and np.any((som.labels < 0) | (som.labels > 0xFFFF)):
+        raise ValueError("labels outside the u16 range [0, 65535]")
+    with opened(path_or_file, "wb") as f:
         f.write(RSOM_MAGIC)
         f.write(struct.pack("<IIIB", som.width, som.height, som.dim,
                             0 if som.labels is None else 1))
         f.write(som.weights.astype("<f4").tobytes())
         if som.labels is not None:
             f.write(som.labels.astype("<u2").tobytes())
-    finally:
-        if f is not path_or_file:
-            f.close()
 
 
 def load_som(path_or_file) -> SomGrid:
-    f = path_or_file if hasattr(path_or_file, "read") else open(path_or_file, "rb")
-    try:
+    with opened(path_or_file, "rb") as f:
         magic = _read_exact(f, 4)
         if magic != RSOM_MAGIC:
             raise DataFormatError(f"bad checkpoint magic {magic!r}")
@@ -283,19 +281,11 @@ def load_som(path_or_file) -> SomGrid:
         if has_labels:
             labels = np.frombuffer(_read_exact(f, k * 2), dtype="<u2").astype(np.int64)
         return SomGrid(width, height, weights.astype(np.float64), labels)
-    finally:
-        if f is not path_or_file:
-            f.close()
 
 
 def roundtrip_som(som: SomGrid) -> SomGrid:
-    """Pass a grid through the checkpoint encoding (weights rounded to f32).
-
-    The pipeline always does this after training so that cached and freshly
-    computed stages feed bit-identical weights downstream.
-    """
-    import io
-
+    """Pass a grid through the checkpoint encoding (weights rounded to f32),
+    as the pipeline does with every trained map, cached or fresh."""
     buf = io.BytesIO()
     save_som(som, buf)
     buf.seek(0)

@@ -2,16 +2,19 @@
 
 Each function reads the paper's per-element definition directly: one
 activity, one neighbourhood coefficient, one winner election, one BMU
-normalization.  The library computes the same quantities in batches
+normalization, one cell's merge of its neighbours' wave records.  The
+library computes the same quantities in batches
 (``som.distances``/``activities_from_distances``, the per-epoch table in
 ``som.train_many``, ``np.argmax`` over activity rows, the labeling
-accumulators); the tests check those against these oracles.
+accumulators, the stacked ``grid`` wave step); the tests check those
+against these oracles.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from resom.grid import WaveResult, propagation_steps
 from resom.som import SomGrid
 
 
@@ -74,3 +77,64 @@ def bmu_normalized(activities: np.ndarray) -> np.ndarray:
     """Activities divided by the BMU activity (BMU maps to exactly 1.0)."""
     activities = np.asarray(activities, dtype=np.float64)
     return activities / activities[np.argmax(activities)]
+
+
+CARDINAL_OFFSETS = ((-1, 0), (1, 0), (0, -1), (0, 1))
+
+
+@dataclass(frozen=True)
+class CellSummary:
+    """Everything a cell shares with its neighbors in one step."""
+
+    best_value: float
+    best_origin: int
+    worst_value: float
+    worst_origin: int
+
+
+def merge_summaries(own: CellSummary, seen: CellSummary) -> CellSummary:
+    bv, bo = own.best_value, own.best_origin
+    if (seen.best_value > bv) or (seen.best_value == bv and seen.best_origin < bo):
+        bv, bo = seen.best_value, seen.best_origin
+    wv, wo = own.worst_value, own.worst_origin
+    if (seen.worst_value < wv) or (seen.worst_value == wv and seen.worst_origin < wo):
+        wv, wo = seen.worst_value, seen.worst_origin
+    return CellSummary(bv, bo, wv, wo)
+
+
+def winner_wave_cellwise(activities: np.ndarray, cell_order=None) -> WaveResult:
+    """Slow reference: each cell is handed only its cardinal neighbors' state.
+
+    ``cell_order`` permutes the within-step update order; double buffering
+    makes the result independent of it (pinned by tests).
+    """
+    a = np.asarray(activities, dtype=np.float64)
+    rows, cols = a.shape
+    cells = [(r, c) for r in range(rows) for c in range(cols)]
+    if cell_order is None:
+        cell_order = cells
+    states = {
+        (r, c): CellSummary(a[r, c], r * cols + c, a[r, c], r * cols + c)
+        for r, c in cells
+    }
+    adopt = np.zeros((rows, cols), dtype=np.int64)
+    t_p = propagation_steps(rows, cols)
+    for step in range(1, t_p + 1):
+        new = {}
+        for r, c in cell_order:
+            s = states[(r, c)]
+            for dr, dc in CARDINAL_OFFSETS:
+                nr, nc = r + dr, c + dc
+                if 0 <= nr < rows and 0 <= nc < cols:
+                    s = merge_summaries(s, states[(nr, nc)])
+            new[(r, c)] = s
+            if (s.best_value, s.best_origin) != (
+                states[(r, c)].best_value, states[(r, c)].best_origin
+            ):
+                adopt[r, c] = step
+        states = new
+    bv = np.array([[states[(r, c)].best_value for c in range(cols)] for r in range(rows)])
+    bo = np.array([[states[(r, c)].best_origin for c in range(cols)] for r in range(rows)])
+    wv = np.array([[states[(r, c)].worst_value for c in range(cols)] for r in range(rows)])
+    wo = np.array([[states[(r, c)].worst_origin for c in range(cols)] for r in range(rows)])
+    return WaveResult(bv, bo, wv, wo, adopt, t_p)

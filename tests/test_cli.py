@@ -230,23 +230,77 @@ class TestBinaryInputExitCodes:
         assert not (tmp_path / "xy.rlat").exists()
 
 
+# Each invalid value as a spec line, with the stepwise command and flag that
+# set the same field.
+INVALID_VALUES = {
+    "update-bogus": ("update = bogus", "converge", "--update", "bogus"),
+    "neurons-bogus": ("neurons = bogus", "converge", "--neurons", "bogus"),
+    "activities-bogus": ("activities = bogus", "converge", "--activities", "bogus"),
+    "disconnected-bogus": ("disconnected = bogus", "converge", "--disconnected", "bogus"),
+    "beta-x-0": ("beta_x = 0", "converge", "--beta-x", "0"),
+    "alpha-x-0": ("alpha_x = 0", "label", "--alpha", "0"),
+    "diverge-beta-0": ("diverge_beta = 0", "diverge-label", "--beta", "0"),
+    "keep-0": ("keep_fraction = 0", "associate", "--keep", "0"),
+    "label-fraction-2": ("label_fraction_x = 2", "label", "--subset-frac", "2"),
+    "grid-metric-bogus": ("grid_metric = bogus", "train", "--grid-metric", "bogus"),
+    "assoc-epochs-0": ("assoc_epochs = 0", "associate", "--assoc-epochs", "0"),
+    "grid-0x3": ("grid_x = 0x3", "train", "--grid", "0x3"),
+}
+
+# Every file a stepwise command reads is missing: reading one exits 3.
+STEPWISE_FILES = {
+    "train": ["--modality", "missing", "--grid", "2x2", "--out", "out"],
+    "label": ["--som", "missing", "--data", "missing", "--out", "out"],
+    "associate": ["--som-x", "missing", "--som-y", "missing", "--pairs-x", "missing",
+                  "--pairs-y", "missing", "--out-xy", "out", "--out-yx", "out"],
+    "diverge-label": ["--som-x", "missing", "--som-y", "missing", "--syn-xy", "missing",
+                      "--data-x", "missing", "--out", "out"],
+    "converge": ["--som-x", "missing", "--som-y", "missing", "--syn-xy", "missing",
+                 "--syn-yx", "missing", "--test-x", "missing", "--test-y", "missing"],
+}
+
+
+@pytest.fixture
+def no_training(monkeypatch):
+    import resom.experiments as exp
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("trained on an invalid spec")
+
+    monkeypatch.setattr(exp.som_mod, "train_many", refuse)
+
+
 class TestNonFiniteInputs:
+    """Invalid run parameters (non-finite, out of range or unknown) exit 2
+    before any file is read or any map is trained."""
+
     @pytest.mark.parametrize("line", [
-        "beta_x = nan\nbeta_y = nan",  # printed accuracy 0.00 and exit 0
-        "alpha_x = nan",  # labeled every neuron 0 and exit 0
-        "keep_fraction = inf",  # OverflowError traceback from the prune quota
-    ], ids=["beta-nan", "alpha-nan", "keep-inf"])
-    def test_spec_is_refused_before_training(self, tmp_path, monkeypatch, line):
-        import resom.experiments as exp
-
-        def no_training(*args, **kwargs):
-            raise AssertionError("trained on an invalid spec")
-
-        monkeypatch.setattr(exp.som_mod, "train_many", no_training)
+        # printed accuracy 0.00 and exit 0
+        pytest.param("beta_x = nan\nbeta_y = nan", id="beta-nan"),
+        # labeled every neuron 0 and exit 0
+        pytest.param("alpha_x = nan", id="alpha-nan"),
+        # OverflowError traceback from the prune quota
+        pytest.param("keep_fraction = inf", id="keep-inf"),
+    ] + [pytest.param(line, id=key) for key, (line, *_) in INVALID_VALUES.items()])
+    def test_spec_is_refused_before_training(self, tmp_path, no_training, line):
         spec = tmp_path / "spec.txt"
         spec.write_text(TINY_SPEC + line + "\n")
         assert run("pipeline", "--spec", spec, "--out", tmp_path / "r.csv") == 2
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("key", INVALID_VALUES)
+    def test_stepwise_flag_is_refused_like_the_spec(
+        self, tmp_path, monkeypatch, capsys, no_training, key
+    ):
+        line, command, flag, value = INVALID_VALUES[key]
+        spec = tmp_path / "spec.txt"
+        spec.write_text(TINY_SPEC + line + "\n")
+        assert run("pipeline", "--spec", spec, "--out", tmp_path / "r.csv") == 2
+        refusal = capsys.readouterr().err
+        monkeypatch.chdir(tmp_path)
+        assert run(command, *STEPWISE_FILES[command], flag, value) == 2
+        assert capsys.readouterr().err == refusal
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_label_alpha_flag(self, workspace, tmp_path, value):

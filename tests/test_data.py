@@ -16,11 +16,13 @@ from resom.data import (
     load_idx_labels,
     load_rsm1,
     normalize_minmax,
+    opened,
     pair_by_class,
     save_rsm1,
     standardize_then_minmax,
     to_csv,
 )
+from resom.experiments import write_metrics
 from resom.som import SomGrid, load_som, save_som
 
 
@@ -219,6 +221,34 @@ class TestCodecFuzz:
         assert_every_prefix_is_a_data_error(
             buf.getvalue(), lambda b: load_synapses(io.BytesIO(b))
         )
+
+
+class TestOpened:
+    def test_open_file_is_passed_through_and_left_open(self):
+        buf = io.BytesIO()
+        with opened(buf, "wb") as f:
+            assert f is buf
+        assert not buf.closed
+
+    def test_path_is_opened_and_closed(self, tmp_path):
+        with opened(tmp_path / "a.bin", "wb") as f:
+            f.write(b"abc")
+        assert f.closed
+        with opened(tmp_path / "a.bin", "rb") as f:
+            assert f.read() == b"abc"
+        assert f.closed
+
+    @pytest.mark.parametrize("save, obj, text", [
+        (save_som, SomGrid(2, 1, np.eye(2), np.array([0, 1])), False),
+        (save_synapses, LateralSynapses.empty(2, 3), False),
+        (write_metrics, {"b": 2, "a": 0.5}, True),
+    ], ids=["rsom", "rlat", "metrics"])
+    def test_writers_give_the_same_bytes_to_a_path_and_a_file(self, tmp_path, save, obj, text):
+        buf = io.StringIO() if text else io.BytesIO()
+        save(obj, buf)
+        save(obj, tmp_path / "out")
+        written = (tmp_path / "out").read_text() if text else (tmp_path / "out").read_bytes()
+        assert written == buf.getvalue()
 
 
 class TestNormalization:

@@ -66,8 +66,9 @@ class TestSpecFile:
 
     def test_grid_syntax(self):
         assert parse_spec("grid_x = 12x7\n").grid_x == (12, 7)
-        with pytest.raises(SpecError, match="grid"):
-            parse_spec("grid_x = twelve\n")
+        for bad in ("twelve", "0x3", "-2x4"):
+            with pytest.raises(SpecError, match="grid"):
+                parse_spec(f"grid_x = {bad}\n")
 
     def test_confused_pairs_syntax(self):
         spec = parse_spec("confused_x = 0:1,2:3\nconfused_y =\n")

@@ -5,19 +5,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from resom.grid import (
-    CellSummary,
     cost_report,
     ig_train,
     ig_train_epoch,
-    merge_summaries,
     propagation_steps,
     wave_trace,
     winner_wave,
-    winner_wave_cellwise,
     _wave_init,
     _wave_step,
 )
 from resom.som import TrainSchedule, make_som, train
+from scalar_oracles import CellSummary, merge_summaries, winner_wave_cellwise
 
 
 def oracle(activities):

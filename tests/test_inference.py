@@ -9,7 +9,6 @@ from resom.data import FeatureMatrix, PairedDataset
 from resom.inference import (
     ConvergenceConfig,
     converge_classify,
-    converge_classify_batch,
     converge_from_fields,
     confusion_matrix,
     disconnected_targets,
@@ -21,8 +20,18 @@ from resom.inference import (
     synapse_max,
 )
 from resom.labeling import label_som
-from resom.som import SomGrid
+from resom.som import SomGrid, activities_batch
 from scalar_oracles import activation_field
+
+
+def classify_batch(som_x, som_y, syn_xy, syn_yx, values_x, values_y, cfg):
+    """Convergence on raw inputs: both afferent fields, then the decision."""
+    return converge_from_fields(
+        som_x, som_y, syn_xy, syn_yx,
+        activities_batch(som_x, values_x, cfg.kernel_width_x),
+        activities_batch(som_y, values_y, cfg.kernel_width_y),
+        cfg,
+    )
 
 
 def synapses_from(weights_or_none):
@@ -202,7 +211,7 @@ class TestConvergenceAgainstOracle:
         for _ in range(30):
             som_x, som_y, syn_xy, syn_yx = self.random_instance(rng)
             cfg = ConvergenceConfig("max", "norm", "bmu", 1.0, 1.0)
-            batch = converge_classify_batch(
+            batch = classify_batch(
                 som_x, som_y, syn_xy, syn_yx, rng.random((8, 2)), rng.random((8, 2)), cfg
             )
             for i in range(8):
@@ -225,11 +234,11 @@ class TestConvergenceAgainstOracle:
             syn_yx.weights[j, j % kx] = rng.random()
         vx, vy = rng.random((6, 2)), rng.random((6, 2))
         for act, neur in itertools.product(("raw", "norm"), ("all", "bmu")):
-            a = converge_classify_batch(
+            a = classify_batch(
                 som_x, som_y, syn_xy, syn_yx, vx, vy,
                 ConvergenceConfig("max", act, neur, 1.0, 1.0),
             )
-            b = converge_classify_batch(
+            b = classify_batch(
                 som_x, som_y, syn_xy, syn_yx, vx, vy,
                 ConvergenceConfig("sum", act, neur, 1.0, 1.0),
             )

@@ -236,6 +236,18 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="magic"):
             load_som(io.BytesIO(b"XXXX" + b"\x00" * 32))
 
+    @pytest.mark.parametrize("bad", [70000, -1])
+    def test_labels_outside_u16_are_refused(self, tmp_path, bad):
+        s = make_som(2, 1, 3, seed=0)
+        s.labels = np.array([0, bad])
+        path = tmp_path / "map.rsom"
+        with pytest.raises(ValueError, match="u16"):
+            save_som(s, path)
+        assert not path.exists()
+        s.labels = np.array([0, 65535])  # the range's edges still round-trip
+        save_som(s, path)
+        assert np.array_equal(load_som(path).labels, [0, 65535])
+
     def test_grid_shape_validation(self):
         with pytest.raises(ValueError, match="weight rows"):
             SomGrid(2, 2, np.zeros((3, 4)))
