@@ -166,6 +166,9 @@ class ExperimentSpec:
         for name, allowed in _FIELD_CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise SpecError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
+        for name in ("grid_x", "grid_y"):
+            if min(getattr(self, name)) < 1:
+                raise SpecError(f"{name} sides must be at least 1, got {getattr(self, name)}")
         for name in ("alpha_x", "alpha_y", "diverge_beta", "keep_fraction"):
             if not getattr(self, name) > 0:
                 raise SpecError(f"{name} must be > 0, got {getattr(self, name)}")
@@ -679,6 +682,13 @@ def run_pipeline(
 # Sweeps
 # ---------------------------------------------------------------------------
 
+def _require_positive(name: str, values) -> None:
+    """Refuse a sweep's values before any training, not at their first use."""
+    for v in values:
+        if not 0 < v < math.inf:
+            raise SpecError(f"{name} must be positive and finite, got {v}")
+
+
 def prune_sweep(
     spec: ExperimentSpec, fractions: tuple[float, ...], cache: StageCache | None = None,
     per_seed: list[SeedStages] | None = None,
@@ -689,6 +699,7 @@ def prune_sweep(
     fraction before the next seed is built, so one seed's stages are alive at
     a time; convergence labels map y as ``spec.label_mode_y`` says.
     """
+    _require_positive("keep fractions", fractions)
     configs = [spec.convergence_config()]
 
     def measure(stages: SeedStages) -> list[tuple[float, float, int]]:
@@ -724,6 +735,7 @@ def alpha_sweep(
     """Unimodal test accuracy of one map across labeling kernel widths."""
     if modality not in ("x", "y"):
         raise SpecError("modality must be x or y")
+    _require_positive("alphas", alphas)
     grid, fraction, train_offset, subset_offset = (
         (spec.grid_x, spec.label_fraction_x, SEED_TRAIN_X, SEED_SUBSET_X)
         if modality == "x"

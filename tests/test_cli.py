@@ -302,6 +302,15 @@ class TestNonFiniteInputs:
         assert capsys.readouterr().err == refusal
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, flag", [
+        ("prune-sweep", "--fractions"), ("alpha-sweep", "--alphas"),
+    ])
+    def test_sweep_value_is_refused_before_training(self, tmp_path, no_training, command, flag):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(TINY_SPEC)
+        assert run(command, "--spec", spec, flag, "0", "--out", tmp_path / "r.csv") == 2
+        assert not (tmp_path / "r.csv").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_label_alpha_flag(self, workspace, tmp_path, value):
         assert run(

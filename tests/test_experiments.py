@@ -70,6 +70,12 @@ class TestSpecFile:
             with pytest.raises(SpecError, match="grid"):
                 parse_spec(f"grid_x = {bad}\n")
 
+    @pytest.mark.parametrize("grid", [{"grid_x": (0, 3)}, {"grid_y": (4, 0)}, {"grid_x": (-2, 4)}])
+    def test_grid_sides_are_checked_in_code(self, grid):
+        # Built in code, not parsed: run_pipeline used to train, then fail.
+        with pytest.raises(SpecError, match=f"{next(iter(grid))} sides must be at least 1"):
+            ExperimentSpec(**{**TINY, **grid})
+
     def test_confused_pairs_syntax(self):
         spec = parse_spec("confused_x = 0:1,2:3\nconfused_y =\n")
         assert spec.confused_x == ((0, 1), (2, 3))
@@ -377,6 +383,20 @@ class TestSweeps:
         monkeypatch.undo()
         per_seed = [build_stages(spec, seed, StageCache(None)) for seed in spec.seeds]
         assert prune_sweep(spec, fractions, per_seed=per_seed) == rows
+
+    @pytest.mark.parametrize("sweep, values", [
+        (prune_sweep, (0.25, 0.0)), (prune_sweep, (float("nan"),)),
+        (alpha_sweep, (1.0, 0.0)), (alpha_sweep, (float("inf"),)),
+    ])
+    def test_sweep_values_are_refused_before_training(self, monkeypatch, sweep, values):
+        import resom.experiments as exp_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("trained before checking the sweep values")
+
+        monkeypatch.setattr(exp_mod.som_mod, "train_many", refuse)
+        with pytest.raises(SpecError, match="must be positive and finite"):
+            sweep(ExperimentSpec(**TINY), values, cache=StageCache(None))
 
     def test_prune_sweep_monotone_synapse_counts(self):
         spec = ExperimentSpec(**TINY)

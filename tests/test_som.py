@@ -1,11 +1,15 @@
 import io
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
+from resom import som as som_mod
 from resom.som import (
     SomGrid,
     TrainSchedule,
@@ -47,6 +51,42 @@ class TestActivitiesFromDistances:
     def test_kernel_width_must_be_positive_and_finite(self, width):
         with pytest.raises(ValueError, match="kernel width"):
             activities_from_distances(np.ones((2, 3)), width)
+
+
+class TestDistances:
+    """Row blocks on a thread pool give one cdist's matrix, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 23), k=st.integers(1, 9), d=st.integers(1, 6),
+           cpus=st.integers(1, 5), split=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(n=1, k=3, d=2, cpus=4, split=True, seed=0)  # one row
+    @example(n=3, k=3, d=2, cpus=4, split=True, seed=1)  # fewer rows than CPUs
+    @example(n=10, k=4, d=3, cpus=3, split=True, seed=2)  # rows not divisible by CPUs
+    def test_equals_one_cdist(self, n, k, d, cpus, split, seed):
+        rng = np.random.default_rng(seed)
+        som = SomGrid(k, 1, rng.random((k, d)))
+        X = rng.random((n, d))
+        threads = threading.active_count()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(som_mod, "cpu_count", lambda: cpus)
+            mp.setattr(som_mod, "PARALLEL_MIN_NKD", 0 if split else 10**18)
+            got = som_mod.distances(som, X)
+        assert threading.active_count() == threads
+        assert np.array_equal(got, cdist(X, som.weights))
+
+    @pytest.mark.parametrize("rows, pools", [(2999, []), (3000, [2])])
+    def test_splits_from_the_work_threshold(self, monkeypatch, pool_sizes, rows, pools):
+        k, d = 100, 100
+        assert 2999 * k * d < som_mod.PARALLEL_MIN_NKD <= 3000 * k * d
+        rng = np.random.default_rng(3)
+        som = SomGrid(k, 1, rng.random((k, d)))
+        X = rng.random((rows, d))
+        monkeypatch.setattr(som_mod, "cpu_count", lambda: 2)
+        threads = threading.active_count()
+        got = som_mod.distances(som, X)
+        assert pool_sizes == pools
+        assert threading.active_count() == threads
+        assert np.array_equal(got, cdist(X, som.weights))
 
 
 class TestElection:
@@ -196,6 +236,19 @@ class TestTrain:
             by_distance = int(np.argmin(d))
             by_activity = int(np.argmax(np.exp(-d)))
             assert by_distance == by_activity
+
+    def test_one_epoch_holds_one_sample_block(self):
+        # Each epoch gathers its permuted samples SAMPLE_BLOCK rows at a time,
+        # not as a permuted copy of the whole data set.
+        X = np.random.default_rng(13).random((20_000, 784))
+        som = make_som(2, 2, 784, seed=0)
+        tracemalloc.start()
+        try:
+            train(som, X, TrainSchedule(epochs=1), seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * X.nbytes
 
     def test_rejects_bad_input(self):
         s = make_som(2, 2, 3, seed=0)

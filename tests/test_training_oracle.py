@@ -6,6 +6,7 @@ maps were stacked: one permutation per epoch, one winner and one
 must reproduce it bit for bit.
 """
 
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -38,7 +39,11 @@ def reference_train(som, data, schedule, seed, grid_metric="euclidean"):
 def mixed_batch():
     """Two maps that stack, plus two that share nothing but the sample count
     or nothing at all: (width, height, dim, n, seed) per map."""
-    shapes = [(8, 8, 16, 90, 11), (8, 8, 16, 90, 12), (5, 5, 40, 70, 13), (7, 3, 16, 90, 14)]
+    return batch([(8, 8, 16, 90, 11), (8, 8, 16, 90, 12), (5, 5, 40, 70, 13), (7, 3, 16, 90, 14)])
+
+
+def batch(shapes):
+    """Maps, data sets and seeds, one per (width, height, dim, n, seed)."""
     soms, datas, seeds = [], [], []
     for width, height, dim, n, seed in shapes:
         rng = np.random.default_rng(100 + seed)
@@ -80,3 +85,34 @@ def test_ig_train_matches_reference():
     schedule = TrainSchedule(epochs=3)
     expected = reference_train(som, data, schedule, 23, "manhattan")
     assert np.array_equal(ig.ig_train(som, data, schedule, 23).weights, expected.weights)
+
+
+@pytest.mark.parametrize("block", [1, 7, 90])
+def test_sample_blocks_do_not_change_training(monkeypatch, block):
+    monkeypatch.setattr(som_mod, "SAMPLE_BLOCK", block)
+    soms, datas, seeds = mixed_batch()
+    schedule = TrainSchedule(epochs=2)
+    trained = som_mod.train_many(soms, datas, schedule, seeds)
+    for som, data, seed, got in zip(soms, datas, seeds, trained):
+        assert np.array_equal(got.weights, reference_train(som, data, schedule, seed).weights)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("shapes", [
+    # two large maps of different shapes, with a small pair that stacks
+    [(8, 8, 256, 30, 31), (5, 4, 900, 25, 32), (3, 3, 4, 40, 33), (3, 3, 4, 40, 34)],
+    # an equal-shape large pair: each trains alone
+    [(8, 8, 256, 30, 35), (8, 8, 256, 30, 36)],
+], ids=["different-shapes", "equal-shapes"])
+def test_large_maps_train_on_a_pool_like_the_reference(monkeypatch, pool_sizes, cpus, shapes):
+    soms, datas, seeds = batch(shapes)
+    large = sum(som.n_neurons * som.dim >= som_mod.STACK_MAX_KD for som in soms)
+    assert large == 2
+    monkeypatch.setattr(som_mod, "cpu_count", lambda: cpus)
+    schedule = TrainSchedule(epochs=2)
+    threads = threading.active_count()
+    trained = som_mod.train_many(soms, datas, schedule, seeds)
+    assert threading.active_count() == threads
+    assert pool_sizes == ([2] if cpus == 2 else [])
+    for som, data, seed, got in zip(soms, datas, seeds, trained):
+        assert np.array_equal(got.weights, reference_train(som, data, schedule, seed).weights)
