@@ -10,18 +10,17 @@ Winner election during training runs on raw input distances (argmin); because
 exp(-d/width) is strictly decreasing this elects the same neuron as the
 activity argmax, a property the test suite pins down.
 
-Training has one loop, ``train_many``; ``train`` is its one-map case.  A
-map whose per-sample working set k*d is below ``STACK_MAX_KD`` stacks with
-the other small maps of equal (width, height, dim, n_samples) into one
-(M, k, d) per-sample loop, which saves Python overhead per sample.  A larger
-map is a stack of its own: its loop time goes to numpy kernels that release
-the GIL, so two or more such stacks run at once on a thread pool of up to one
-thread per CPU.  Every map keeps its own seeded permutation, and neither
-choice changes a bit: each row-wise sum over a contiguous d-row of a stack
-matches the per-row sum of a lone (k, d) map, every other operation is
-elementwise, and a stack's loop reads and writes only its own arrays, so the
-thread it runs on cannot change its result.  tests/test_training_oracle.py
-checks this against the original one-map loop.
+Training has one loop, ``train_many``; ``train`` is its one-map case.  Maps
+of equal (width, height, dim, n_samples) stack into one (M, k, d) per-sample
+loop, which saves Python overhead per sample.  When there are two or more
+such stacks, for instance the x and y maps of different shapes, they run at
+once on a thread pool of up to one thread per CPU: a high-d loop spends its
+time in numpy kernels that release the GIL.  Every map keeps its own seeded
+permutation, and neither choice changes a bit: each row-wise sum over a
+contiguous d-row of a stack matches the per-row sum of a lone (k, d) map,
+every other operation is elementwise, and a stack's loop reads and writes
+only its own arrays, so the thread it runs on cannot change its result.
+tests/test_training_oracle.py checks this against the original one-map loop.
 
 ``distances`` splits large jobs the same way: one contiguous row block per
 CPU, each block's cdist written into its rows of one result.  Each distance
@@ -46,14 +45,6 @@ from .data import DataFormatError, _read_exact, opened
 RSOM_MAGIC = b"RSOM"
 GRID_METRICS = ("euclidean", "manhattan")
 
-# A map whose per-sample working set k*d reaches this many float64 elements
-# trains in a stack of its own; smaller maps of one shape share a stack.
-# Measured on 2 Xeon vCPUs (4 MiB L2 each), two equal maps, us per map and
-# sample as one stack vs two one-map stacks on two threads: 10x10 at 100-d
-# (k*d 10 000) 37.2 vs 43.0, 12x12 at 100-d (14 400) 47.2 vs 48.5, 8x8 at
-# 256-d (16 384) 52.4 vs 47.0, 10x10 at 200-d 61.4 vs 51.1, 10x10 at 784-d
-# 314 vs 160.
-STACK_MAX_KD = 16_384
 # ``distances`` splits its rows across the CPUs from this much work (n*k*d).
 # Same host, one cdist vs one row block per CPU: 1 000x100 at 100-d (10M)
 # 4.0 vs 4.9 ms, 2 000x100 at 100-d (20M) 8.4 vs 8.0 ms, 500x100 at 784-d
@@ -242,32 +233,25 @@ def train_many(
 ) -> list[SomGrid]:
     """Train each ``soms[i]`` on ``datas[i]`` with its own ``seeds[i]``.
 
-    Maps below ``STACK_MAX_KD`` whose (width, height, dim, n_samples) agree
-    run in one stacked per-sample loop; every larger map is a stack of its
-    own, and those run on a thread pool.  Each map keeps its own seeded
-    permutation, so every result is bit-identical to training it alone.
+    Maps whose (width, height, dim, n_samples) agree run in one stacked
+    per-sample loop, and two or more such loops run on a thread pool.  Each
+    map keeps its own seeded permutation, so every result is bit-identical
+    to training it alone.
     """
     if not len(soms) == len(datas) == len(seeds):
         raise ValueError("need one dataset and one seed per map")
     datas = [validate_training_data(som, data) for som, data in zip(soms, datas)]
-    shared: dict[tuple[int, int, int, int], list[int]] = {}
-    alone: list[list[int]] = []
+    groups: dict[tuple[int, int, int, int], list[int]] = {}
     for i, (som, X) in enumerate(zip(soms, datas)):
-        if som.n_neurons * som.dim >= STACK_MAX_KD:
-            alone.append([i])
-        else:
-            shared.setdefault((som.width, som.height, som.dim, X.shape[0]), []).append(i)
+        groups.setdefault((som.width, som.height, som.dim, X.shape[0]), []).append(i)
     # Every large buffer is allocated here, in the calling thread: a pool
     # thread's allocations would stay in its own malloc arena.
     stacks = [
         (members, *_stack_loop([soms[i] for i in members], [datas[i] for i in members],
                                [seeds[i] for i in members], schedule, grid_metric))
-        for members in [*shared.values(), *alone]
+        for members in groups.values()
     ]
-    loops = [loop for _, _, loop in stacks]
-    for loop in loops[:len(shared)]:  # too short per sample to gain from threads
-        loop()
-    _run_all(loops[len(shared):], min(len(alone), cpu_count()))
+    _run_all([loop for _, _, loop in stacks], min(len(stacks), cpu_count()))
     out: list[SomGrid] = [None] * len(soms)
     for members, W, _ in stacks:
         for row, i in enumerate(members):
