@@ -13,10 +13,10 @@ import numpy as np
 from resom import grid as ig
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--verify-trials", type=int, default=200)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     print(f"{'grid':>8} {'cells':>6} {'t_p':>5} {'msgs/wave':>10} {'bound':>10} {'central':>8}")
     for k in (2, 4, 8, 16, 32, 64):

@@ -35,8 +35,6 @@ class LateralSynapses:
     n_target: int
     weights: np.ndarray
     exists: np.ndarray
-    rule: str | None = None
-    eta: float | None = None
 
     def __post_init__(self):
         self.weights = np.ascontiguousarray(self.weights, dtype=np.float64)
@@ -46,14 +44,12 @@ class LateralSynapses:
             raise ValueError(f"weights/exists must both be {shape}")
 
     @classmethod
-    def empty(cls, n_source: int, n_target: int, rule=None, eta=None) -> "LateralSynapses":
+    def empty(cls, n_source: int, n_target: int) -> "LateralSynapses":
         return cls(
             n_source,
             n_target,
             np.zeros((n_source, n_target)),
             np.zeros((n_source, n_target), dtype=bool),
-            rule,
-            eta,
         )
 
     @property
@@ -91,7 +87,7 @@ def learn_direction(
     if rule not in _UPDATES:
         raise ValueError(f"unknown rule {rule!r}")
     update = _UPDATES[rule]
-    syn = LateralSynapses.empty(n_source, n_target, rule, eta)
+    syn = LateralSynapses.empty(n_source, n_target)
     W, E = syn.weights, syn.exists
     for _ in range(epochs):
         for s, t, a_s, a_t in zip(src_bmus, dst_bmus, src_acts, dst_acts):
@@ -139,7 +135,7 @@ def prune(syn: LateralSynapses, keep_fraction: float) -> LateralSynapses:
     order = np.lexsort((-syn.weights, ~syn.exists), axis=1)[:, :quota]
     keep = np.take_along_axis(syn.exists, order, axis=1)
     src, dst = np.nonzero(keep)[0], order[keep]
-    out = LateralSynapses.empty(syn.n_source, syn.n_target, syn.rule, syn.eta)
+    out = LateralSynapses.empty(syn.n_source, syn.n_target)
     out.exists[src, dst] = True
     out.weights[src, dst] = syn.weights[src, dst]
     return out
@@ -193,6 +189,4 @@ def roundtrip_synapses(syn: LateralSynapses) -> LateralSynapses:
     buf = io.BytesIO()
     save_synapses(syn, buf)
     buf.seek(0)
-    out, _ = load_synapses(buf)
-    out.rule, out.eta = syn.rule, syn.eta
-    return out
+    return load_synapses(buf)[0]

@@ -211,14 +211,14 @@ def cmd_prune_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     digest, rows = exp.read_record_csv(args.records)
-    conv = np.array([float(r["convergence"]) for r in rows])
+    conv = np.array([r["convergence"] for r in rows])
     metrics = {
         "spec_hash": digest,
         "seeds": len(rows),
         "convergence_mean": conv.mean(),
         "convergence_std": conv.std(),
-        "unimodal_x_mean": np.mean([float(r["uni_x"]) for r in rows]),
-        "unimodal_y_mean": np.mean([float(r["uni_y"]) for r in rows]),
+        "unimodal_x_mean": np.mean([r["uni_x"] for r in rows]),
+        "unimodal_y_mean": np.mean([r["uni_y"] for r in rows]),
     }
     exp.write_metrics(metrics, sys.stdout)
     return 0

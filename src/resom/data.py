@@ -21,7 +21,8 @@ RSM1_MAGIC = b"RSM1"
 
 
 class DataFormatError(ValueError):
-    """Malformed IDX or RSM1 payload (bad magic, truncation, count mismatch)."""
+    """Malformed or unusable input data (bad magic, truncation, count
+    mismatch, no rows to pair, a broken record file)."""
 
 
 @dataclass
@@ -86,13 +87,6 @@ class PairedDataset:
     def y_values(self) -> np.ndarray:
         """y features aligned to x rows."""
         return self.y.values[self.pairing]
-
-    def take(self, rows: np.ndarray) -> "PairedDataset":
-        # Re-indexing keeps the alignment: row i of the result pairs x[rows[i]]
-        # with its original partner.
-        x = self.x.take(rows)
-        y = self.y.take(self.pairing[rows])
-        return PairedDataset(x, y, np.arange(len(rows)))
 
 
 def opened(path_or_file, mode: str):
@@ -201,23 +195,13 @@ def load_features(path, labels_path=None) -> FeatureMatrix:
     return load_idx(path, labels_path)
 
 
-def to_csv(matrix: FeatureMatrix, path) -> None:
-    header = ",".join(f"f{i}" for i in range(matrix.n_features))
-    if matrix.labels is not None:
-        header += ",label"
-        body = np.column_stack([matrix.values, matrix.labels])
-    else:
-        body = matrix.values
-    np.savetxt(path, body, delimiter=",", header=header, comments="")
-
-
 # ---------------------------------------------------------------------------
 # Normalization
 # ---------------------------------------------------------------------------
 
 def normalize_minmax(
-    train: FeatureMatrix, test: FeatureMatrix | None = None
-) -> FeatureMatrix | tuple[FeatureMatrix, FeatureMatrix]:
+    train: FeatureMatrix, test: FeatureMatrix
+) -> tuple[FeatureMatrix, FeatureMatrix]:
     """Per-feature min-max rescale to [0, 1] with train-split statistics.
 
     Zero-range features map to 0.  Test values are clamped to [0, 1].
@@ -234,8 +218,6 @@ def normalize_minmax(
             np.clip(out, 0.0, 1.0, out=out)
         return FeatureMatrix(out.astype(np.float32), m.labels)
 
-    if test is None:
-        return apply(train, clamp=False)
     return apply(train, clamp=False), apply(test, clamp=True)
 
 
@@ -271,6 +253,8 @@ def pair_by_class(x: FeatureMatrix, y: FeatureMatrix, seed: int) -> PairedDatase
     """
     if x.labels is None or y.labels is None:
         raise ValueError("both modalities must be labeled")
+    if x.n_samples == 0 or y.n_samples == 0:
+        raise DataFormatError(f"no rows to pair: x has {x.n_samples}, y has {y.n_samples}")
     rng = np.random.default_rng(seed)
     pairing = np.full(x.n_samples, -1, dtype=np.int64)
     for c in np.unique(x.labels):

@@ -29,6 +29,7 @@ import numpy as np
 from . import association as assoc
 from . import inference, labeling, som as som_mod, synthetic
 from .data import (
+    DataFormatError,
     FeatureMatrix,
     PairedDataset,
     load_features,
@@ -189,6 +190,8 @@ class ExperimentSpec:
         try:
             self.schedule()
             self.convergence_config()
+            if self.dataset == "synthetic":
+                self.synthetic_spec()
         except ValueError as e:
             raise SpecError(str(e)) from e
 
@@ -430,6 +433,8 @@ class SeedResult:
 
 
 RECORD_COLUMNS = tuple(f.name for f in fields(SeedResult))
+# The record columns ``resom report`` aggregates.
+REPORT_COLUMNS = ("convergence", "uni_x", "uni_y")
 
 
 @dataclass
@@ -534,22 +539,22 @@ def build_stages(spec: ExperimentSpec, seed: int, cache: StageCache | None = Non
     cache = cache or StageCache.from_env()
     train_pairs, test_pairs = load_dataset(spec, seed)
     base = seed * 1000
+    subset_x = labeling.select_label_subset(
+        train_pairs.x, spec.label_fraction_x, base + SEED_SUBSET_X
+    )
+    subset_y = None
+    if spec.label_fraction_y > 0:
+        subset_y = labeling.select_label_subset(
+            train_pairs.y, spec.label_fraction_y, base + SEED_SUBSET_Y
+        )
     som_x, som_y = _train_cached(
         cache,
         [(spec.grid_x, train_pairs.x, base + SEED_TRAIN_X),
          (spec.grid_y, train_pairs.y, base + SEED_TRAIN_Y)],
         spec.schedule(), spec.grid_metric,
     )
-    subset_x = labeling.select_label_subset(
-        train_pairs.x, spec.label_fraction_x, base + SEED_SUBSET_X
-    )
     som_x = labeling.label_som(som_x, subset_x, spec.alpha_x)
-    som_y_direct = None
-    if spec.label_fraction_y > 0:
-        subset_y = labeling.select_label_subset(
-            train_pairs.y, spec.label_fraction_y, base + SEED_SUBSET_Y
-        )
-        som_y_direct = labeling.label_som(som_y, subset_y, spec.alpha_y)
+    som_y_direct = None if subset_y is None else labeling.label_som(som_y, subset_y, spec.alpha_y)
     syn_xy, syn_yx = _associate_cached(cache, som_x, som_y, train_pairs, spec)
     return SeedStages(
         train_pairs, test_pairs, som_x, som_y, som_y_direct, subset_x,
@@ -746,11 +751,11 @@ def alpha_sweep(
     for seed in spec.seeds:
         train_pairs, test_pairs = load_dataset(spec, seed)
         train = getattr(train_pairs, modality)
+        subset = labeling.select_label_subset(train, fraction, seed * 1000 + subset_offset)
         (grid_som,) = _train_cached(
             cache, [(grid, train, seed * 1000 + train_offset)],
             spec.schedule(), spec.grid_metric,
         )
-        subset = labeling.select_label_subset(train, fraction, seed * 1000 + subset_offset)
         test = getattr(test_pairs, modality)
         # Only the labels change with alpha; the test BMUs are computed once.
         bmu = np.argmin(som_mod.distances(grid_som, test.values), axis=1)
@@ -795,10 +800,33 @@ def write_rows_csv(rows: list[dict], path) -> None:
 
 
 def read_record_csv(path) -> tuple[str, list[dict]]:
+    """(spec hash, one dict per seed row) of a ``write_record_csv`` file, with
+    the REPORT_COLUMNS parsed as floats and the other cells as text.
+
+    A file with no seed row, a row of the wrong width, a missing report
+    column or a cell in one that is not a number raises DataFormatError.
+    """
     with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f]
+        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
     digest = ""
     if lines and lines[0].startswith("# spec_hash="):
         digest = lines.pop(0).split("=", 1)[1]
+    if len(lines) < 2:
+        raise DataFormatError(f"{path}: record holds no seed rows")
     cols = lines[0].split(",")
-    return digest, [dict(zip(cols, ln.split(","))) for ln in lines[1:] if ln]
+    missing = [c for c in REPORT_COLUMNS if c not in cols]
+    if missing:
+        raise DataFormatError(f"{path}: record lacks columns {missing}")
+    rows = []
+    for lineno, line in enumerate(lines[1:], 2):
+        cells = line.split(",")
+        if len(cells) != len(cols):
+            raise DataFormatError(f"{path}: row {lineno} has {len(cells)} cells, not {len(cols)}")
+        row = dict(zip(cols, cells))
+        for c in REPORT_COLUMNS:
+            try:
+                row[c] = float(row[c])
+            except ValueError:
+                raise DataFormatError(f"{path}: row {lineno} {c} is not a number") from None
+        rows.append(row)
+    return digest, rows

@@ -4,9 +4,9 @@ Both directions of the reentrant step are one max-product operator on the
 synapses, ``synapse_max``: divergence sets each neuron of one map to the max
 over its incoming synapses of weight * source activity, and convergence's
 max lateral support is the same operation on the transposed synapses (W
-and Wᵀ).  Divergence reuses the accumulator-based labeling on the induced
-activities; neurons left without any incoming synapse keep the default
-label 0.
+and Wᵀ).  Divergence labels map y with the direct labeling rule,
+``labeling.class_means``, on the induced activities; neurons left without
+any incoming synapse keep the default label 0.
 
 Convergence computes each map's afferent field, multiplies it by lateral
 support from the other map, and elects a single global winner across both
@@ -35,7 +35,7 @@ import numpy as np
 
 from .association import LateralSynapses
 from .data import FeatureMatrix, PairedDataset
-from .labeling import ClassAccumulators
+from .labeling import class_means
 from .som import SomGrid, activities_batch, distances
 
 UPDATES = ("max", "sum")
@@ -138,19 +138,16 @@ def diverge_label(
 ) -> SomGrid:
     """Label som_y's neurons from som_x's labeled subset through x->y synapses.
 
-    Mirrors the direct labeling procedure with divergent activities in place
-    of afferent ones; samples whose induced field is entirely zero contribute
-    nothing, and all-zero accumulators resolve to label 0.
+    The direct labeling rule with divergent activities in place of afferent
+    ones; samples whose induced field is entirely zero contribute nothing,
+    and neurons with all-zero class means take label 0.
     """
     if subset_x.labels is None:
         raise ValueError("labeled subset required")
-    n_classes = n_classes or subset_x.n_classes
     ax = activities_batch(som_x, subset_x.values, kernel_width)
     induced = synapse_max(syn_xy.weights, syn_xy.exists, ax)
-    peak = induced.max(axis=1)
-    induced /= np.where(peak > 0, peak, 1.0)[:, None]
-    accs = ClassAccumulators.from_activities(induced, subset_x.labels, n_classes)
-    return replace(som_y, labels=accs.argmax_labels())
+    means = class_means(induced, subset_x.labels, n_classes or subset_x.n_classes)
+    return replace(som_y, labels=np.argmax(means, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +176,6 @@ class ConvergenceBatch:
     map_ids: np.ndarray  # '<U1'
     neurons: np.ndarray
     labels: np.ndarray  # -1 on no-decision
-    bmu_x: np.ndarray
-    bmu_y: np.ndarray
 
     @property
     def no_decision(self) -> np.ndarray:
@@ -241,8 +236,6 @@ def converge_from_fields(
         map_ids=map_ids,
         neurons=np.where(decided, neurons, -1),
         labels=np.where(decided, labels, -1),
-        bmu_x=bmu_x,
-        bmu_y=bmu_y,
     )
 
 
@@ -275,7 +268,6 @@ def converge_classify(
 class UnimodalEval:
     accuracy: float
     confusion: np.ndarray
-    bmu_counts: np.ndarray
 
 
 @dataclass
@@ -283,8 +275,6 @@ class ConvergenceEval:
     accuracy: float
     confusion: np.ndarray
     n_no_decision: int
-    winner_counts_x: np.ndarray
-    winner_counts_y: np.ndarray
 
 
 def confusion_matrix(true: np.ndarray, pred: np.ndarray, n_classes: int) -> np.ndarray:
@@ -309,7 +299,6 @@ def evaluate_unimodal_from_bmus(
     return UnimodalEval(
         accuracy=float(np.mean(pred == true)),
         confusion=confusion_matrix(true, pred, n_classes),
-        bmu_counts=np.bincount(bmu, minlength=som.n_neurons),
     )
 
 
@@ -332,14 +321,10 @@ def evaluate_convergence_from_fields(
     """Accuracy from the pairs' afferent fields (row i of ``ax`` and ``ay``
     is pair i); no-decision samples count as errors."""
     batch = converge_from_fields(som_x, som_y, syn_xy, syn_yx, ax, ay, cfg)
-    wins_x = np.bincount(batch.neurons[batch.map_ids == "x"], minlength=som_x.n_neurons)
-    wins_y = np.bincount(batch.neurons[batch.map_ids == "y"], minlength=som_y.n_neurons)
     return ConvergenceEval(
         accuracy=float(np.mean(batch.labels == true)),
         confusion=confusion_matrix(true, batch.labels, n_classes),
         n_no_decision=int(batch.no_decision.sum()),
-        winner_counts_x=wins_x,
-        winner_counts_y=wins_y,
     )
 
 

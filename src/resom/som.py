@@ -126,10 +126,6 @@ class SomGrid:
     def dim(self) -> int:
         return self.weights.shape[1]
 
-    def copy(self) -> "SomGrid":
-        labels = None if self.labels is None else self.labels.copy()
-        return SomGrid(self.width, self.height, self.weights.copy(), labels)
-
 
 def make_som(width: int, height: int, dim: int, seed: int) -> SomGrid:
     """Fresh grid with weights drawn uniformly from [0, 1)."""
@@ -181,10 +177,10 @@ def activities_batch(som: SomGrid, values: np.ndarray, kernel_width: float) -> n
     return activities_from_distances(distances(som, values), kernel_width)
 
 
-def bmu_stream(
-    som: SomGrid, values: np.ndarray, kernel_width: float = 1.0, block: int = 4096
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample BMU index and BMU activity, computed in blocks."""
+def bmu_stream(som: SomGrid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample BMU index and BMU activity (kernel width 1), computed
+    4 096 rows at a time."""
+    block = 4096
     v = np.ascontiguousarray(values, dtype=np.float64)
     idx = np.empty(v.shape[0], dtype=np.int64)
     val = np.empty(v.shape[0], dtype=np.float64)
@@ -192,9 +188,7 @@ def bmu_stream(
         d = distances(som, v[start : start + block])
         b = np.argmin(d, axis=1)
         idx[start : start + d.shape[0]] = b
-        val[start : start + d.shape[0]] = np.exp(
-            -d[np.arange(d.shape[0]), b] / kernel_width
-        )
+        val[start : start + d.shape[0]] = np.exp(-d[np.arange(d.shape[0]), b])
     return idx, val
 
 

@@ -32,7 +32,9 @@ class SyntheticSpec:
     confused_y: tuple[tuple[int, int], ...] = ((0, 1), (2, 3))
 
     def __post_init__(self):
-        seen: set[int] = set()
+        for name in ("n_classes", "dim_x", "dim_y", "train_per_class", "test_per_class"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         for a, b in self.confused_x + self.confused_y:
             if not (0 <= a < self.n_classes and 0 <= b < self.n_classes and a != b):
                 raise ValueError(f"bad confused pair ({a}, {b})")

@@ -5,9 +5,9 @@ activity, one neighbourhood coefficient, one winner election, one BMU
 normalization, one cell's merge of its neighbours' wave records.  The
 library computes the same quantities in batches
 (``som.distances``/``activities_from_distances``, the per-epoch table in
-``som.train_many``, ``np.argmax`` over activity rows, the labeling
-accumulators, the stacked ``grid`` wave step); the tests check those
-against these oracles.
+``som.train_many``, ``np.argmax`` over activity rows,
+``labeling.class_means``, the stacked ``grid`` wave step); the tests check
+those against these oracles.
 """
 
 from dataclasses import dataclass

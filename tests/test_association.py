@@ -127,7 +127,7 @@ def reference_prune(syn, keep_fraction):
     """The per-source loop prune ran before it became one sort: each source's
     existing synapses, lexsorted by weight (descending) then target index."""
     quota = prune_quota(keep_fraction, syn.n_target)
-    out = LateralSynapses.empty(syn.n_source, syn.n_target, syn.rule, syn.eta)
+    out = LateralSynapses.empty(syn.n_source, syn.n_target)
     for s in range(syn.n_source):
         idx = np.flatnonzero(syn.exists[s])
         w = syn.weights[s, idx]
@@ -204,7 +204,7 @@ class TestPrune:
         values = np.array([-2.0, -0.5, -0.0, 0.0, 0.25, 0.25, 1.0, 3.0])
         for trial in range(200):
             n_source, n_target = rng.integers(1, 12, 2)
-            syn = LateralSynapses.empty(int(n_source), int(n_target), "oja", 1.5)
+            syn = LateralSynapses.empty(int(n_source), int(n_target))
             syn.exists[:] = rng.random(syn.exists.shape) < rng.random()
             syn.weights[:] = (rng.choice(values, syn.weights.shape) if trial % 2
                               else rng.normal(size=syn.weights.shape))
@@ -213,7 +213,6 @@ class TestPrune:
                 assert np.array_equal(got.exists, want.exists)
                 assert np.array_equal(got.weights, want.weights)
                 assert np.array_equal(np.signbit(got.weights), np.signbit(want.weights))
-                assert (got.rule, got.eta) == ("oja", 1.5)
 
     @pytest.mark.parametrize("fraction", [float("nan"), float("inf"), -0.5])
     def test_quota_refuses_non_finite_and_non_positive_fractions(self, fraction):

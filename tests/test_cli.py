@@ -311,6 +311,17 @@ class TestNonFiniteInputs:
         assert run(command, "--spec", spec, flag, "0", "--out", tmp_path / "r.csv") == 2
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("line", ["test_per_class = 0", "train_per_class = 0"])
+    @pytest.mark.parametrize("command", ["pipeline", "prune-sweep", "alpha-sweep"])
+    def test_empty_synthetic_split_is_refused_before_training(
+        self, tmp_path, no_training, command, line
+    ):
+        # An empty test split wrote NaN accuracies and exited 0.
+        spec = tmp_path / "spec.txt"
+        spec.write_text(TINY_SPEC + line + "\n")
+        assert run(command, "--spec", spec, "--out", tmp_path / "r.csv") == 2
+        assert not (tmp_path / "r.csv").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_label_alpha_flag(self, workspace, tmp_path, value):
         assert run(
@@ -348,3 +359,69 @@ class TestOversizeHeaders:
             "label", "--som", bad, "--data", workspace / "x_train.rsm1",
             "--out", tmp_path / "out.rsom",
         ) == 3
+
+
+def save_empty_rsm1(path, dim=6):
+    save_rsm1(FeatureMatrix(np.zeros((0, dim)), np.zeros(0, dtype=np.int64)), path)
+    return path
+
+
+class TestEmptyTestSplit:
+    """A test file with no rows is a data error (exit 3), found before any
+    training; it used to give NaN accuracies and exit 0."""
+
+    def test_files_pipeline(self, workspace, tmp_path, no_training):
+        w = workspace
+        spec = tmp_path / "spec.txt"
+        spec.write_text(
+            f"dataset = files\nx_train = {w / 'x_train.rsm1'}\ny_train = {w / 'y_train.rsm1'}\n"
+            f"x_test = {save_empty_rsm1(tmp_path / 'empty.rsm1')}\n"
+            f"y_test = {w / 'y_test.rsm1'}\ngrid_x = 4x4\ngrid_y = 4x4\n"
+        )
+        assert run("pipeline", "--spec", spec, "--out", tmp_path / "r.csv") == 3
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_converge(self, workspace, tmp_path):
+        for name in ("xy", "yx"):
+            save_synapses(LateralSynapses.empty(4, 4), tmp_path / f"{name}.rlat")
+        assert run(
+            "converge", "--som-x", labeled_map(tmp_path / "x.rsom"),
+            "--som-y", labeled_map(tmp_path / "y.rsom", seed=1),
+            "--syn-xy", tmp_path / "xy.rlat", "--syn-yx", tmp_path / "yx.rlat",
+            "--test-x", save_empty_rsm1(tmp_path / "empty.rsm1"),
+            "--test-y", workspace / "y_test.rsm1", "--metrics", tmp_path / "m.txt",
+        ) == 3
+        assert not (tmp_path / "m.txt").exists()
+
+
+REPORT_CELLS = {"seed": "0", "uni_x": "0.5", "uni_y": "0.6", "convergence": "0.7"}
+
+
+def record_text(cells, rows=1):
+    return ",".join(cells) + "\n" + (",".join(cells.values()) + "\n") * rows
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("# spec_hash=ab\n" + record_text(REPORT_CELLS, rows=0), id="header-only"),
+    pytest.param("", id="empty-file"),
+    *(pytest.param(record_text({k: v for k, v in REPORT_CELLS.items() if k != column}),
+                   id=f"no-{column}-column")
+      for column in ("convergence", "uni_x", "uni_y")),
+    pytest.param(record_text({**REPORT_CELLS, "uni_y": "abc"}), id="non-numeric-cell"),
+    pytest.param(record_text(REPORT_CELLS) + "1,0.5\n", id="short-row"),
+])
+def test_report_refuses_a_malformed_record(tmp_path, capsys, text):
+    path = tmp_path / "record.csv"
+    path.write_text(text)
+    assert run("report", "--records", path) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_report_reads_the_report_columns(tmp_path, capsys):
+    path = tmp_path / "record.csv"
+    path.write_text("# spec_hash=ab\n" + record_text(REPORT_CELLS, rows=2))
+    assert run("report", "--records", path) == 0
+    assert capsys.readouterr().out == (
+        "convergence_mean=0.7\nconvergence_std=0.0\nseeds=2\nspec_hash=ab\n"
+        "unimodal_x_mean=0.5\nunimodal_y_mean=0.6\n"
+    )

@@ -20,7 +20,6 @@ from resom.data import (
     pair_by_class,
     save_rsm1,
     standardize_then_minmax,
-    to_csv,
 )
 from resom.experiments import write_metrics
 from resom.som import SomGrid, load_som, save_som
@@ -286,8 +285,8 @@ class TestNormalization:
     )
     def test_minmax_idempotent(self, values):
         m = FeatureMatrix(values, np.zeros(values.shape[0]))
-        once = normalize_minmax(m)
-        twice = normalize_minmax(once)
+        once, _ = normalize_minmax(m, m)
+        twice, _ = normalize_minmax(once, once)
         np.testing.assert_allclose(once.values, twice.values, atol=1e-12)
         assert once.values.min() >= 0.0 and once.values.max() <= 1.0
 
@@ -326,18 +325,8 @@ class TestPairing:
         with pytest.raises(ValueError, match="absent"):
             pair_by_class(x, y, seed=0)
 
-    def test_subset_take_keeps_alignment(self):
-        x, y = self.make([0, 1, 0, 1, 1, 0], [1, 0, 0, 1, 1, 0])
-        pairs = pair_by_class(x, y, seed=5)
-        sub = pairs.take(np.array([1, 3, 4]))
-        assert np.array_equal(sub.x.labels, sub.y.labels[sub.pairing])
-        assert np.array_equal(sub.x.values, pairs.x.values[[1, 3, 4]])
-
-
-def test_csv_export(tmp_path):
-    m = FeatureMatrix(np.array([[0.5, 1.0]], dtype=np.float32), [3])
-    path = tmp_path / "m.csv"
-    to_csv(m, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "f0,f1,label"
-    assert [float(v) for v in lines[1].split(",")] == [0.5, 1.0, 3.0]
+    @pytest.mark.parametrize("n_x, n_y", [(0, 2), (2, 0), (0, 0)])
+    def test_no_rows_is_a_data_error(self, n_x, n_y):
+        x, y = self.make([0] * n_x, [0] * n_y)
+        with pytest.raises(DataFormatError, match="no rows to pair"):
+            pair_by_class(x, y, seed=0)

@@ -85,6 +85,19 @@ class TestSpecFile:
         with pytest.raises(SpecError, match="x_train"):
             parse_spec("dataset = files\n")
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"classes": 3}, "bad confused pair"),  # the default pairs name classes 4 and 5
+        ({**TINY, "test_per_class": 0}, "test_per_class must be at least 1"),
+        ({**TINY, "train_per_class": 0}, "train_per_class must be at least 1"),
+        ({**TINY, "classes": 0}, "n_classes must be at least 1"),
+        ({**TINY, "dim_y": 0}, "dim_y must be at least 1"),
+    ], ids=["classes-3", "test-per-class-0", "train-per-class-0", "classes-0", "dim-y-0"])
+    def test_synthetic_fields_are_checked_in_code(self, fields, message):
+        # Used to be found only when the data was generated, or never: an
+        # empty test split gave NaN accuracies.
+        with pytest.raises(SpecError, match=message):
+            ExperimentSpec(**fields)
+
     def test_direct_labeling_needs_fraction(self):
         with pytest.raises(SpecError, match="label_fraction_y"):
             ExperimentSpec(label_mode_y="direct", label_fraction_y=0.0)
@@ -291,8 +304,7 @@ class TestSharedDistances:
                 stages.som_x, som_y, syn_xy, syn_yx, test, cfg, n_classes
             )
             assert (got.accuracy, got.n_no_decision) == (want.accuracy, want.n_no_decision)
-            for name in ("confusion", "winner_counts_x", "winner_counts_y"):
-                assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert np.array_equal(got.confusion, want.confusion)
 
     def test_prune_sweep_measures_test_distances_once_per_map_and_seed(self, monkeypatch):
         spec = ExperimentSpec(**{**TINY, "grid_y": (5, 5), "seeds": (0, 1)})
@@ -397,6 +409,22 @@ class TestSweeps:
         monkeypatch.setattr(exp_mod.som_mod, "train_many", refuse)
         with pytest.raises(SpecError, match="must be positive and finite"):
             sweep(ExperimentSpec(**TINY), values, cache=StageCache(None))
+
+    @pytest.mark.parametrize("sweep, fields", [
+        (lambda spec: build_stages(spec, 0, StageCache(None)), {"label_fraction_x": 0.0001}),
+        (lambda spec: alpha_sweep(spec, (1.0,), "y", StageCache(None)),
+         {"label_mode_y": "diverge", "label_fraction_y": 0.0}),
+    ], ids=["build-stages", "alpha-sweep-y"])
+    def test_label_subsets_are_drawn_before_training(self, monkeypatch, sweep, fields):
+        import resom.experiments as exp_mod
+
+        calls = []
+        train_many = exp_mod.som_mod.train_many
+        monkeypatch.setattr(exp_mod.som_mod, "train_many",
+                            lambda *args: calls.append(args) or train_many(*args))
+        with pytest.raises(ValueError, match="selects no samples"):
+            sweep(ExperimentSpec(**{**TINY, **fields}))
+        assert calls == []
 
     def test_prune_sweep_monotone_synapse_counts(self):
         spec = ExperimentSpec(**TINY)

@@ -211,14 +211,13 @@ class TestConvergenceAgainstOracle:
         for _ in range(30):
             som_x, som_y, syn_xy, syn_yx = self.random_instance(rng)
             cfg = ConvergenceConfig("max", "norm", "bmu", 1.0, 1.0)
-            batch = classify_batch(
-                som_x, som_y, syn_xy, syn_yx, rng.random((8, 2)), rng.random((8, 2)), cfg
-            )
+            ax = activities_batch(som_x, rng.random((8, 2)), 1.0)
+            ay = activities_batch(som_y, rng.random((8, 2)), 1.0)
+            batch = converge_from_fields(som_x, som_y, syn_xy, syn_yx, ax, ay, cfg)
+            bmu = {"x": np.argmax(ax, axis=1), "y": np.argmax(ay, axis=1)}
             for i in range(8):
-                if batch.map_ids[i] == "x":
-                    assert batch.neurons[i] == batch.bmu_x[i]
-                elif batch.map_ids[i] == "y":
-                    assert batch.neurons[i] == batch.bmu_y[i]
+                if batch.map_ids[i]:
+                    assert batch.neurons[i] == bmu[batch.map_ids[i]][i]
 
     def test_sum_equals_max_with_single_synapses(self):
         rng = np.random.default_rng(3)
@@ -319,7 +318,7 @@ class TestDivergence:
         np.fill_diagonal(syn.weights, 1.0)
         subset = FeatureMatrix(rng.random((30, 4)), rng.integers(0, 3, 30))
         direct = label_som(som, subset, kernel_width=0.8)
-        diverged = diverge_label(som, som.copy(), syn, subset, kernel_width=0.8)
+        diverged = diverge_label(som, som, syn, subset, kernel_width=0.8)
         assert np.array_equal(direct.labels, diverged.labels)
 
     def test_disconnected_neurons_default_to_label_zero(self):

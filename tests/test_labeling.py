@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from resom.data import FeatureMatrix
-from resom.labeling import (
-    ClassAccumulators,
-    accumulate_class_activity,
-    label_som,
-    select_label_subset,
-)
-from resom.som import SomGrid
+from resom.labeling import class_means, label_som, select_label_subset
+from resom.som import SomGrid, activities_batch
 from scalar_oracles import bmu_normalized
 
 
@@ -55,7 +50,7 @@ class TestSubsetSelection:
     def test_impossible_coverage_raises(self):
         data = FeatureMatrix(np.zeros((4, 1)), [0, 1, 2, 3])
         with pytest.raises(ValueError, match="covered"):
-            select_label_subset(data, 0.25, seed=0, max_redraws=10)
+            select_label_subset(data, 0.25, seed=0)
 
 
 class TestBmuNormalization:
@@ -85,13 +80,13 @@ class TestLabelSom:
             acts = np.array(
                 [math.exp(-math.dist(v, w) / 0.5) for w in som.weights]
             )
-            acc[:, lab] += acts / acts.max()
+            acc[:, lab] += bmu_normalized(acts)
             counts[lab] += 1
         acc /= counts
         expected_labels = acc.argmax(axis=1)
 
-        got = accumulate_class_activity(som, subset, kernel_width=0.5)
-        np.testing.assert_allclose(got.averaged(), acc, atol=1e-12)
+        acts = activities_batch(som, subset.values, 0.5)
+        np.testing.assert_allclose(class_means(acts, subset.labels, 2), acc, atol=1e-12)
         labeled = label_som(som, subset, kernel_width=0.5)
         assert np.array_equal(labeled.labels, expected_labels)
 
@@ -107,24 +102,30 @@ class TestLabelSom:
         with pytest.raises(ValueError, match="no samples"):
             label_som(som, subset, kernel_width=1.0)
 
+    def test_underflowing_kernel_width_rejected(self):
+        subset = FeatureMatrix(np.array([[0.3, 0.3], [0.6, 0.6]]), np.array([0, 1]))
+        with pytest.raises(ValueError, match="underflows"):
+            label_som(toy_som(), subset, kernel_width=1e-300)
+
     def test_order_independent_within_tolerance(self):
         rng = np.random.default_rng(1)
         som = SomGrid(4, 4, rng.random((16, 3)))
         subset = FeatureMatrix(rng.random((60, 3)), rng.integers(0, 4, 60))
-        shuffled = subset.take(rng.permutation(60))
-        a = accumulate_class_activity(som, subset, 1.0).averaged()
-        b = accumulate_class_activity(som, shuffled, 1.0).averaged()
+        order = rng.permutation(60)
+        acts = activities_batch(som, subset.values, 1.0)
+        a = class_means(acts, subset.labels, 4)
+        b = class_means(acts[order], subset.labels[order], 4)
         np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_argmax_tie_takes_lowest_class(self):
-        accs = ClassAccumulators(
-            acc=np.array([[0.5, 0.5, 0.2]]), samples_per_class=np.array([1, 1, 1])
-        )
-        assert accs.argmax_labels()[0] == 0
+        fields = np.array([[1.0, 0.5], [1.0, 0.5], [0.2, 1.0]])
+        means = class_means(fields, np.array([0, 1, 2]), 3)
+        assert means[0].tolist() == [1.0, 1.0, 0.2]  # neuron 0: classes 0 and 1 tie
+        assert np.argmax(means, axis=1)[0] == 0
 
     def test_zero_count_class_stays_zero(self):
-        accs = ClassAccumulators(
-            acc=np.array([[0.0, 0.4]]), samples_per_class=np.array([0, 2])
-        )
-        assert accs.averaged()[0, 0] == 0.0
-        assert accs.argmax_labels()[0] == 1
+        fields = np.array([[0.2, 0.4], [0.0, 0.0]])
+        means = class_means(fields, np.array([1, 1]), 2)
+        assert means[:, 0].tolist() == [0.0, 0.0]  # class 0 has no samples
+        assert means[:, 1].tolist() == [0.25, 0.5]  # the all-zero row stays zero
+        assert np.argmax(means, axis=1).tolist() == [1, 1]

@@ -21,3 +21,11 @@ def test_run_synthetic_writes_variants_and_sweep(tmp_path, monkeypatch):
 
 def test_run_digits_without_data_returns_3(tmp_path):
     assert script_main("run_digits.py")(["--data-dir", str(tmp_path)]) == 3
+
+
+def test_ig_scaling_prints_one_row_per_grid(capsys):
+    assert script_main("ig_scaling.py")(["--verify-trials", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    grids = [line.split()[0] for line in lines[1:] if line and "x" in line.split()[0]]
+    assert grids == [f"{k}x{k}" for k in (2, 4, 8, 16, 32, 64)]
+    assert lines[-1] == "verification on 12x12: 5 trials, 0 mismatches"
