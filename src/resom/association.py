@@ -12,13 +12,12 @@ synapses that happen to exist.
 from __future__ import annotations
 
 import io
-import struct
 from dataclasses import dataclass
 from math import ceil, inf
 
 import numpy as np
 
-from .data import DataFormatError, PairedDataset, _read_exact, opened
+from .data import DataFormatError, PairedDataset, read_binary, write_binary
 from .som import SomGrid, bmu_stream
 
 RLAT_MAGIC = b"RLAT"
@@ -141,11 +140,8 @@ def prune(syn: LateralSynapses, keep_fraction: float) -> LateralSynapses:
     return out
 
 
-# ---------------------------------------------------------------------------
-# RLAT synapse file: magic | 2-byte direction tag | u32 n_source | u32
-# n_target | u32 n_triples | (u16 src, u16 dst, f32 w) triples sorted by
-# (src, dst).  Little-endian.
-# ---------------------------------------------------------------------------
+# RLAT synapse file: magic | 2-byte direction tag | u32 n_source, n_target,
+# n_triples | (u16 src, u16 dst, f32 w) triples sorted by (src, dst).
 
 def save_synapses(syn: LateralSynapses, path_or_file, direction: str = "XY") -> None:
     tag = direction.encode("ascii")
@@ -157,31 +153,30 @@ def save_synapses(syn: LateralSynapses, path_or_file, direction: str = "XY") -> 
             f"got {syn.n_source} x {syn.n_target}"
         )
     src, dst = np.nonzero(syn.exists)
-    with opened(path_or_file, "wb") as f:
-        f.write(RLAT_MAGIC + tag)
-        f.write(struct.pack("<III", syn.n_source, syn.n_target, src.size))
-        triples = np.empty(src.size, dtype=_RLAT_TRIPLE)
-        triples["s"], triples["d"] = src, dst
-        triples["w"] = syn.weights[src, dst]
-        f.write(triples.tobytes())
+    triples = np.rec.fromarrays([src, dst, syn.weights[src, dst]], dtype=_RLAT_TRIPLE)
+    header = (tag, syn.n_source, syn.n_target, src.size)
+    write_binary(path_or_file, RLAT_MAGIC, "<2sIII", header, [(_RLAT_TRIPLE, triples)])
+
+
+def _rlat_layout(tag: bytes, n_source: int, n_target: int, count: int) -> list:
+    if not tag.isascii():
+        raise DataFormatError(f"bad synapse direction tag {tag!r}")
+    if max(n_source, n_target) > RLAT_MAX_NEURONS:
+        raise DataFormatError(f"RLAT holds at most {RLAT_MAX_NEURONS} neurons per map, "
+                              f"got {n_source} x {n_target}")
+    return [(_RLAT_TRIPLE, count)]
 
 
 def load_synapses(path_or_file) -> tuple[LateralSynapses, str]:
-    with opened(path_or_file, "rb") as f:
-        magic = _read_exact(f, 4)
-        if magic != RLAT_MAGIC:
-            raise DataFormatError(f"bad synapse file magic {magic!r}")
-        direction = _read_exact(f, 2)
-        if not direction.isascii():
-            raise DataFormatError(f"bad synapse direction tag {direction!r}")
-        n_source, n_target, count = struct.unpack("<III", _read_exact(f, 12))
-        triples = np.frombuffer(_read_exact(f, count * 8), dtype=_RLAT_TRIPLE)
-        if count and (triples["s"].max() >= n_source or triples["d"].max() >= n_target):
-            raise DataFormatError(f"synapse index out of range for {n_source} x {n_target}")
-        syn = LateralSynapses.empty(n_source, n_target)
-        syn.exists[triples["s"], triples["d"]] = True
-        syn.weights[triples["s"], triples["d"]] = triples["w"].astype(np.float64)
-        return syn, direction.decode("ascii")
+    (tag, n_source, n_target, count), (triples,) = read_binary(
+        path_or_file, RLAT_MAGIC, "<2sIII", _rlat_layout
+    )
+    if count and (triples["s"].max() >= n_source or triples["d"].max() >= n_target):
+        raise DataFormatError(f"synapse index out of range for {n_source} x {n_target}")
+    syn = LateralSynapses.empty(n_source, n_target)
+    syn.exists[triples["s"], triples["d"]] = True
+    syn.weights[triples["s"], triples["d"]] = triples["w"].astype(np.float64)
+    return syn, tag.decode("ascii")
 
 
 def roundtrip_synapses(syn: LateralSynapses) -> LateralSynapses:

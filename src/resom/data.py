@@ -1,4 +1,5 @@
-"""Dataset loading, normalization and multimodal pairing.
+"""Dataset loading, the binary codec of all four file formats, normalization
+and multimodal pairing.
 
 Feature matrices are stored as float32 (the on-disk precision of the RSM1
 cache format) with integer class labels.  All normalization statistics come
@@ -12,11 +13,12 @@ import contextlib
 import io
 import struct
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-IDX_IMAGES_MAGIC = 0x00000803
-IDX_LABELS_MAGIC = 0x00000801
+IDX_IMAGES_MAGIC = b"\x00\x00\x08\x03"
+IDX_LABELS_MAGIC = b"\x00\x00\x08\x01"
 RSM1_MAGIC = b"RSM1"
 
 
@@ -98,13 +100,11 @@ def opened(path_or_file, mode: str):
 
 
 # ---------------------------------------------------------------------------
-# IDX (big-endian MNIST distribution format)
+# Binary codec: magic | struct header | arrays, for IDX, RSM1, RSOM and RLAT
 # ---------------------------------------------------------------------------
 
 def _read_exact(f, n: int) -> bytes:
-    """Exactly ``n`` bytes of ``f``.  A seekable file is checked against the
-    bytes it has left before reading, so a header announcing more than the
-    file holds allocates nothing."""
+    """Exactly ``n`` bytes of ``f``; a seekable file is checked for them first."""
     if f.seekable():
         here = f.tell()
         left = f.seek(0, io.SEEK_END) - here
@@ -117,37 +117,63 @@ def _read_exact(f, n: int) -> bytes:
     return data
 
 
-def _read_be_u32(f) -> int:
-    return struct.unpack(">I", _read_exact(f, 4))[0]
+def write_binary(path_or_file, magic: bytes, header: str, fields, arrays) -> None:
+    """Write ``magic | struct.pack(header, *fields)``, then each (dtype, array)
+    pair of ``arrays`` row-major in that dtype.  Unsigned arrays out of their
+    dtype's range are refused before the file is opened: nothing wraps around."""
+    for dtype, a in arrays:
+        if np.dtype(dtype).kind == "u" and a.size:
+            info = np.iinfo(dtype)
+            if a.min() < 0 or a.max() > info.max:
+                raise ValueError(f"values outside the u{info.bits} range [0, {info.max}]")
+    with opened(path_or_file, "wb") as f:
+        f.write(magic + struct.pack(header, *fields))
+        for dtype, a in arrays:
+            # A tobytes() copy, not the array's buffer: freeing it raises glibc's mmap
+            # threshold; without it the digits-sweep set-up peaked at 246, not 239 MB.
+            f.write(np.ascontiguousarray(a, dtype=dtype).tobytes())
 
 
-def load_idx_labels(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic = _read_be_u32(f)
-        if magic != IDX_LABELS_MAGIC:
-            raise DataFormatError(f"bad IDX label magic 0x{magic:08x}")
-        count = _read_be_u32(f)
-        raw = _read_exact(f, count)
-    return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+def read_binary(path_or_file, magic: bytes, header: str, layout) -> tuple[tuple, list]:
+    """``(header fields, arrays)`` of a file ``write_binary`` wrote.  After the
+    magic and the ``struct`` header, ``layout(*fields)`` lists the arrays as
+    (dtype, count) pairs or refuses the header with DataFormatError.  The
+    arrays are read-only views of one exact read, so a short file or an
+    oversize header is a DataFormatError before any array is allocated."""
+    with opened(path_or_file, "rb") as f:
+        got = _read_exact(f, len(magic))
+        if got != magic:
+            raise DataFormatError(f"bad magic {got!r}, expected {magic!r}")
+        fields = struct.unpack(header, _read_exact(f, struct.calcsize(header)))
+        shapes = [(np.dtype(dtype), count) for dtype, count in layout(*fields)]
+        sizes = [dtype.itemsize * count for dtype, count in shapes]
+        payload = _read_exact(f, sum(sizes))
+    starts = accumulate(sizes, initial=0)
+    return fields, [np.frombuffer(payload, dt, n, at) for (dt, n), at in zip(shapes, starts)]
 
 
-def load_idx(path, labels_path=None) -> FeatureMatrix:
+# IDX, the big-endian MNIST distribution format.
+
+def load_idx_labels(path_or_file) -> np.ndarray:
+    _, (labels,) = read_binary(path_or_file, IDX_LABELS_MAGIC, ">I", lambda n: [("u1", n)])
+    return labels.astype(np.int64)
+
+
+def _idx_pixels(count: int, rows: int, cols: int) -> list:
+    if rows * cols == 0:
+        raise DataFormatError(f"IDX images of {rows}x{cols} hold no pixels")
+    return [("u1", count * rows * cols)]
+
+
+def load_idx(path_or_file, labels_path=None) -> FeatureMatrix:
     """Load an IDX image file, flattened row-major and scaled to [0, 1].
 
     With ``labels_path`` the label file is attached; counts must match.
     """
-    with open(path, "rb") as f:
-        magic = _read_be_u32(f)
-        if magic != IDX_IMAGES_MAGIC:
-            raise DataFormatError(f"bad IDX image magic 0x{magic:08x}")
-        count = _read_be_u32(f)
-        rows = _read_be_u32(f)
-        cols = _read_be_u32(f)
-        if rows * cols == 0:
-            raise DataFormatError(f"IDX images of {rows}x{cols} hold no pixels")
-        raw = _read_exact(f, count * rows * cols)
-    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
-    values = pixels.astype(np.float32) / np.float32(255.0)
+    (count, rows, cols), (pixels,) = read_binary(
+        path_or_file, IDX_IMAGES_MAGIC, ">III", _idx_pixels
+    )
+    values = pixels.reshape(count, rows * cols).astype(np.float32) / np.float32(255.0)
     labels = None
     if labels_path is not None:
         labels = load_idx_labels(labels_path)
@@ -158,41 +184,28 @@ def load_idx(path, labels_path=None) -> FeatureMatrix:
     return FeatureMatrix(values, labels)
 
 
-# ---------------------------------------------------------------------------
-# RSM1 (little-endian binary cache for features prepared offline)
-# ---------------------------------------------------------------------------
+# RSM1, the little-endian cache for features prepared offline.
 
-def save_rsm1(matrix: FeatureMatrix, path) -> None:
-    """magic "RSM1" | u32 rows | u32 cols | f32 data row-major | u16 labels."""
+def save_rsm1(matrix: FeatureMatrix, path_or_file) -> None:
     if matrix.labels is None:
         raise ValueError("RSM1 stores labeled matrices")
-    if matrix.labels.size and matrix.labels.max() > 0xFFFF:
-        raise ValueError("labels exceed u16 range")
-    with open(path, "wb") as f:
-        f.write(RSM1_MAGIC)
-        f.write(struct.pack("<II", matrix.n_samples, matrix.n_features))
-        f.write(np.ascontiguousarray(matrix.values, dtype="<f4").tobytes())
-        f.write(matrix.labels.astype("<u2").tobytes())
+    write_binary(path_or_file, RSM1_MAGIC, "<II", matrix.values.shape,
+                 [("<f4", matrix.values), ("<u2", matrix.labels)])
 
 
-def load_rsm1(path) -> FeatureMatrix:
-    with open(path, "rb") as f:
-        magic = _read_exact(f, 4)
-        if magic != RSM1_MAGIC:
-            raise DataFormatError(f"bad RSM1 magic {magic!r}")
-        rows, cols = struct.unpack("<II", _read_exact(f, 8))
-        values = np.frombuffer(_read_exact(f, rows * cols * 4), dtype="<f4")
-        labels = np.frombuffer(_read_exact(f, rows * 2), dtype="<u2")
+def load_rsm1(path_or_file) -> FeatureMatrix:
+    (rows, cols), (values, labels) = read_binary(
+        path_or_file, RSM1_MAGIC, "<II", lambda rows, cols: [("<f4", rows * cols), ("<u2", rows)]
+    )
     return FeatureMatrix(values.reshape(rows, cols), labels.astype(np.int64))
 
 
 def load_features(path, labels_path=None) -> FeatureMatrix:
     """Load a feature file, sniffing RSM1 vs IDX by magic."""
     with open(path, "rb") as f:
-        head = f.read(4)
-    if head == RSM1_MAGIC:
-        return load_rsm1(path)
-    return load_idx(path, labels_path)
+        rsm1 = f.read(len(RSM1_MAGIC)) == RSM1_MAGIC
+        f.seek(0)
+        return load_rsm1(f) if rsm1 else load_idx(f, labels_path)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +274,7 @@ def pair_by_class(x: FeatureMatrix, y: FeatureMatrix, seed: int) -> PairedDatase
         xi = np.flatnonzero(x.labels == c)
         yi = np.flatnonzero(y.labels == c)
         if yi.size == 0:
-            raise ValueError(f"class {c} present in x but absent in y")
+            raise DataFormatError(f"class {c} present in x but absent in y")
         if yi.size >= xi.size:
             chosen = rng.permutation(yi)[: xi.size]
         else:

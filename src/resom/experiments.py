@@ -672,13 +672,14 @@ def run_pipeline(
     jobs: int = 1,
     artifact_dir: str | None = None,
 ) -> RunRecord:
-    """All seeds of a spec; seeds are independent jobs when jobs > 1."""
+    """All seeds of a spec; independent jobs when jobs > 1 (each seed names its own artifacts)."""
     started = time.perf_counter()
-    if jobs > 1 and len(spec.seeds) > 1 and artifact_dir is None:
+    run = partial(run_seed, spec, cache=cache, artifact_dir=artifact_dir)
+    if jobs > 1 and len(spec.seeds) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(partial(run_seed, spec, cache=cache), spec.seeds))
+            results = list(pool.map(run, spec.seeds))
     else:
-        results = [run_seed(spec, s, cache, artifact_dir) for s in spec.seeds]
+        results = [run(s) for s in spec.seeds]
     results.sort(key=lambda r: r.seed)
     return RunRecord(spec_hash(spec), results, time.perf_counter() - started)
 

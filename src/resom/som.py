@@ -32,7 +32,6 @@ from __future__ import annotations
 import io
 import math
 import os
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -40,7 +39,7 @@ from functools import partial
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .data import DataFormatError, _read_exact, opened
+from .data import DataFormatError, read_binary, write_binary
 
 RSOM_MAGIC = b"RSOM"
 GRID_METRICS = ("euclidean", "manhattan")
@@ -313,37 +312,27 @@ def train(
     return train_many([som], [data], schedule, [seed], grid_metric)[0]
 
 
-# ---------------------------------------------------------------------------
-# RSOM checkpoint: magic | u32 width,height,dim | u8 has_labels |
-# f32 weights row-major | u16 labels.  Little-endian, like RSM1.
-# ---------------------------------------------------------------------------
+# RSOM checkpoint: magic | u32 width, height, dim | u8 has_labels |
+# f32 weights row-major | u16 labels if has_labels.  Little-endian.
 
 def save_som(som: SomGrid, path_or_file) -> None:
-    if som.labels is not None and np.any((som.labels < 0) | (som.labels > 0xFFFF)):
-        raise ValueError("labels outside the u16 range [0, 65535]")
-    with opened(path_or_file, "wb") as f:
-        f.write(RSOM_MAGIC)
-        f.write(struct.pack("<IIIB", som.width, som.height, som.dim,
-                            0 if som.labels is None else 1))
-        f.write(som.weights.astype("<f4").tobytes())
-        if som.labels is not None:
-            f.write(som.labels.astype("<u2").tobytes())
+    labels = [] if som.labels is None else [("<u2", som.labels)]
+    header = (som.width, som.height, som.dim, som.labels is not None)
+    write_binary(path_or_file, RSOM_MAGIC, "<IIIB", header, [("<f4", som.weights)] + labels)
+
+
+def _rsom_layout(width: int, height: int, dim: int, has_labels: int) -> list:
+    k = width * height
+    if k == 0 or dim == 0:
+        raise DataFormatError(f"checkpoint holds no weights: {width}x{height}, dim {dim}")
+    return [("<f4", k * dim)] + ([("<u2", k)] if has_labels else [])
 
 
 def load_som(path_or_file) -> SomGrid:
-    with opened(path_or_file, "rb") as f:
-        magic = _read_exact(f, 4)
-        if magic != RSOM_MAGIC:
-            raise DataFormatError(f"bad checkpoint magic {magic!r}")
-        width, height, dim, has_labels = struct.unpack("<IIIB", _read_exact(f, 13))
-        k = width * height
-        if k == 0 or dim == 0:
-            raise DataFormatError(f"checkpoint holds no weights: {width}x{height}, dim {dim}")
-        weights = np.frombuffer(_read_exact(f, k * dim * 4), dtype="<f4").reshape(k, dim)
-        labels = None
-        if has_labels:
-            labels = np.frombuffer(_read_exact(f, k * 2), dtype="<u2").astype(np.int64)
-        return SomGrid(width, height, weights.astype(np.float64), labels)
+    (width, height, dim, _), (weights, *labels) = read_binary(
+        path_or_file, RSOM_MAGIC, "<IIIB", _rsom_layout
+    )
+    return SomGrid(width, height, weights.reshape(-1, dim), *labels)
 
 
 def roundtrip_som(som: SomGrid) -> SomGrid:

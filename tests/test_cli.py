@@ -5,7 +5,7 @@ import pytest
 
 from resom.association import LateralSynapses, save_synapses
 from resom.cli import main
-from resom.data import FeatureMatrix, save_rsm1
+from resom.data import FeatureMatrix, load_features, save_rsm1
 from resom.som import load_som, make_som, save_som
 from resom.synthetic import SyntheticSpec, make_paired_dataset
 
@@ -360,6 +360,20 @@ class TestOversizeHeaders:
             "--out", tmp_path / "out.rsom",
         ) == 3
 
+    # u16 indices address at most 65 536 neurons a side; the u32-max header
+    # gave numpy's "array is too big" ValueError, exit 2.
+    @pytest.mark.parametrize("n_source, n_target", [
+        (0xFFFFFFFF, 0xFFFFFFFF), (65_537, 1),
+    ], ids=["u32-max", "65537x1"])
+    def test_rlat_beyond_u16_neurons(self, workspace, tmp_path, n_source, n_target):
+        bad = tmp_path / "huge.rlat"
+        bad.write_bytes(b"RLATXY" + struct.pack("<III", n_source, n_target, 0))
+        assert run(
+            "diverge-label", "--som-x", labeled_map(tmp_path / "x.rsom"),
+            "--som-y", labeled_map(tmp_path / "y.rsom", seed=1), "--syn-xy", bad,
+            "--data-x", workspace / "x_train.rsm1", "--out", tmp_path / "out.rsom",
+        ) == 3
+
 
 def save_empty_rsm1(path, dim=6):
     save_rsm1(FeatureMatrix(np.zeros((0, dim)), np.zeros(0, dtype=np.int64)), path)
@@ -392,6 +406,22 @@ class TestEmptyTestSplit:
             "--test-y", workspace / "y_test.rsm1", "--metrics", tmp_path / "m.txt",
         ) == 3
         assert not (tmp_path / "m.txt").exists()
+
+
+def test_class_missing_from_y_is_a_data_error(workspace, tmp_path, capsys, no_training):
+    # A class of x_test with no row in y_test exited 2 as a "config error".
+    w = workspace
+    y_test = load_features(w / "y_test.rsm1")
+    save_rsm1(y_test.take(np.flatnonzero(y_test.labels != 2)), tmp_path / "y_test.rsm1")
+    spec = tmp_path / "spec.txt"
+    spec.write_text(
+        f"dataset = files\nx_train = {w / 'x_train.rsm1'}\ny_train = {w / 'y_train.rsm1'}\n"
+        f"x_test = {w / 'x_test.rsm1'}\ny_test = {tmp_path / 'y_test.rsm1'}\n"
+        "grid_x = 4x4\ngrid_y = 4x4\n"
+    )
+    assert run("pipeline", "--spec", spec, "--out", tmp_path / "r.csv") == 3
+    assert "class 2 present in x but absent in y" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 REPORT_CELLS = {"seed": "0", "uni_x": "0.5", "uni_y": "0.6", "convergence": "0.7"}

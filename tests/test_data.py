@@ -240,14 +240,54 @@ class TestOpened:
     @pytest.mark.parametrize("save, obj, text", [
         (save_som, SomGrid(2, 1, np.eye(2), np.array([0, 1])), False),
         (save_synapses, LateralSynapses.empty(2, 3), False),
+        (save_rsm1, FeatureMatrix(np.eye(2), [0, 1]), False),
         (write_metrics, {"b": 2, "a": 0.5}, True),
-    ], ids=["rsom", "rlat", "metrics"])
+    ], ids=["rsom", "rlat", "rsm1", "metrics"])
     def test_writers_give_the_same_bytes_to_a_path_and_a_file(self, tmp_path, save, obj, text):
         buf = io.StringIO() if text else io.BytesIO()
         save(obj, buf)
         save(obj, tmp_path / "out")
         written = (tmp_path / "out").read_text() if text else (tmp_path / "out").read_bytes()
         assert written == buf.getvalue()
+
+
+def two_synapses() -> LateralSynapses:
+    syn = LateralSynapses.empty(3, 2)
+    syn.exists[2, 0] = syn.exists[0, 1] = True
+    syn.weights[2, 0], syn.weights[0, 1] = -1.25, 0.5
+    return syn
+
+
+# Each writer's output, and the same layout packed by hand as the README
+# "File formats" section gives it.  A change made to a writer and its reader
+# alike passes every round trip; it fails here.
+LAYOUTS = {
+    "rsm1": (
+        lambda f: save_rsm1(FeatureMatrix([[1.5, -2.0], [0.25, 3.0]], [7, 0]), f),
+        b"RSM1" + struct.pack("<II4f2H", 2, 2, 1.5, -2.0, 0.25, 3.0, 7, 0),
+    ),
+    "rsom": (
+        lambda f: save_som(SomGrid(2, 1, [[0.5, 1.0], [2.0, -1.0]]), f),
+        b"RSOM" + struct.pack("<IIIB4f", 2, 1, 2, 0, 0.5, 1.0, 2.0, -1.0),
+    ),
+    "rsom-labeled": (
+        lambda f: save_som(SomGrid(2, 1, [[0.5, 1.0], [2.0, -1.0]], [3, 65535]), f),
+        b"RSOM" + struct.pack("<IIIB4f2H", 2, 1, 2, 1, 0.5, 1.0, 2.0, -1.0, 3, 65535),
+    ),
+    "rlat": (
+        lambda f: save_synapses(two_synapses(), f, "YX"),
+        b"RLATYX" + struct.pack("<III", 3, 2, 2)
+        + struct.pack("<HHf", 0, 1, 0.5) + struct.pack("<HHf", 2, 0, -1.25),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", LAYOUTS)
+def test_writer_bytes_follow_the_documented_layout(name):
+    write, expected = LAYOUTS[name]
+    buf = io.BytesIO()
+    write(buf)
+    assert buf.getvalue() == expected
 
 
 class TestNormalization:
@@ -322,7 +362,7 @@ class TestPairing:
 
     def test_missing_class(self):
         x, y = self.make([0, 1], [0, 0])
-        with pytest.raises(ValueError, match="absent"):
+        with pytest.raises(DataFormatError, match="class 1 present in x but absent in y"):
             pair_by_class(x, y, seed=0)
 
     @pytest.mark.parametrize("n_x, n_y", [(0, 2), (2, 0), (0, 0)])

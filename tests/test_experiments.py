@@ -206,11 +206,29 @@ class TestPipeline:
         assert result.uni_y_direct is None
         assert result.uni_y == result.uni_y_diverged
 
-    def test_parallel_jobs_match_serial(self, tmp_path):
+    def test_parallel_jobs_match_serial(self, tmp_path, monkeypatch):
+        # With artifacts the seeds used to run one at a time, without the pool.
+        import resom.experiments as exp
+
+        pools = []
+
+        class CountingPool(exp.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(exp, "ProcessPoolExecutor", CountingPool)
         spec = ExperimentSpec(**{**TINY, "seeds": (0, 1)})
-        serial = run_pipeline(spec, StageCache(None), jobs=1)
-        parallel = run_pipeline(spec, StageCache(None), jobs=2)
+        serial = run_pipeline(spec, StageCache(None), jobs=1, artifact_dir=str(tmp_path / "a"))
+        assert pools == []
+        parallel = run_pipeline(spec, StageCache(None), jobs=2, artifact_dir=str(tmp_path / "b"))
+        assert pools == [2]
         assert serial.content_hash() == parallel.content_hash()
+        names = sorted(path.name for path in (tmp_path / "a").iterdir())
+        assert len(names) == 12  # 2 maps and 4 synapse files per seed
+        assert names == sorted(path.name for path in (tmp_path / "b").iterdir())
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 class TestStageCache:
