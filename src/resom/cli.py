@@ -17,7 +17,7 @@ from . import experiments as exp
 from . import grid as ig
 from . import inference, labeling
 from . import som as som_mod
-from .data import DataFormatError, load_features, pair_by_class
+from .data import DataFormatError, FeatureMatrix, load_features, pair_by_class
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -37,6 +37,27 @@ def _spec(args) -> exp.ExperimentSpec:
     return exp.ExperimentSpec(**{k: v for k, v in vars(args).items() if k in exp._FIELD_CODECS})
 
 
+def _load_features(path, labels_path, som: som_mod.SomGrid) -> FeatureMatrix:
+    """Features for ``som``: a row width other than the map's is a data error."""
+    data = load_features(path, labels_path)
+    if data.n_features != som.dim:
+        raise DataFormatError(
+            f"{path}: rows have {data.n_features} features, the map takes {som.dim}"
+        )
+    return data
+
+
+def _load_synapses(path, source: som_mod.SomGrid, target: som_mod.SomGrid):
+    """Synapses from ``source``'s neurons to ``target``'s, checked against both maps."""
+    syn, _ = assoc.load_synapses(path)
+    if (syn.n_source, syn.n_target) != (source.n_neurons, target.n_neurons):
+        raise DataFormatError(
+            f"{path}: synapses are {syn.n_source}x{syn.n_target}, "
+            f"the maps are {source.n_neurons}x{target.n_neurons} neurons"
+        )
+    return syn
+
+
 def cmd_train(args) -> int:
     spec = _spec(args)
     width, height = exp.parse_grid(args.grid)
@@ -53,7 +74,7 @@ def cmd_train(args) -> int:
 def cmd_label(args) -> int:
     spec = _spec(args)
     grid_som = som_mod.load_som(args.som)
-    data = load_features(args.data, args.labels)
+    data = _load_features(args.data, args.labels, grid_som)
     subset = labeling.select_label_subset(data, spec.label_fraction_x, args.seed)
     labeled = labeling.label_som(grid_som, subset, spec.alpha_x)
     som_mod.save_som(labeled, args.out)
@@ -76,8 +97,8 @@ def cmd_associate(args) -> int:
     spec = _spec(args)
     som_x = som_mod.load_som(args.som_x)
     som_y = som_mod.load_som(args.som_y)
-    x = load_features(args.pairs_x, args.labels_x)
-    y = load_features(args.pairs_y, args.labels_y)
+    x = _load_features(args.pairs_x, args.labels_x, som_x)
+    y = _load_features(args.pairs_y, args.labels_y, som_y)
     pairs = pair_by_class(x, y, args.pair_seed)
     syn_xy, syn_yx = assoc.associate(som_x, som_y, pairs, spec.rule, spec.eta, spec.assoc_epochs)
     pre = (syn_xy.n_synapses, syn_yx.n_synapses)
@@ -98,8 +119,8 @@ def cmd_diverge_label(args) -> int:
     if som_x.labels is None:
         raise exp.SpecError("--som-x must be a labeled checkpoint")
     som_y = som_mod.load_som(args.som_y)
-    syn_xy, _ = assoc.load_synapses(args.syn_xy)
-    data = load_features(args.data_x, args.labels_x)
+    syn_xy = _load_synapses(args.syn_xy, som_x, som_y)
+    data = _load_features(args.data_x, args.labels_x, som_x)
     subset = labeling.select_label_subset(data, spec.label_fraction_x, args.seed)
     labeled = inference.diverge_label(som_x, som_y, syn_xy, subset, spec.diverge_beta)
     som_mod.save_som(labeled, args.out)
@@ -114,18 +135,20 @@ def cmd_converge(args) -> int:
     som_y = som_mod.load_som(args.som_y)
     if som_x.labels is None or som_y.labels is None:
         raise exp.SpecError("--som-x and --som-y must be labeled checkpoints")
-    syn_xy, _ = assoc.load_synapses(args.syn_xy)
-    syn_yx, _ = assoc.load_synapses(args.syn_yx)
-    x = load_features(args.test_x, args.test_labels_x)
-    y = load_features(args.test_y, args.test_labels_y)
+    syn_xy = _load_synapses(args.syn_xy, som_x, som_y)
+    syn_yx = _load_synapses(args.syn_yx, som_y, som_x)
+    x = _load_features(args.test_x, args.test_labels_x, som_x)
+    y = _load_features(args.test_y, args.test_labels_y, som_y)
     pairs = pair_by_class(x, y, args.pair_seed)
-    # Every class a test row or a neuron names needs a confusion row.
-    n_classes = max(
-        x.n_classes, y.n_classes, int(som_x.labels.max()) + 1, int(som_y.labels.max()) + 1
+    n_classes = inference.class_count(x.labels, y.labels, som_x.labels, som_y.labels)
+    # Each map's test distances once; y's are gathered by the pairing, as in evaluate_seed.
+    dist_x = som_mod.distances(som_x, x.values)
+    dist_y = som_mod.distances(som_y, y.values)
+    result = inference.score_convergence(
+        som_x, som_y, syn_xy, syn_yx, dist_x, dist_y[pairs.pairing], x.labels, cfg, n_classes
     )
-    result = inference.evaluate_convergence(som_x, som_y, syn_xy, syn_yx, pairs, cfg, n_classes)
-    uni_x = inference.evaluate_unimodal(som_x, pairs.x, n_classes)
-    uni_y = inference.evaluate_unimodal(som_y, pairs.y, n_classes)
+    uni_x = inference.score(som_x.labels[np.argmin(dist_x, axis=1)], x.labels, n_classes)
+    uni_y = inference.score(som_y.labels[np.argmin(dist_y, axis=1)], y.labels, n_classes)
     metrics = {
         "variant": cfg.name(),
         "accuracy": result.accuracy,

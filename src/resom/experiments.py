@@ -511,11 +511,6 @@ def missing_files(spec: ExperimentSpec) -> list[str]:
     return [p for p in paths if p and not os.path.exists(p)]
 
 
-def _n_classes(train: PairedDataset, test: PairedDataset) -> int:
-    """Classes of both splits: a test-only class still needs a confusion row."""
-    return max(train.x.n_classes, test.x.n_classes)
-
-
 @dataclass
 class SeedStages:
     """One seed's state up to pruning, which evaluate_seed reads at any keep."""
@@ -528,7 +523,7 @@ class SeedStages:
     subset_x: FeatureMatrix
     syn_xy: assoc.LateralSynapses  # unpruned
     syn_yx: assoc.LateralSynapses
-    n_classes: int
+    n_classes: int  # confusion rows
     dist_x: np.ndarray  # test_pairs.x rows to som_x's weights
     dist_y: np.ndarray  # test_pairs.y rows (unpaired) to som_y's weights
 
@@ -556,9 +551,14 @@ def build_stages(spec: ExperimentSpec, seed: int, cache: StageCache | None = Non
     som_x = labeling.label_som(som_x, subset_x, spec.alpha_x)
     som_y_direct = None if subset_y is None else labeling.label_som(som_y, subset_y, spec.alpha_y)
     syn_xy, syn_yx = _associate_cached(cache, som_x, som_y, train_pairs, spec)
+    # Every map label, direct or diverged, is a class of a label subset.
+    n_classes = inference.class_count(
+        test_pairs.x.labels, test_pairs.y.labels,
+        *(s.labels for s in (subset_x, subset_y) if s is not None),
+    )
     return SeedStages(
         train_pairs, test_pairs, som_x, som_y, som_y_direct, subset_x,
-        syn_xy, syn_yx, _n_classes(train_pairs, test_pairs),
+        syn_xy, syn_yx, n_classes,
         som_mod.distances(som_x, test_pairs.x.values),
         som_mod.distances(som_y, test_pairs.y.values),
     )
@@ -568,9 +568,7 @@ def _unimodal_accuracy(stages: SeedStages, som: som_mod.SomGrid, modality: str) 
     """Test accuracy of a labeling of som_x or som_y (modality "x" or "y")."""
     dist = stages.dist_x if modality == "x" else stages.dist_y
     true = getattr(stages.test_pairs, modality).labels
-    return inference.evaluate_unimodal_from_bmus(
-        som, np.argmin(dist, axis=1), true, stages.n_classes
-    ).accuracy
+    return inference.score(som.labels[np.argmin(dist, axis=1)], true, stages.n_classes).accuracy
 
 
 def unimodal_accuracies(stages: SeedStages) -> tuple[float, float | None]:
@@ -590,7 +588,7 @@ class SeedEval:
     som_y: som_mod.SomGrid  # map y as labeled for convergence
     som_y_diverged: som_mod.SomGrid | None
     uni_y_diverged: float | None
-    convergence: list[inference.ConvergenceEval]  # one per config
+    convergence: list[inference.Score]  # one per config
 
 
 def evaluate_seed(
@@ -614,13 +612,11 @@ def evaluate_seed(
         )
         uni_y_diverged = _unimodal_accuracy(stages, diverged, "y")
     som_y = diverged if spec.label_mode_y == "diverge" else stages.som_y_direct
-    pairing = stages.test_pairs.pairing
+    test = stages.test_pairs
     convergence = [
-        inference.evaluate_convergence_from_fields(
-            stages.som_x, som_y, syn_xy, syn_yx,
-            som_mod.activities_from_distances(stages.dist_x, cfg.kernel_width_x),
-            som_mod.activities_from_distances(stages.dist_y[pairing], cfg.kernel_width_y),
-            stages.test_pairs.x.labels, cfg, stages.n_classes,
+        inference.score_convergence(
+            stages.som_x, som_y, syn_xy, syn_yx, stages.dist_x, stages.dist_y[test.pairing],
+            test.x.labels, cfg, stages.n_classes,
         )
         for cfg in configs
     ]
@@ -734,7 +730,7 @@ def prune_sweep(
 
 def alpha_sweep(
     spec: ExperimentSpec,
-    alphas: tuple[float, ...] = labeling.DEFAULT_ALPHA_GRID,
+    alphas: tuple[float, ...],
     modality: str = "x",
     cache: StageCache | None = None,
 ) -> list[dict]:
@@ -760,12 +756,13 @@ def alpha_sweep(
         test = getattr(test_pairs, modality)
         # Only the labels change with alpha; the test BMUs are computed once.
         bmu = np.argmin(som_mod.distances(grid_som, test.values), axis=1)
-        per_seed.append((grid_som, subset, bmu, test.labels, _n_classes(train_pairs, test_pairs)))
+        n_classes = inference.class_count(test.labels, subset.labels)
+        per_seed.append((grid_som, subset, bmu, test.labels, n_classes))
     rows = []
     for alpha in alphas:
         accs = [
-            inference.evaluate_unimodal_from_bmus(
-                labeling.label_som(grid_som, subset, alpha), bmu, true, n_classes
+            inference.score(
+                labeling.label_som(grid_som, subset, alpha).labels[bmu], true, n_classes
             ).accuracy
             for grid_som, subset, bmu, true, n_classes in per_seed
         ]

@@ -18,11 +18,14 @@ normalization (when enabled) applies to the lateral contributions only,
 leaving the two competing afferent activities raw.  The sum variant's
 support (the mean over a neuron's synapses) is one masked matrix product.
 
-Each evaluator is a core that reads precomputed BMUs or afferent fields
-(``evaluate_unimodal_from_bmus``, ``evaluate_convergence_from_fields``) and a
-thin wrapper that derives them from feature rows through ``som.distances``.
-The experiment layer computes a built seed's test distances once and feeds
-the cores at every keep fraction and labeling of map y.
+Scoring has one result type, ``Score`` (accuracy, confusion, no-decision
+count), one rule for the number of classes, ``class_count``, and one
+function, ``score``, that scores predictions against true labels.
+``score_convergence`` classifies pairs from each map's test distances; the
+experiment layer computes a built seed's distances once and scores every
+keep fraction and labeling of map y from them, and ``resom converge`` reads
+its test files the same way.  ``evaluate_unimodal`` and
+``evaluate_convergence`` derive the distances from feature rows.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 from .association import LateralSynapses
 from .data import FeatureMatrix, PairedDataset
 from .labeling import class_means
-from .som import SomGrid, activities_batch, distances
+from .som import SomGrid, activities_batch, activities_from_distances, distances
 
 UPDATES = ("max", "sum")
 ACTIVITY_MODES = ("raw", "norm")
@@ -261,71 +264,61 @@ def converge_classify(
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Scoring
 # ---------------------------------------------------------------------------
 
-@dataclass
-class UnimodalEval:
-    accuracy: float
-    confusion: np.ndarray
+@dataclass(frozen=True)
+class Score:
+    """A test-set result; a no-decision sample counts as an error."""
 
-
-@dataclass
-class ConvergenceEval:
     accuracy: float
-    confusion: np.ndarray
+    confusion: np.ndarray  # (n_classes, n_classes) counts, rows = true class
     n_no_decision: int
 
 
-def confusion_matrix(true: np.ndarray, pred: np.ndarray, n_classes: int) -> np.ndarray:
-    """(n_classes, n_classes) counts, rows = true class; pred<0 is skipped."""
-    ok = pred >= 0
-    m = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(m, (true[ok], pred[ok]), 1)
-    return m
+def class_count(*labels: np.ndarray) -> int:
+    """The confusion's row count: 1 + the largest class any of ``labels``
+    names.  Callers pass the test rows' labels and the map labels (or the
+    label subsets they come from), so a class of one modality alone counts."""
+    return max(int(a.max()) + 1 for a in labels if a.size)
 
 
-def evaluate_unimodal_from_bmus(
-    som: SomGrid, bmu: np.ndarray, true: np.ndarray, n_classes: int
-) -> UnimodalEval:
-    """Each row is predicted as its BMU's label (kernel width cancels out).
-
-    ``bmu`` holds each test row's BMU on ``som``'s weights; maps that share
-    weights but not labels reuse it.
-    """
-    if som.labels is None:
-        raise ValueError("map must be labeled")
-    pred = som.labels[bmu]
-    return UnimodalEval(
-        accuracy=float(np.mean(pred == true)),
-        confusion=confusion_matrix(true, pred, n_classes),
-    )
+def score(pred: np.ndarray, true: np.ndarray, n_classes: int) -> Score:
+    """Score predictions against true labels; ``pred < 0`` is a no-decision."""
+    decided = pred >= 0
+    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
+    np.add.at(confusion, (true[decided], pred[decided]), 1)
+    return Score(float(np.mean(pred == true)), confusion, int((~decided).sum()))
 
 
-def evaluate_unimodal(som: SomGrid, matrix: FeatureMatrix, n_classes: int) -> UnimodalEval:
-    bmu = np.argmin(distances(som, matrix.values), axis=1)
-    return evaluate_unimodal_from_bmus(som, bmu, matrix.labels, n_classes)
-
-
-def evaluate_convergence_from_fields(
+def score_convergence(
     som_x: SomGrid,
     som_y: SomGrid,
     syn_xy: LateralSynapses,
     syn_yx: LateralSynapses,
-    ax: np.ndarray,
-    ay: np.ndarray,
+    dist_x: np.ndarray,
+    dist_y: np.ndarray,
     true: np.ndarray,
     cfg: ConvergenceConfig,
     n_classes: int,
-) -> ConvergenceEval:
-    """Accuracy from the pairs' afferent fields (row i of ``ax`` and ``ay``
-    is pair i); no-decision samples count as errors."""
+) -> Score:
+    """Convergence on each map's test distances (row i of ``dist_x`` and
+    ``dist_y`` is pair i)."""
+    ax = activities_from_distances(dist_x, cfg.kernel_width_x)
+    ay = activities_from_distances(dist_y, cfg.kernel_width_y)
+    # Drop the references, so a matrix gathered for this call (evaluate_seed's
+    # paired map y rows) is freed before the decision allocates its own.
+    del dist_x, dist_y
     batch = converge_from_fields(som_x, som_y, syn_xy, syn_yx, ax, ay, cfg)
-    return ConvergenceEval(
-        accuracy=float(np.mean(batch.labels == true)),
-        confusion=confusion_matrix(true, batch.labels, n_classes),
-        n_no_decision=int(batch.no_decision.sum()),
-    )
+    return score(batch.labels, true, n_classes)
+
+
+def evaluate_unimodal(som: SomGrid, matrix: FeatureMatrix, n_classes: int) -> Score:
+    """Each row is predicted as its BMU's label (kernel width cancels out)."""
+    if som.labels is None:
+        raise ValueError("map must be labeled")
+    bmu = np.argmin(distances(som, matrix.values), axis=1)
+    return score(som.labels[bmu], matrix.labels, n_classes)
 
 
 def evaluate_convergence(
@@ -336,12 +329,11 @@ def evaluate_convergence(
     pairs: PairedDataset,
     cfg: ConvergenceConfig,
     n_classes: int,
-) -> ConvergenceEval:
-    """Accuracy over a paired test set; no-decision samples count as errors."""
-    ax = activities_batch(som_x, pairs.x.values, cfg.kernel_width_x)
-    ay = activities_batch(som_y, pairs.y_values, cfg.kernel_width_y)
-    return evaluate_convergence_from_fields(
-        som_x, som_y, syn_xy, syn_yx, ax, ay, pairs.x.labels, cfg, n_classes
+) -> Score:
+    """Accuracy over a paired test set."""
+    return score_convergence(
+        som_x, som_y, syn_xy, syn_yx, distances(som_x, pairs.x.values),
+        distances(som_y, pairs.y_values), pairs.x.labels, cfg, n_classes,
     )
 
 

@@ -16,7 +16,6 @@ import numpy as np
 from .data import FeatureMatrix
 from .som import SomGrid, activities_batch
 
-DEFAULT_ALPHA_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
 # Draws of a subset that must cover every class before giving up.
 MAX_REDRAWS = 1000
 

@@ -1,11 +1,20 @@
+import io
 import struct
 
 import numpy as np
 import pytest
 
-from resom.association import LateralSynapses, save_synapses
+import resom.som
+from resom.association import LateralSynapses, load_synapses, save_synapses
 from resom.cli import main
-from resom.data import FeatureMatrix, load_features, save_rsm1
+from resom.data import FeatureMatrix, load_features, pair_by_class, save_rsm1
+from resom.experiments import write_metrics
+from resom.inference import (
+    ConvergenceConfig,
+    evaluate_convergence,
+    evaluate_unimodal,
+    gain_matrix,
+)
 from resom.som import load_som, make_som, save_som
 from resom.synthetic import SyntheticSpec, make_paired_dataset
 
@@ -45,35 +54,42 @@ def run(*argv) -> int:
     return main([str(a) for a in argv])
 
 
+@pytest.fixture(scope="module")
+def chain(workspace):
+    """The workspace after train (x and y), label, associate and diverge-label."""
+    w = workspace
+    assert run(
+        "train", "--modality", w / "x_train.rsm1", "--grid", "4x4",
+        "--epochs", 3, "--seed", 0, "--out", w / "som_x.rsom",
+    ) == 0
+    assert run(
+        "train", "--modality", w / "y_train.rsm1", "--grid", "4x4",
+        "--epochs", 3, "--seed", 1, "--out", w / "som_y.rsom",
+    ) == 0
+    assert run(
+        "label", "--som", w / "som_x.rsom", "--data", w / "x_train.rsm1",
+        "--subset-frac", 0.2, "--alpha", 1.0, "--seed", 2,
+        "--out", w / "som_x_labeled.rsom",
+    ) == 0
+    assert load_som(w / "som_x_labeled.rsom").labels is not None
+    assert run(
+        "associate", "--som-x", w / "som_x_labeled.rsom", "--som-y", w / "som_y.rsom",
+        "--pairs-x", w / "x_train.rsm1", "--pairs-y", w / "y_train.rsm1",
+        "--rule", "hebb", "--keep", 0.5,
+        "--out-xy", w / "xy.rlat", "--out-yx", w / "yx.rlat",
+    ) == 0
+    assert run(
+        "diverge-label", "--som-x", w / "som_x_labeled.rsom",
+        "--som-y", w / "som_y.rsom", "--syn-xy", w / "xy.rlat",
+        "--data-x", w / "x_train.rsm1", "--subset-frac", 0.2, "--seed", 2,
+        "--beta", 0.5, "--out", w / "som_y_labeled.rsom",
+    ) == 0
+    return w
+
+
 class TestWorkflow:
-    def test_train_label_associate_diverge_converge(self, workspace):
-        w = workspace
-        assert run(
-            "train", "--modality", w / "x_train.rsm1", "--grid", "4x4",
-            "--epochs", 3, "--seed", 0, "--out", w / "som_x.rsom",
-        ) == 0
-        assert run(
-            "train", "--modality", w / "y_train.rsm1", "--grid", "4x4",
-            "--epochs", 3, "--seed", 1, "--out", w / "som_y.rsom",
-        ) == 0
-        assert run(
-            "label", "--som", w / "som_x.rsom", "--data", w / "x_train.rsm1",
-            "--subset-frac", 0.2, "--alpha", 1.0, "--seed", 2,
-            "--out", w / "som_x_labeled.rsom",
-        ) == 0
-        assert load_som(w / "som_x_labeled.rsom").labels is not None
-        assert run(
-            "associate", "--som-x", w / "som_x_labeled.rsom", "--som-y", w / "som_y.rsom",
-            "--pairs-x", w / "x_train.rsm1", "--pairs-y", w / "y_train.rsm1",
-            "--rule", "hebb", "--keep", 0.5,
-            "--out-xy", w / "xy.rlat", "--out-yx", w / "yx.rlat",
-        ) == 0
-        assert run(
-            "diverge-label", "--som-x", w / "som_x_labeled.rsom",
-            "--som-y", w / "som_y.rsom", "--syn-xy", w / "xy.rlat",
-            "--data-x", w / "x_train.rsm1", "--subset-frac", 0.2, "--seed", 2,
-            "--beta", 0.5, "--out", w / "som_y_labeled.rsom",
-        ) == 0
+    def test_train_label_associate_diverge_converge(self, chain):
+        w = chain
         assert run(
             "converge", "--som-x", w / "som_x_labeled.rsom",
             "--som-y", w / "som_y_labeled.rsom",
@@ -182,6 +198,67 @@ class TestConverge:
         ) == 0
         counts = np.loadtxt(confusion, delimiter=",")
         assert counts.shape == (6, 6) and counts.sum() == 12
+
+    def test_measures_each_maps_test_distances_once(self, chain, tmp_path, monkeypatch):
+        calls = []
+        cdist = resom.som.cdist
+
+        def counting_cdist(values, weights):
+            calls.append((values.shape[0], weights.shape[0]))
+            return cdist(values, weights)
+
+        monkeypatch.setattr(resom.som, "cdist", counting_cdist)
+        assert run("converge", *converge_inputs(chain), "--metrics", tmp_path / "m.txt") == 0
+        # The 80 test rows of x and of y, each against its 16-neuron map, once.
+        assert calls == [(80, 16), (80, 16)]
+
+    @pytest.mark.parametrize("update, activities, neurons", [
+        ("max", "norm", "bmu"), ("sum", "raw", "all"),
+    ])
+    def test_outputs_match_the_evaluators_from_scratch(
+        self, chain, tmp_path, update, activities, neurons
+    ):
+        w = chain
+        out = {name: tmp_path / name for name in ("metrics.txt", "confusion.csv", "gain.csv")}
+        assert run(
+            "converge", *converge_inputs(w), "--update", update, "--activities", activities,
+            "--neurons", neurons, "--beta-x", 2.0, "--beta-y", 0.5,
+            "--metrics", out["metrics.txt"], "--confusion-csv", out["confusion.csv"],
+            "--gain-csv", out["gain.csv"],
+        ) == 0
+        som_x, som_y = load_som(w / "som_x_labeled.rsom"), load_som(w / "som_y_labeled.rsom")
+        (syn_xy, _), (syn_yx, _) = load_synapses(w / "xy.rlat"), load_synapses(w / "yx.rlat")
+        pairs = pair_by_class(
+            load_features(w / "x_test.rsm1"), load_features(w / "y_test.rsm1"), 0
+        )
+        cfg = ConvergenceConfig(update, activities, neurons, 2.0, 0.5)
+        n_classes = 4  # every test split names all four classes
+        conv = evaluate_convergence(som_x, som_y, syn_xy, syn_yx, pairs, cfg, n_classes)
+        uni_x = evaluate_unimodal(som_x, pairs.x, n_classes)
+        uni_y = evaluate_unimodal(som_y, pairs.y, n_classes)
+        best = uni_x if uni_x.accuracy >= uni_y.accuracy else uni_y
+        want = io.StringIO()
+        write_metrics({
+            "variant": cfg.name(), "accuracy": conv.accuracy, "unimodal_x": uni_x.accuracy,
+            "unimodal_y": uni_y.accuracy, "gain_over_best_unimodal": conv.accuracy - best.accuracy,
+            "no_decision": conv.n_no_decision, "samples": pairs.n_samples,
+        }, want)
+        assert out["metrics.txt"].read_text() == want.getvalue()
+        confusion = np.loadtxt(out["confusion.csv"], delimiter=",", dtype=np.int64)
+        assert np.array_equal(confusion, conv.confusion)
+        np.testing.assert_allclose(
+            np.loadtxt(out["gain.csv"], delimiter=","),
+            gain_matrix(conv.confusion, best.confusion), rtol=0, atol=5e-7,
+        )
+
+
+def converge_inputs(w) -> list:
+    """``resom converge``'s maps, synapses and test files from the chain."""
+    return [
+        "--som-x", w / "som_x_labeled.rsom", "--som-y", w / "som_y_labeled.rsom",
+        "--syn-xy", w / "xy.rlat", "--syn-yx", w / "yx.rlat",
+        "--test-x", w / "x_test.rsm1", "--test-y", w / "y_test.rsm1",
+    ]
 
 
 class TestBinaryInputExitCodes:
@@ -455,3 +532,84 @@ def test_report_reads_the_report_columns(tmp_path, capsys):
         "convergence_mean=0.7\nconvergence_std=0.0\nseeds=2\nspec_hash=ab\n"
         "unimodal_x_mean=0.5\nunimodal_y_mean=0.6\n"
     )
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("pipeline", ""), ("pipeline", "label_mode_y = diverge\n"), ("alpha-sweep", ""),
+], ids=["pipeline-direct", "pipeline-diverge", "alpha-sweep-y"])
+def test_class_only_in_y_gets_a_confusion_row(workspace, tmp_path, command, extra):
+    # x names classes 0-2 and y 0-3: counting only x's classes raised
+    # "IndexError: index 3 is out of bounds" (exit 1).
+    w = workspace
+    for split in ("train", "test"):
+        x = load_features(w / f"x_{split}.rsm1")
+        save_rsm1(x.take(np.flatnonzero(x.labels != 3)), tmp_path / f"x_{split}.rsm1")
+    spec = tmp_path / "spec.txt"
+    spec.write_text(
+        f"dataset = files\nx_train = {tmp_path / 'x_train.rsm1'}\n"
+        f"x_test = {tmp_path / 'x_test.rsm1'}\ny_train = {w / 'y_train.rsm1'}\n"
+        f"y_test = {w / 'y_test.rsm1'}\ngrid_x = 4x4\ngrid_y = 4x4\nepochs = 2\n" + extra
+    )
+    argv = ["--modality", "y"] if command == "alpha-sweep" else []
+    assert run(command, "--spec", spec, *argv, "--out", tmp_path / "out.csv") == 0
+    assert (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("outside", [True, False], ids=["outside-the-maps", "inside-the-maps"])
+@pytest.mark.parametrize("command", ["converge", "diverge-label"])
+def test_synapses_that_do_not_fit_the_maps_are_a_data_error(
+    workspace, tmp_path, capsys, command, outside
+):
+    # An 81x81 synapse file against two 4x4 maps gave an IndexError traceback
+    # (exit 1) with synapses outside the maps; with every synapse inside them,
+    # converge exited 0 and diverge-label exited 2 as a config error.
+    w = workspace
+    big = LateralSynapses.empty(81, 81)
+    if outside:
+        big.exists[80, :] = big.exists[:, 80] = True
+    else:
+        big.exists[1, 0] = True
+    big.weights[big.exists] = 1.0
+    save_synapses(big, tmp_path / "big.rlat")
+    save_synapses(LateralSynapses.empty(16, 16), tmp_path / "yx.rlat")
+    maps = ["--som-x", labeled_map(tmp_path / "x.rsom", 4, 4),
+            "--som-y", labeled_map(tmp_path / "y.rsom", 4, 4, seed=1),
+            "--syn-xy", tmp_path / "big.rlat"]
+    out = tmp_path / "out"
+    argv = {
+        "converge": ["--syn-yx", tmp_path / "yx.rlat", "--test-x", w / "x_test.rsm1",
+                     "--test-y", w / "y_test.rsm1", "--metrics", out],
+        "diverge-label": ["--data-x", w / "x_train.rsm1", "--subset-frac", 0.2, "--out", out],
+    }[command]
+    assert run(command, *maps, *argv) == 3
+    err = capsys.readouterr().err
+    assert "synapses are 81x81" in err and "maps are 16x16" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["label", "associate", "diverge-label", "converge"])
+def test_features_that_do_not_fit_the_map_are_a_data_error(workspace, tmp_path, capsys, command):
+    # A 3-column file against a 6-dimensional map exited 2 with scipy's
+    # "XA and XB must have the same number of columns".
+    w = workspace
+    narrow = tmp_path / "narrow.rsm1"
+    save_rsm1(FeatureMatrix(np.zeros((8, 3)), np.repeat([0, 1], 4)), narrow)
+    for name in ("xy", "yx"):
+        save_synapses(LateralSynapses.empty(4, 4), tmp_path / f"{name}.rlat")
+    maps = ["--som-x", labeled_map(tmp_path / "x.rsom"),
+            "--som-y", labeled_map(tmp_path / "y.rsom", seed=1)]
+    out = tmp_path / "out"
+    argv = {
+        "label": ["--som", tmp_path / "x.rsom", "--data", narrow, "--subset-frac", 1,
+                  "--out", out],
+        "associate": [*maps, "--pairs-x", narrow, "--pairs-y", w / "y_train.rsm1",
+                      "--out-xy", out, "--out-yx", tmp_path / "out-yx"],
+        "diverge-label": [*maps, "--syn-xy", tmp_path / "xy.rlat", "--data-x", narrow,
+                          "--subset-frac", 1, "--out", out],
+        "converge": [*maps, "--syn-xy", tmp_path / "xy.rlat", "--syn-yx", tmp_path / "yx.rlat",
+                     "--test-x", narrow, "--test-y", w / "y_test.rsm1", "--metrics", out],
+    }[command]
+    assert run(command, *argv) == 3
+    err = capsys.readouterr().err
+    assert "rows have 3 features, the map takes 6" in err
+    assert not out.exists()

@@ -10,13 +10,13 @@ from resom.inference import (
     ConvergenceConfig,
     converge_classify,
     converge_from_fields,
-    confusion_matrix,
     disconnected_targets,
     diverge_label,
     evaluate_convergence,
     evaluate_unimodal,
     gain_matrix,
     minmax_rows,
+    score,
     synapse_max,
 )
 from resom.labeling import label_som
@@ -394,8 +394,8 @@ class TestEvaluation:
         assert np.array_equal(res.confusion, np.array([[2, 0], [0, 2]]))
 
     def test_confusion_skips_no_decision(self):
-        m = confusion_matrix(np.array([0, 1, 1]), np.array([0, -1, 1]), 2)
-        assert m.sum() == 2
+        res = score(np.array([0, -1, 1]), np.array([0, 1, 1]), 2)
+        assert res.confusion.sum() == 2 and res.n_no_decision == 1
 
     def test_gain_matrix_rows_sum_to_zero(self):
         rng = np.random.default_rng(8)
