@@ -47,9 +47,12 @@ def _load_features(path, labels_path, som: som_mod.SomGrid) -> FeatureMatrix:
     return data
 
 
-def _load_synapses(path, source: som_mod.SomGrid, target: som_mod.SomGrid):
-    """Synapses from ``source``'s neurons to ``target``'s, checked against both maps."""
-    syn, _ = assoc.load_synapses(path)
+def _load_synapses(path, direction: str, source: som_mod.SomGrid, target: som_mod.SomGrid):
+    """Synapses from ``source``'s neurons to ``target``'s, checked against the
+    file's direction tag and both maps."""
+    syn, tag = assoc.load_synapses(path)
+    if tag != direction:
+        raise DataFormatError(f"{path}: synapses are tagged {tag!r}, expected {direction!r}")
     if (syn.n_source, syn.n_target) != (source.n_neurons, target.n_neurons):
         raise DataFormatError(
             f"{path}: synapses are {syn.n_source}x{syn.n_target}, "
@@ -119,7 +122,7 @@ def cmd_diverge_label(args) -> int:
     if som_x.labels is None:
         raise exp.SpecError("--som-x must be a labeled checkpoint")
     som_y = som_mod.load_som(args.som_y)
-    syn_xy = _load_synapses(args.syn_xy, som_x, som_y)
+    syn_xy = _load_synapses(args.syn_xy, "XY", som_x, som_y)
     data = _load_features(args.data_x, args.labels_x, som_x)
     subset = labeling.select_label_subset(data, spec.label_fraction_x, args.seed)
     labeled = inference.diverge_label(som_x, som_y, syn_xy, subset, spec.diverge_beta)
@@ -135,8 +138,8 @@ def cmd_converge(args) -> int:
     som_y = som_mod.load_som(args.som_y)
     if som_x.labels is None or som_y.labels is None:
         raise exp.SpecError("--som-x and --som-y must be labeled checkpoints")
-    syn_xy = _load_synapses(args.syn_xy, som_x, som_y)
-    syn_yx = _load_synapses(args.syn_yx, som_y, som_x)
+    syn_xy = _load_synapses(args.syn_xy, "XY", som_x, som_y)
+    syn_yx = _load_synapses(args.syn_yx, "YX", som_y, som_x)
     x = _load_features(args.test_x, args.test_labels_x, som_x)
     y = _load_features(args.test_y, args.test_labels_y, som_y)
     pairs = pair_by_class(x, y, args.pair_seed)
@@ -174,30 +177,13 @@ def cmd_converge(args) -> int:
 
 def cmd_ig_verify(args) -> int:
     width, height = exp.parse_grid(args.grid)
-    rng = np.random.default_rng(args.seed)
-    mismatches = 0
-    for trial in range(args.trials):
-        acts = rng.random((height, width))
-        wave = ig.winner_wave(acts)
-        flat = acts.ravel()
-        bmu, wmu = int(np.argmax(flat)), int(np.argmin(flat))
-        rows, cols = np.divmod(np.arange(flat.size), width)
-        manhattan = (np.abs(rows - rows[bmu]) + np.abs(cols - cols[bmu])).reshape(
-            height, width
-        )
-        ok = (
-            wave.bmu_index == bmu
-            and wave.wmu_index == wmu
-            and np.array_equal(wave.distance_to_bmu, manhattan)
-        )
-        if not ok:
-            mismatches += 1
-        if args.trace and trial == 0:
-            with open(args.trace, "w", newline="") as f:
-                rows_out = ig.wave_trace(acts)
-                writer = csv.DictWriter(f, fieldnames=list(rows_out[0]))
-                writer.writeheader()
-                writer.writerows(rows_out)
+    mismatches, first = ig.check_waves(height, width, args.trials, args.seed)
+    if args.trace:
+        with open(args.trace, "w", newline="") as f:
+            rows_out = ig.wave_trace(first)
+            writer = csv.DictWriter(f, fieldnames=list(rows_out[0]))
+            writer.writeheader()
+            writer.writerows(rows_out)
     print(
         f"grid={width}x{height} trials={args.trials} t_p={ig.propagation_steps(height, width)} "
         f"mismatches={mismatches}"

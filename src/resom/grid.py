@@ -10,9 +10,11 @@ neighborhood distance: no second wave is needed.
 
 All step functions are double-buffered (new state built purely from the
 previous snapshot), so results cannot depend on cell iteration order.  A
-wave step merges each cell's own record with its four neighbours' in one
-stacked max/min-origin operation; the tests hold an explicit per-cell
-reference (``winner_wave_cellwise``) that it must match in every field.
+wave step copies each cell's own record and merges its four neighbours'
+previous records into the copy one neighbour at a time, as shifted-slice
+array operations over all cells: the pairwise merge of the per-cell
+reference in the tests (``winner_wave_cellwise``), which it must match in
+every field.
 
 Cellular training is written row-wise: row n of each array is cell n's own
 weights, activity, wave output and update, and nothing crosses rows.  It is
@@ -75,12 +77,26 @@ class WaveResult:
         return float(self.worst_values.flat[0])
 
 
-def _wave_init(activities: np.ndarray) -> dict:
-    """Step-0 state: every cell's best and worst record is its own activity.
+# Each cardinal neighbour as (cells, their neighbours) slices of a
+# (channel, row, col) array, in the reference's up, down, left, right order.
+_NEIGHBOURS = (
+    (np.s_[:, 1:], np.s_[:, :-1]),
+    (np.s_[:, :-1], np.s_[:, 1:]),
+    (np.s_[:, :, 1:], np.s_[:, :, :-1]),
+    (np.s_[:, :, :-1], np.s_[:, :, 1:]),
+)
 
-    ``values`` and ``origins`` are (2, rows, cols): channel 0 holds the best
-    record, channel 1 the worst.  ``steps`` is the step at which each cell
-    last adopted a new best record.
+
+def _wave(activities: np.ndarray):
+    """Yield each step's ``(values, origins, adopt)``, from step 0 to t_p.
+
+    ``values`` and ``origins`` are (2, rows, cols): channel 0 is each cell's
+    best record, channel 1 its worst record with the value negated, so one
+    rule (higher value, then lower origin) merges both and the negation is
+    exact, signed zeros included.  ``adopt`` is the step at which each cell
+    last adopted a new best record.  Every step starts from a copy of each
+    cell's own previous record and merges its neighbours' previous records
+    into it one at a time: ``merge_summaries`` of the per-cell reference.
     """
     a = np.ascontiguousarray(activities, dtype=np.float64)
     if a.ndim != 2:
@@ -88,133 +104,107 @@ def _wave_init(activities: np.ndarray) -> dict:
     if not np.isfinite(a).all():
         raise ValueError("activities contain non-finite values")
     rows, cols = a.shape
-    origins = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
-    return {
-        "values": np.stack([a, a]),
-        "origins": np.stack([origins, origins]),
-        "steps": np.zeros((rows, cols), dtype=np.int64),
-    }
-
-
-_NO_ORIGIN = np.iinfo(np.int64).max
-# Off-grid fill per channel: never better than a finite activity.
-_NO_VALUE = np.array([-np.inf, np.inf])[:, None, None]
-
-
-def _with_neighbours(arr: np.ndarray, fill) -> np.ndarray:
-    """(5, 2, rows, cols): each cell's own entry, then its up, down, left and
-    right neighbours' entries, ``fill`` where the neighbour is off the grid."""
-    out = np.empty((5,) + arr.shape, dtype=arr.dtype)
-    out[1:] = fill
-    out[0] = arr
-    out[1, :, 1:, :] = arr[:, :-1, :]
-    out[2, :, :-1, :] = arr[:, 1:, :]
-    out[3, :, :, 1:] = arr[:, :, :-1]
-    out[4, :, :, :-1] = arr[:, :, 1:]
-    return out
-
-
-def _wave_step(state: dict, step: int) -> dict:
-    """One synchronous step from the previous snapshot (pure).
-
-    Every cell adopts, per channel, the record among its own and its four
-    neighbours' with the extreme value (max for best, min for worst), the
-    lowest origin among equal values.  A record's value and origin are taken
-    together from the winning candidate, so for finite activities this is
-    the sequential pairwise merge of the per-cell reference in the tests.
-    """
-    values, origins = state["values"], state["origins"]
-    cand_v = _with_neighbours(values, _NO_VALUE)
-    cand_o = _with_neighbours(origins, _NO_ORIGIN)
-    extreme = np.stack([cand_v[:, 0].max(axis=0), cand_v[:, 1].min(axis=0)])
-    # Candidates without the extreme value drop out of the origin contest;
-    # the winner holds that value, so its origin is read back unmasked.
-    np.putmask(cand_o, cand_v != extreme, _NO_ORIGIN)
-    # Flat index of each (channel, cell)'s winning record in the candidate stack.
-    pick = cand_o.argmin(axis=0) * values.size
-    pick += np.arange(values.size).reshape(values.shape)
-    new_v, new_o = cand_v.take(pick), cand_o.take(pick)
-    changed = (new_v[0] != values[0]) | (new_o[0] != origins[0])
-    return {
-        "values": new_v,
-        "origins": new_o,
-        "steps": np.where(changed, step, state["steps"]),
-    }
+    values = np.stack([a, -a])
+    origins = np.stack([np.arange(a.size, dtype=np.int64).reshape(rows, cols)] * 2)
+    adopt = np.zeros((rows, cols), dtype=np.int64)
+    yield values, origins, adopt
+    for step in range(1, propagation_steps(rows, cols) + 1):
+        new_v, new_o = values.copy(), origins.copy()
+        for cells, seen in _NEIGHBOURS:
+            v, o, own_v, own_o = values[seen], origins[seen], new_v[cells], new_o[cells]
+            better = (v > own_v) | ((v == own_v) & (o < own_o))
+            np.copyto(own_v, v, where=better)
+            np.copyto(own_o, o, where=better)
+        adopt = np.where(new_o[0] != origins[0], step, adopt)
+        values, origins = new_v, new_o
+        yield values, origins, adopt
 
 
 def winner_wave(activities: np.ndarray) -> WaveResult:
     """Run the full wave; distance_to_bmu is each cell's last-improvement step."""
-    state = _wave_init(activities)
-    _, rows, cols = state["values"].shape
-    t_p = propagation_steps(rows, cols)
-    for step in range(1, t_p + 1):
-        state = _wave_step(state, step)
-    values, origins = state["values"], state["origins"]
+    for step, (values, origins, adopt) in enumerate(_wave(activities)):
+        pass
+    np.negative(values[1], out=values[1])  # in place: the records stay views of one array
     return WaveResult(
         best_values=values[0],
         best_origins=origins[0],
         worst_values=values[1],
         worst_origins=origins[1],
-        distance_to_bmu=state["steps"],
-        steps=t_p,
+        distance_to_bmu=adopt,
+        steps=step,
     )
 
 
 def wave_trace(activities: np.ndarray) -> list[dict]:
     """Per-step, per-cell state rows (for CSV debugging dumps)."""
-    state = _wave_init(activities)
-    _, rows, cols = state["values"].shape
-    t_p = propagation_steps(rows, cols)
-    out = []
+    return [
+        {
+            "step": step, "row": r, "col": c,
+            "best_value": values[0, r, c],
+            "best_origin": origins[0, r, c],
+            "worst_value": -values[1, r, c],
+            "worst_origin": origins[1, r, c],
+            "adopt_step": adopt[r, c],
+        }
+        for step, (values, origins, adopt) in enumerate(_wave(activities))
+        for r, c in np.ndindex(adopt.shape)
+    ]
 
-    def snapshot(step):
-        values, origins, steps = state["values"], state["origins"], state["steps"]
-        for r in range(rows):
-            for c in range(cols):
-                out.append({
-                    "step": step, "row": r, "col": c,
-                    "best_value": values[0, r, c],
-                    "best_origin": origins[0, r, c],
-                    "worst_value": values[1, r, c],
-                    "worst_origin": origins[1, r, c],
-                    "adopt_step": steps[r, c],
-                })
 
-    snapshot(0)
-    for step in range(1, t_p + 1):
-        state = _wave_step(state, step)
-        snapshot(step)
-    return out
+def check_waves(rows: int, cols: int, trials: int, seed: int) -> tuple[int, np.ndarray]:
+    """Count winner waves that disagree with the centralized oracle.
+
+    Draws ``trials`` uniform rows x cols activity grids from
+    ``default_rng(seed)``; a wave agrees when every cell holds the argmax as
+    its best origin, the argmin as its worst origin and its Manhattan
+    distance to the argmax as its adoption step.  Returns the mismatch count
+    and the first grid drawn.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    rng = np.random.default_rng(seed)
+    r, c = np.indices((rows, cols))
+    mismatches = 0
+    for trial in range(trials):
+        acts = rng.random((rows, cols))
+        if trial == 0:
+            first = acts
+        wave = winner_wave(acts)
+        bmu = int(np.argmax(acts))
+        br, bc = divmod(bmu, cols)
+        ok = (
+            np.all(wave.best_origins == bmu)
+            and np.all(wave.worst_origins == int(np.argmin(acts)))
+            and np.array_equal(wave.distance_to_bmu, np.abs(r - br) + np.abs(c - bc))
+        )
+        mismatches += not ok
+    return mismatches, first
 
 
 # ---------------------------------------------------------------------------
 # Cellular training
 # ---------------------------------------------------------------------------
 
-def ig_train_epoch(
-    som: SomGrid, samples: np.ndarray, lr: float, sigma: float
-) -> tuple[SomGrid, int]:
-    """One epoch over ``samples`` in the given order; returns (grid, steps).
+def ig_train_epoch(som: SomGrid, samples: np.ndarray, lr: float, sigma: float) -> SomGrid:
+    """One epoch over ``samples`` in the given order.
 
     Per sample each cell computes its own activity, the winner wave delivers
     the BMU and the cell's Manhattan distance to it, then the cell updates its
-    own weights locally; that is t_p + 1 simulator steps per sample.  Row n
-    of every array below is cell n's: its weights, its activity, its wave
-    output and its update, with no value crossing rows.
+    own weights locally; that is t_p + 1 simulator steps per sample
+    (``cost_report(...).total_steps`` for the epoch).  Row n of every array
+    below is cell n's: its weights, its activity, its wave output and its
+    update, with no value crossing rows.
     """
     W = som.weights.copy()
     width, height = som.width, som.height
     denom = 2.0 * sigma * sigma
-    t_p = propagation_steps(height, width)
-    steps = 0
     for v in np.ascontiguousarray(samples, dtype=np.float64):
         diff = v - W
         acts = np.exp(-np.sqrt(np.sum(diff * diff, axis=1)))
         d = winner_wave(acts.reshape(height, width)).distance_to_bmu.ravel()
         h = np.exp(-(d * d) / denom)
         W += (lr * h)[:, None] * diff
-        steps += t_p + 1
-    return replace(som, weights=W, labels=None), steps
+    return replace(som, weights=W, labels=None)
 
 
 def ig_train(som: SomGrid, data: np.ndarray, schedule: TrainSchedule, seed: int) -> SomGrid:
@@ -229,7 +219,7 @@ def ig_train(som: SomGrid, data: np.ndarray, schedule: TrainSchedule, seed: int)
     for t in range(schedule.epochs):
         lr = decay(t, schedule.epochs, schedule.lr_start, schedule.lr_end)
         sigma = decay(t, schedule.epochs, schedule.sigma_start, schedule.sigma_end)
-        out, _ = ig_train_epoch(out, X[rng.permutation(X.shape[0])], lr, sigma)
+        out = ig_train_epoch(out, X[rng.permutation(X.shape[0])], lr, sigma)
     return out
 
 

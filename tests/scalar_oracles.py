@@ -6,7 +6,7 @@ normalization, one cell's merge of its neighbours' wave records.  The
 library computes the same quantities in batches
 (``som.distances``/``activities_from_distances``, the per-epoch table in
 ``som.train_many``, ``np.argmax`` over activity rows,
-``labeling.class_means``, the stacked ``grid`` wave step); the tests check
+``labeling.class_means``, the ``grid`` wave loop); the tests check
 those against these oracles.
 """
 

@@ -107,6 +107,25 @@ class TestWorkflow:
         confusion = np.loadtxt(w / "confusion.csv", delimiter=",")
         assert confusion.shape == (4, 4)
 
+    def test_swapped_synapse_files_are_a_data_error(self, chain, tmp_path, capsys):
+        w = chain
+        test = ["--test-x", w / "x_test.rsm1", "--test-y", w / "y_test.rsm1"]
+        maps = ["--som-x", w / "som_x_labeled.rsom", "--som-y", w / "som_y_labeled.rsom"]
+        for syn_xy, syn_yx, tags in (("yx", "xy", "'YX', expected 'XY'"),
+                                     ("xy", "xy", "'XY', expected 'YX'")):
+            assert run("converge", *maps, "--syn-xy", w / f"{syn_xy}.rlat",
+                       "--syn-yx", w / f"{syn_yx}.rlat", *test,
+                       "--metrics", tmp_path / "m.txt") == 3
+            assert tags in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
+        assert run(
+            "diverge-label", "--som-x", w / "som_x_labeled.rsom", "--som-y", w / "som_y.rsom",
+            "--syn-xy", w / "yx.rlat", "--data-x", w / "x_train.rsm1",
+            "--out", tmp_path / "out.rsom",
+        ) == 3
+        assert "'YX', expected 'XY'" in capsys.readouterr().err
+        assert not (tmp_path / "out.rsom").exists()
+
     def test_ig_verify_and_trace(self, tmp_path):
         trace = tmp_path / "trace.csv"
         assert run("ig-verify", "--grid", "6x4", "--trials", 50, "--trace", trace) == 0
@@ -154,6 +173,12 @@ class TestExitCodes:
             "train", "--modality", bad, "--grid", "2x2", "--out", tmp_path / "s.rsom"
         ) == 3
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_ig_verify_needs_a_trial(self, tmp_path, trials):
+        trace = tmp_path / "trace.csv"
+        assert run("ig-verify", "--grid", "3x3", "--trials", trials, "--trace", trace) == 2
+        assert not trace.exists()
+
     def test_verification_failure(self, monkeypatch):
         import resom.cli as cli
 
@@ -187,7 +212,7 @@ class TestConverge:
         som_y.labels = np.full(4, 5)
         save_som(som_y, tmp_path / "y.rsom")
         for name in ("xy", "yx"):
-            save_synapses(LateralSynapses.empty(4, 4), tmp_path / f"{name}.rlat")
+            save_synapses(LateralSynapses.empty(4, 4), tmp_path / f"{name}.rlat", name.upper())
         confusion = tmp_path / "confusion.csv"
         assert run(
             "converge", "--som-x", tmp_path / "x.rsom", "--som-y", tmp_path / "y.rsom",
@@ -410,7 +435,7 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("flag", ["--beta-x", "--beta-y"])
     def test_converge_beta_flags(self, workspace, tmp_path, flag):
         for name in ("xy", "yx"):
-            save_synapses(LateralSynapses.empty(4, 4), tmp_path / f"{name}.rlat")
+            save_synapses(LateralSynapses.empty(4, 4), tmp_path / f"{name}.rlat", name.upper())
         assert run(
             "converge", "--som-x", labeled_map(tmp_path / "x.rsom"),
             "--som-y", labeled_map(tmp_path / "y.rsom", seed=1),
@@ -474,7 +499,7 @@ class TestEmptyTestSplit:
 
     def test_converge(self, workspace, tmp_path):
         for name in ("xy", "yx"):
-            save_synapses(LateralSynapses.empty(4, 4), tmp_path / f"{name}.rlat")
+            save_synapses(LateralSynapses.empty(4, 4), tmp_path / f"{name}.rlat", name.upper())
         assert run(
             "converge", "--som-x", labeled_map(tmp_path / "x.rsom"),
             "--som-y", labeled_map(tmp_path / "y.rsom", seed=1),
@@ -571,7 +596,7 @@ def test_synapses_that_do_not_fit_the_maps_are_a_data_error(
         big.exists[1, 0] = True
     big.weights[big.exists] = 1.0
     save_synapses(big, tmp_path / "big.rlat")
-    save_synapses(LateralSynapses.empty(16, 16), tmp_path / "yx.rlat")
+    save_synapses(LateralSynapses.empty(16, 16), tmp_path / "yx.rlat", "YX")
     maps = ["--som-x", labeled_map(tmp_path / "x.rsom", 4, 4),
             "--som-y", labeled_map(tmp_path / "y.rsom", 4, 4, seed=1),
             "--syn-xy", tmp_path / "big.rlat"]
@@ -595,7 +620,7 @@ def test_features_that_do_not_fit_the_map_are_a_data_error(workspace, tmp_path, 
     narrow = tmp_path / "narrow.rsm1"
     save_rsm1(FeatureMatrix(np.zeros((8, 3)), np.repeat([0, 1], 4)), narrow)
     for name in ("xy", "yx"):
-        save_synapses(LateralSynapses.empty(4, 4), tmp_path / f"{name}.rlat")
+        save_synapses(LateralSynapses.empty(4, 4), tmp_path / f"{name}.rlat", name.upper())
     maps = ["--som-x", labeled_map(tmp_path / "x.rsom"),
             "--som-y", labeled_map(tmp_path / "y.rsom", seed=1)]
     out = tmp_path / "out"

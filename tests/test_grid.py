@@ -5,14 +5,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from resom.grid import (
+    check_waves,
     cost_report,
     ig_train,
     ig_train_epoch,
     propagation_steps,
     wave_trace,
     winner_wave,
-    _wave_init,
-    _wave_step,
+    _wave,
 )
 from resom.som import TrainSchedule, make_som, train
 from scalar_oracles import CellSummary, merge_summaries, winner_wave_cellwise
@@ -83,6 +83,14 @@ class TestWinnerWave:
         res = winner_wave(a)
         assert (res.best_values >= a).all()
         assert (res.distance_to_bmu <= res.steps).all()
+
+    def test_records_are_views_of_one_values_and_one_origins_array(self):
+        # Each result a caller keeps carries two record arrays, not four.
+        res = winner_wave(np.random.default_rng(12).random((5, 6)))
+        for best, worst in ((res.best_values, res.worst_values),
+                            (res.best_origins, res.worst_origins)):
+            assert best.base is not None and best.base is worst.base
+            assert np.shares_memory(best.base, worst)
 
     def test_rejects_non_grid(self):
         with pytest.raises(ValueError, match="rectangular"):
@@ -158,29 +166,42 @@ class TestLocality:
         b[2, 3] = 10.0  # perturbation source
         rows, cols = np.indices(a.shape)
         hop = np.abs(rows - 2) + np.abs(cols - 3)
-        state_a, state_b = _wave_init(a), _wave_init(b)
-        for step in range(1, propagation_steps(6, 6) + 1):
-            state_a = _wave_step(state_a, step)
-            state_b = _wave_step(state_b, step)
+        for step, ((va, oa, _), (vb, ob, _)) in enumerate(zip(_wave(a), _wave(b))):
             untouched = hop > step
-            assert np.array_equal(
-                state_a["values"][0][untouched], state_b["values"][0][untouched]
-            )
-            assert np.array_equal(
-                state_a["origins"][0][untouched], state_b["origins"][0][untouched]
-            )
+            assert np.array_equal(va[0][untouched], vb[0][untouched])
+            assert np.array_equal(oa[0][untouched], ob[0][untouched])
 
 
 class TestTrace:
     def test_trace_covers_every_step_and_cell(self):
-        a = np.random.default_rng(5).random((3, 4))
-        rows = wave_trace(a)
         t_p = propagation_steps(3, 4)
-        assert len(rows) == (t_p + 1) * 12
-        final = [r for r in rows if r["step"] == t_p]
-        res = winner_wave(a)
-        for r in final:
-            assert r["adopt_step"] == res.distance_to_bmu[r["row"], r["col"]]
+        signed_zeros = np.array([[0.0, -0.0, 0.5, -0.0],
+                                 [-0.0, 0.0, 0.5, 0.0],
+                                 [0.5, -0.0, 0.0, 0.5]])
+        for a in (np.random.default_rng(5).random((3, 4)), signed_zeros):
+            rows = wave_trace(a)
+            assert len(rows) == (t_p + 1) * 12
+            final = [r for r in rows if r["step"] == t_p]
+            res = winner_wave(a)
+            for r in final:
+                cell = r["row"], r["col"]
+                assert r["adopt_step"] == res.distance_to_bmu[cell]
+                for field in ("best_value", "best_origin", "worst_value", "worst_origin"):
+                    want = getattr(res, field + "s")[cell]
+                    assert r[field] == want, field
+                    assert np.signbit(r[field]) == np.signbit(want), field
+
+
+class TestCheckWaves:
+    def test_counts_no_mismatch_and_returns_the_first_draw(self):
+        mismatches, first = check_waves(3, 4, trials=20, seed=7)
+        assert mismatches == 0
+        assert np.array_equal(first, np.random.default_rng(7).random((3, 4)))
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_needs_a_trial(self, trials):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            check_waves(3, 3, trials, seed=0)
 
 
 class TestCellularTraining:
@@ -201,19 +222,12 @@ class TestCellularTraining:
         per_row = np.array([np.sum(A[i] * A[i]) for i in range(64)])
         assert np.array_equal(per_row, np.sum(A * A, axis=1))
 
-    def test_epoch_step_accounting(self):
-        rng = np.random.default_rng(8)
-        som = make_som(3, 4, 2, seed=0)
-        samples = rng.random((7, 2))
-        _, steps = ig_train_epoch(som, samples, lr=0.1, sigma=1.0)
-        assert steps == 7 * (propagation_steps(4, 3) + 1)  # wave + local learn
-
     def test_tiny_sigma_updates_only_the_bmu(self):
         rng = np.random.default_rng(9)
         som = make_som(3, 3, 4, seed=1)
         v = rng.random((1, 4))
         for result in (
-            ig_train_epoch(som, v, lr=0.5, sigma=1e-4)[0],
+            ig_train_epoch(som, v, lr=0.5, sigma=1e-4),
             train(som, v, TrainSchedule(1, 0.5, 0.5, 1e-4, 1e-4), seed=0,
                   grid_metric="manhattan"),
         ):

@@ -3,6 +3,8 @@
 import runpy
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -29,3 +31,8 @@ def test_ig_scaling_prints_one_row_per_grid(capsys):
     grids = [line.split()[0] for line in lines[1:] if line and "x" in line.split()[0]]
     assert grids == [f"{k}x{k}" for k in (2, 4, 8, 16, 32, 64)]
     assert lines[-1] == "verification on 12x12: 5 trials, 0 mismatches"
+
+
+def test_ig_scaling_refuses_zero_trials():
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        script_main("ig_scaling.py")(["--verify-trials", "0"])
