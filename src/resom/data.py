@@ -24,7 +24,7 @@ RSM1_MAGIC = b"RSM1"
 
 class DataFormatError(ValueError):
     """Malformed or unusable input data (bad magic, truncation, count
-    mismatch, no rows to pair, a broken record file)."""
+    mismatch, a non-finite feature, no rows to pair, a broken record file)."""
 
 
 @dataclass
@@ -201,11 +201,18 @@ def load_rsm1(path_or_file) -> FeatureMatrix:
 
 
 def load_features(path, labels_path=None) -> FeatureMatrix:
-    """Load a feature file, sniffing RSM1 vs IDX by magic."""
+    """Load a feature file, sniffing RSM1 vs IDX by magic.  A non-finite
+    value is a DataFormatError naming the file and the first row holding one."""
     with open(path, "rb") as f:
         rsm1 = f.read(len(RSM1_MAGIC)) == RSM1_MAGIC
         f.seek(0)
-        return load_rsm1(f) if rsm1 else load_idx(f, labels_path)
+        data = load_rsm1(f) if rsm1 else load_idx(f, labels_path)
+    # A float64 sum of finite float32 values cannot overflow, so a row's sum is
+    # non-finite exactly when the row holds a non-finite value; no full-size mask.
+    bad = np.flatnonzero(~np.isfinite(data.values.sum(axis=1, dtype=np.float64)))
+    if bad.size:
+        raise DataFormatError(f"{path}: row {bad[0]} holds a non-finite value")
+    return data
 
 
 # ---------------------------------------------------------------------------

@@ -266,7 +266,12 @@ def parse_spec(text: str) -> ExperimentSpec:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _FIELD_CODECS:
             raise SpecError(f"line {lineno}: unknown key {key!r}")
-        kwargs[key] = _FIELD_CODECS[key][1](value)
+        try:
+            kwargs[key] = _FIELD_CODECS[key][1](value)
+        except SpecError:
+            raise
+        except ValueError as e:
+            raise SpecError(f"line {lineno}: {key} = {value!r}: {e}") from e
     return ExperimentSpec(**kwargs)
 
 

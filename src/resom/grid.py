@@ -8,13 +8,14 @@ step at which a cell last improves its best record equals its Manhattan
 distance to the global best cell, which is what local training uses as the
 neighborhood distance: no second wave is needed.
 
-All step functions are double-buffered (new state built purely from the
-previous snapshot), so results cannot depend on cell iteration order.  A
-wave step copies each cell's own record and merges its four neighbours'
-previous records into the copy one neighbour at a time, as shifted-slice
-array operations over all cells: the pairwise merge of the per-cell
-reference in the tests (``winner_wave_cellwise``), which it must match in
-every field.
+A cell's record is one complex number, ``value - 1j * origin``; numpy
+orders complex numbers by real then imaginary part, so ``np.maximum`` of
+two records is the merge rule.  The wave is double-buffered (each step reads
+only the previous snapshot), so results cannot depend on cell iteration
+order.  A step merges each neighbour's previous records into a copy of the
+cells' own, one ``np.maximum`` over shifted slices per neighbour: the
+pairwise merge of the per-cell reference in the tests
+(``winner_wave_cellwise``), which it must match in every field.
 
 Cellular training is written row-wise: row n of each array is cell n's own
 weights, activity, wave output and update, and nothing crosses rows.  It is
@@ -88,15 +89,13 @@ _NEIGHBOURS = (
 
 
 def _wave(activities: np.ndarray):
-    """Yield each step's ``(values, origins, adopt)``, from step 0 to t_p.
+    """Yield each step's ``(records, adopt)``, from step 0 to t_p.
 
-    ``values`` and ``origins`` are (2, rows, cols): channel 0 is each cell's
-    best record, channel 1 its worst record with the value negated, so one
-    rule (higher value, then lower origin) merges both and the negation is
-    exact, signed zeros included.  ``adopt`` is the step at which each cell
-    last adopted a new best record.  Every step starts from a copy of each
-    cell's own previous record and merges its neighbours' previous records
-    into it one at a time: ``merge_summaries`` of the per-cell reference.
+    ``records`` is complex (2, rows, cols): channel 0 is each cell's best
+    record ``a - 1j*origin``, channel 1 its worst record with the value
+    negated, ``-a - 1j*origin``: one ``np.maximum`` (higher value, then lower
+    origin, signed zeros included) merges both.  ``adopt`` is each cell's
+    step of its last new best record.  A later step overwrites both arrays.
     """
     a = np.ascontiguousarray(activities, dtype=np.float64)
     if a.ndim != 2:
@@ -104,27 +103,27 @@ def _wave(activities: np.ndarray):
     if not np.isfinite(a).all():
         raise ValueError("activities contain non-finite values")
     rows, cols = a.shape
-    values = np.stack([a, -a])
-    origins = np.stack([np.arange(a.size, dtype=np.int64).reshape(rows, cols)] * 2)
+    prev, cur = np.empty((2, 2, rows, cols), dtype=np.complex128)
+    prev.real[0], prev.real[1] = a, -a
+    prev.imag = -np.arange(a.size).reshape(rows, cols)
     adopt = np.zeros((rows, cols), dtype=np.int64)
-    yield values, origins, adopt
+    yield prev, adopt
     for step in range(1, propagation_steps(rows, cols) + 1):
-        new_v, new_o = values.copy(), origins.copy()
+        np.copyto(cur, prev)
         for cells, seen in _NEIGHBOURS:
-            v, o, own_v, own_o = values[seen], origins[seen], new_v[cells], new_o[cells]
-            better = (v > own_v) | ((v == own_v) & (o < own_o))
-            np.copyto(own_v, v, where=better)
-            np.copyto(own_o, o, where=better)
-        adopt = np.where(new_o[0] != origins[0], step, adopt)
-        values, origins = new_v, new_o
-        yield values, origins, adopt
+            np.maximum(cur[cells], prev[seen], out=cur[cells])
+        adopt[cur[0] != prev[0]] = step
+        prev, cur = cur, prev
+        yield prev, adopt
 
 
 def winner_wave(activities: np.ndarray) -> WaveResult:
     """Run the full wave; distance_to_bmu is each cell's last-improvement step."""
-    for step, (values, origins, adopt) in enumerate(_wave(activities)):
+    for step, (records, adopt) in enumerate(_wave(activities)):
         pass
-    np.negative(values[1], out=values[1])  # in place: the records stay views of one array
+    values = records.real.copy()  # best and worst: views of one array, as are the origins
+    np.negative(values[1], out=values[1])
+    origins = np.negative(records.imag, out=np.empty(records.shape, np.int64), casting="unsafe")
     return WaveResult(
         best_values=values[0],
         best_origins=origins[0],
@@ -140,14 +139,13 @@ def wave_trace(activities: np.ndarray) -> list[dict]:
     return [
         {
             "step": step, "row": r, "col": c,
-            "best_value": values[0, r, c],
-            "best_origin": origins[0, r, c],
-            "worst_value": -values[1, r, c],
-            "worst_origin": origins[1, r, c],
+            "best_value": best.real, "best_origin": int(-best.imag),
+            "worst_value": -worst.real, "worst_origin": int(-worst.imag),
             "adopt_step": adopt[r, c],
         }
-        for step, (values, origins, adopt) in enumerate(_wave(activities))
+        for step, (records, adopt) in enumerate(_wave(activities))
         for r, c in np.ndindex(adopt.shape)
+        for best, worst in [records[:, r, c]]
     ]
 
 

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .data import FeatureMatrix
+from .data import DataFormatError, FeatureMatrix
 from .som import SomGrid, activities_batch
 
 # Draws of a subset that must cover every class before giving up.
@@ -41,7 +41,9 @@ def select_label_subset(data: FeatureMatrix, fraction: float, seed: int) -> Feat
 
     Subsets missing a class are rejected and redrawn (the per-class average
     is undefined otherwise); the redraw loop keeps consuming the same seeded
-    stream, so the result stays deterministic.
+    stream, so the result stays deterministic.  Data with no row of some
+    class below its highest is a DataFormatError, and a subset smaller than
+    the class count a ValueError, both before any draw.
     """
     if data.labels is None:
         raise ValueError("labeled data required")
@@ -50,6 +52,14 @@ def select_label_subset(data: FeatureMatrix, fraction: float, seed: int) -> Feat
     if size < 1:
         raise ValueError(f"fraction {fraction} selects no samples from {n}")
     n_classes = data.n_classes
+    missing = np.flatnonzero(np.bincount(data.labels, minlength=n_classes) == 0)
+    if missing.size:
+        raise DataFormatError(
+            f"no row has class {', '.join(map(str, missing))} "
+            f"(labels run from 0 to {n_classes - 1})"
+        )
+    if size < n_classes:
+        raise ValueError(f"no subset of size {size} covered all {n_classes} classes")
     rng = np.random.default_rng(seed)
     for _ in range(MAX_REDRAWS):
         rows = rng.choice(n, size=size, replace=False)

@@ -404,6 +404,22 @@ class TestNonFiniteInputs:
         assert capsys.readouterr().err == refusal
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("line, error", [
+        # "config error: invalid literal for int() with base 10: 'ten'"
+        ("epochs = ten", "epochs = 'ten': invalid literal for int()"),
+        # "config error: not enough values to unpack (expected 2, got 1)"
+        ("confused_x = 4-5", "confused_x = '4-5': not enough values to unpack"),
+    ], ids=["epochs-ten", "confused-x-4-5"])
+    def test_unparsable_spec_value_names_its_line_and_key(
+        self, tmp_path, capsys, no_training, line, error
+    ):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(TINY_SPEC + line + "\n")
+        assert run("pipeline", "--spec", spec, "--out", tmp_path / "r.csv") == 2
+        lineno = len(TINY_SPEC.splitlines()) + 1
+        assert f"config error: line {lineno}: {error}" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
     @pytest.mark.parametrize("command, flag", [
         ("prune-sweep", "--fractions"), ("alpha-sweep", "--alphas"),
     ])
@@ -524,6 +540,68 @@ def test_class_missing_from_y_is_a_data_error(workspace, tmp_path, capsys, no_tr
     assert run("pipeline", "--spec", spec, "--out", tmp_path / "r.csv") == 3
     assert "class 2 present in x but absent in y" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+
+def files_spec(path, x_train, y_train, x_test, y_test):
+    path.write_text(
+        f"dataset = files\nx_train = {x_train}\ny_train = {y_train}\n"
+        f"x_test = {x_test}\ny_test = {y_test}\ngrid_x = 4x4\ngrid_y = 4x4\n"
+    )
+    return path
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command", ["train", "label", "associate", "diverge-label", "converge", "pipeline"]
+)
+def test_non_finite_feature_is_a_data_error(workspace, tmp_path, capsys, no_training,
+                                            command, bad):
+    # `label` wrote a labeled map and exited 0; `train` exited 2 as a "config error".
+    w, t = workspace, tmp_path
+    x = load_features(w / "x_train.rsm1")
+    values = x.values.copy()
+    values[7, 2] = bad
+    save_rsm1(FeatureMatrix(values, x.labels), t / "bad.rsm1")
+    for name in ("xy", "yx"):
+        save_synapses(LateralSynapses.empty(4, 4), t / f"{name}.rlat", name.upper())
+    maps = ["--som-x", labeled_map(t / "x.rsom"), "--som-y", labeled_map(t / "y.rsom", seed=1)]
+    argv = {
+        "train": ["--modality", t / "bad.rsm1", "--grid", "2x2", "--out", t / "out"],
+        "label": ["--som", t / "x.rsom", "--data", t / "bad.rsm1", "--out", t / "out"],
+        "associate": [*maps, "--pairs-x", t / "bad.rsm1", "--pairs-y", w / "y_train.rsm1",
+                      "--out-xy", t / "out", "--out-yx", t / "out"],
+        "diverge-label": [*maps, "--syn-xy", t / "xy.rlat", "--data-x", t / "bad.rsm1",
+                          "--out", t / "out"],
+        "converge": [*maps, "--syn-xy", t / "xy.rlat", "--syn-yx", t / "yx.rlat",
+                     "--test-x", t / "bad.rsm1", "--test-y", w / "y_test.rsm1",
+                     "--metrics", t / "out"],
+        "pipeline": ["--spec", files_spec(t / "spec.txt", t / "bad.rsm1", w / "y_train.rsm1",
+                                          w / "x_test.rsm1", w / "y_test.rsm1"),
+                     "--out", t / "out"],
+    }[command]
+    assert run(command, *argv) == 3
+    assert "bad.rsm1: row 7 holds a non-finite value" in capsys.readouterr().err
+    assert not (t / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["label", "pipeline"])
+def test_labeled_data_without_a_class_is_a_data_error(workspace, tmp_path, capsys,
+                                                     no_training, command):
+    # Labels 1-3 and no class 0 made 1000 subset draws, then exited 2.
+    w, t = workspace, tmp_path
+    for name in ("x_train", "y_train"):
+        m = load_features(w / f"{name}.rsm1")
+        save_rsm1(m.take(np.flatnonzero(m.labels != 0)), t / f"{name}.rsm1")
+    argv = {
+        "label": ["--som", labeled_map(t / "x.rsom"), "--data", t / "x_train.rsm1",
+                  "--subset-frac", 0.1],
+        "pipeline": ["--spec", files_spec(t / "spec.txt", t / "x_train.rsm1",
+                                          t / "y_train.rsm1", w / "x_test.rsm1",
+                                          w / "y_test.rsm1")],
+    }[command]
+    assert run(command, *argv, "--out", t / "out") == 3
+    assert "no row has class 0 (labels run from 0 to 3)" in capsys.readouterr().err
+    assert not (t / "out").exists()
 
 
 REPORT_CELLS = {"seed": "0", "uni_x": "0.5", "uni_y": "0.6", "convergence": "0.7"}

@@ -130,6 +130,19 @@ class TestRsm1:
         assert load_features(idx).values.shape == (1, 4)
 
 
+    @settings(max_examples=30, deadline=None)
+    @given(values=hnp.arrays(np.float32, st.tuples(st.integers(1, 5), st.integers(1, 5)),
+                             elements=st.floats(-1e6, 1e6, width=32)),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf]), data=st.data())
+    def test_non_finite_cell_is_a_data_error(self, tmp_path_factory, values, bad, data):
+        row = data.draw(st.integers(0, values.shape[0] - 1))
+        values[row, data.draw(st.integers(0, values.shape[1] - 1))] = bad
+        path = tmp_path_factory.mktemp("rsm1") / "m.rsm1"
+        save_rsm1(FeatureMatrix(values, np.zeros(values.shape[0], dtype=np.int64)), path)
+        with pytest.raises(DataFormatError, match=f"m.rsm1: row {row} holds a non-finite"):
+            load_features(path)
+
+
 def assert_every_prefix_is_a_data_error(blob: bytes, load) -> None:
     for cut in range(len(blob)):
         with pytest.raises(DataFormatError):

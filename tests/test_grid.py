@@ -1,3 +1,7 @@
+import csv
+import hashlib
+import io
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -92,6 +96,14 @@ class TestWinnerWave:
             assert best.base is not None and best.base is worst.base
             assert np.shares_memory(best.base, worst)
 
+    def test_results_share_no_memory(self):
+        rng = np.random.default_rng(13)
+        first, second = winner_wave(rng.random((4, 5))), winner_wave(rng.random((4, 5)))
+        for a in vars(first).values():
+            for b in vars(second).values():
+                if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+                    assert not np.shares_memory(a, b)
+
     def test_rejects_non_grid(self):
         with pytest.raises(ValueError, match="rectangular"):
             winner_wave(np.zeros(5))
@@ -166,10 +178,11 @@ class TestLocality:
         b[2, 3] = 10.0  # perturbation source
         rows, cols = np.indices(a.shape)
         hop = np.abs(rows - 2) + np.abs(cols - 3)
-        for step, ((va, oa, _), (vb, ob, _)) in enumerate(zip(_wave(a), _wave(b))):
+        for step, ((ra, _), (rb, _)) in enumerate(zip(_wave(a), _wave(b))):
+            # A record is value - 1j * origin.
             untouched = hop > step
-            assert np.array_equal(va[0][untouched], vb[0][untouched])
-            assert np.array_equal(oa[0][untouched], ob[0][untouched])
+            assert np.array_equal(ra[0].real[untouched], rb[0].real[untouched])
+            assert np.array_equal(ra[0].imag[untouched], rb[0].imag[untouched])
 
 
 class TestTrace:
@@ -190,6 +203,25 @@ class TestTrace:
                     want = getattr(res, field + "s")[cell]
                     assert r[field] == want, field
                     assert np.signbit(r[field]) == np.signbit(want), field
+
+
+    def test_csv_matches_the_golden_digest(self):
+        # Value ties, signed zeros, one row and one column; written as ig-verify does.
+        grids = [
+            np.array([[0.0, -0.0, 0.5, -0.0], [-0.0, 0.0, 0.5, 0.0], [0.5, -0.0, 0.0, 0.5]]),
+            np.random.default_rng(5).random((5, 7)),
+            np.array([[0.25, 0.25, -0.0, 0.25]]),
+            np.array([[1.0], [1.0], [0.0]]),
+        ]
+        out = io.StringIO()
+        for a in grids:
+            rows = wave_trace(a)
+            writer = csv.DictWriter(out, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+            "da72b94bc6682357166fd7f39d65194646942cd8c8f8c3fcbe9a5d70990998e7"
+        )
 
 
 class TestCheckWaves:
