@@ -357,7 +357,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DataFormatError, FileNotFoundError) as e:
+    except (DataFormatError, OSError) as e:  # OSError: missing, unreadable or a directory
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except VerificationError as e:

@@ -181,6 +181,8 @@ class ExperimentSpec:
             raise SpecError(f"assoc_epochs must be >= 1, got {self.assoc_epochs}")
         if not self.seeds:
             raise SpecError("at least one seed required")
+        if min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
+            raise SpecError(f"seeds must be distinct and non-negative, got {self.seeds}")
         if self.dataset == "files":
             for key in ("x_train", "x_test", "y_train", "y_test"):
                 if not getattr(self, key):
@@ -520,7 +522,6 @@ def missing_files(spec: ExperimentSpec) -> list[str]:
 class SeedStages:
     """One seed's state up to pruning, which evaluate_seed reads at any keep."""
 
-    train_pairs: PairedDataset
     test_pairs: PairedDataset
     som_x: som_mod.SomGrid  # labeled
     som_y: som_mod.SomGrid  # unlabeled
@@ -562,8 +563,7 @@ def build_stages(spec: ExperimentSpec, seed: int, cache: StageCache | None = Non
         *(s.labels for s in (subset_x, subset_y) if s is not None),
     )
     return SeedStages(
-        train_pairs, test_pairs, som_x, som_y, som_y_direct, subset_x,
-        syn_xy, syn_yx, n_classes,
+        test_pairs, som_x, som_y, som_y_direct, subset_x, syn_xy, syn_yx, n_classes,
         som_mod.distances(som_x, test_pairs.x.values),
         som_mod.distances(som_y, test_pairs.y.values),
     )
@@ -591,7 +591,6 @@ class SeedEval:
     syn_xy: assoc.LateralSynapses  # pruned
     syn_yx: assoc.LateralSynapses
     som_y: som_mod.SomGrid  # map y as labeled for convergence
-    som_y_diverged: som_mod.SomGrid | None
     uni_y_diverged: float | None
     convergence: list[inference.Score]  # one per config
 
@@ -625,7 +624,7 @@ def evaluate_seed(
         )
         for cfg in configs
     ]
-    return SeedEval(syn_xy, syn_yx, som_y, diverged, uni_y_diverged, convergence)
+    return SeedEval(syn_xy, syn_yx, som_y, uni_y_diverged, convergence)
 
 
 def run_seed(

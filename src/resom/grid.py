@@ -17,11 +17,12 @@ cells' own, one ``np.maximum`` over shifted slices per neighbour: the
 pairwise merge of the per-cell reference in the tests
 (``winner_wave_cellwise``), which it must match in every field.
 
-Cellular training is written row-wise: row n of each array is cell n's own
-weights, activity, wave output and update, and nothing crosses rows.  It is
-bit-identical to ``som.train`` under the Manhattan metric because the
-row-wise square sums match per-row sums and every other operation is
-elementwise.
+Cellular training is ``som.train``'s rule, epochs and coefficients
+included, with one change: a cell's grid distance to the winner is its wave
+adoption step.  It is written row-wise (row n of each array is cell n's, and
+nothing crosses rows), so it is bit-identical to ``som.train`` under the
+Manhattan metric: row-wise square sums match per-row sums and every other
+operation is elementwise.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .som import SomGrid, TrainSchedule, decay, validate_training_data
+from .som import SomGrid, TrainSchedule, neighborhood, training_epochs, validate_training_data
 
 
 def propagation_steps(rows: int, cols: int) -> int:
@@ -183,42 +184,30 @@ def check_waves(rows: int, cols: int, trials: int, seed: int) -> tuple[int, np.n
 # Cellular training
 # ---------------------------------------------------------------------------
 
-def ig_train_epoch(som: SomGrid, samples: np.ndarray, lr: float, sigma: float) -> SomGrid:
-    """One epoch over ``samples`` in the given order.
+def ig_train(som: SomGrid, data: np.ndarray, schedule: TrainSchedule, seed: int) -> SomGrid:
+    """Cellular counterpart of som.train with the Manhattan grid metric.
 
     Per sample each cell computes its own activity, the winner wave delivers
     the BMU and the cell's Manhattan distance to it, then the cell updates its
     own weights locally; that is t_p + 1 simulator steps per sample
-    (``cost_report(...).total_steps`` for the epoch).  Row n of every array
+    (``cost_report(...).total_steps`` for the run).  Row n of every array
     below is cell n's: its weights, its activity, its wave output and its
-    update, with no value crossing rows.
-    """
-    W = som.weights.copy()
-    width, height = som.width, som.height
-    denom = 2.0 * sigma * sigma
-    for v in np.ascontiguousarray(samples, dtype=np.float64):
-        diff = v - W
-        acts = np.exp(-np.sqrt(np.sum(diff * diff, axis=1)))
-        d = winner_wave(acts.reshape(height, width)).distance_to_bmu.ravel()
-        h = np.exp(-(d * d) / denom)
-        W += (lr * h)[:, None] * diff
-    return replace(som, weights=W, labels=None)
-
-
-def ig_train(som: SomGrid, data: np.ndarray, schedule: TrainSchedule, seed: int) -> SomGrid:
-    """Cellular counterpart of som.train with the Manhattan grid metric.
-
-    Uses the same seeded shuffling and per-epoch decay, so the final weights
-    are bit-identical to train(..., grid_metric="manhattan").
+    update, with no value crossing rows.  Epochs and coefficients are
+    som.train's, so the weights equal train(..., grid_metric="manhattan")'s.
     """
     X = validate_training_data(som, data)
-    rng = np.random.default_rng(seed)
-    out = som
-    for t in range(schedule.epochs):
-        lr = decay(t, schedule.epochs, schedule.lr_start, schedule.lr_end)
-        sigma = decay(t, schedule.epochs, schedule.sigma_start, schedule.sigma_end)
-        out = ig_train_epoch(out, X[rng.permutation(X.shape[0])], lr, sigma)
-    return out
+    W = som.weights.copy()
+    # A wave reports hop counts 0..t_p only: tabulate their coefficients.
+    dsq = np.arange(propagation_steps(som.height, som.width) + 1.0) ** 2
+    for lr, sigma, (order,) in training_epochs(schedule, [seed], X.shape[0]):
+        h = neighborhood(dsq, lr, sigma)
+        for i in order:
+            diff = X[i] - W
+            acts = np.exp(-np.sqrt(np.sum(diff * diff, axis=1)))
+            for _, adopt in _wave(acts.reshape(som.height, som.width)):
+                pass
+            W += h[adopt.ravel()][:, None] * diff
+    return replace(som, weights=W, labels=None)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ contiguous d-row of a stack matches the per-row sum of a lone (k, d) map,
 every other operation is elementwise, and a stack's loop reads and writes
 only its own arrays, so the thread it runs on cannot change its result.
 tests/test_training_oracle.py checks this against the original one-map loop.
+``training_epochs`` and ``neighborhood`` are the training rule that
+grid.ig_train shares; only its winner distances differ.
 
 ``distances`` splits large jobs the same way: one contiguous row block per
 CPU, each block's cdist written into its rows of one result.  Each distance
@@ -137,6 +139,25 @@ def decay(t: int, t_final: int, v_start: float, v_end: float) -> float:
     if not 0 <= t <= t_final:
         raise ValueError(f"epoch {t} outside [0, {t_final}]")
     return v_start * (v_end / v_start) ** (t / t_final)
+
+
+def training_epochs(schedule: TrainSchedule, seeds: list[int], n: int):
+    """Yield each epoch's (lr, sigma, orders): both rates decayed to epoch t
+    and one permutation of range(n) per seed, from its own default_rng."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    for t in range(schedule.epochs):
+        lr = decay(t, schedule.epochs, schedule.lr_start, schedule.lr_end)
+        sigma = decay(t, schedule.epochs, schedule.sigma_start, schedule.sigma_end)
+        yield lr, sigma, [rng.permutation(n) for rng in rngs]
+
+
+def neighborhood(dsq: np.ndarray, lr: float, sigma: float, out=None) -> np.ndarray:
+    """Training coefficients lr * exp(-dsq / (2 sigma^2)) of squared grid
+    distances ``dsq``, written into ``out`` when given."""
+    out = np.divide(dsq, -(2.0 * sigma * sigma), out=out)
+    np.exp(out, out=out)
+    out *= lr
+    return out
 
 
 def distances(som: SomGrid, values: np.ndarray) -> np.ndarray:
@@ -270,16 +291,8 @@ def _train_stack(W, datas, seeds, dsq, schedule, samples, diff, sq, dist, table)
     are gathered into ``samples`` (M, block, d) one block at a time."""
     n = datas[0].shape[0]
     block = samples.shape[1]
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    for t in range(schedule.epochs):
-        lr = decay(t, schedule.epochs, schedule.lr_start, schedule.lr_end)
-        sigma = decay(t, schedule.epochs, schedule.sigma_start, schedule.sigma_end)
-        denom = 2.0 * sigma * sigma
-        # lr * exp(-dsq / denom), bit for bit, in place.
-        np.divide(dsq, -denom, out=table)
-        np.exp(table, out=table)
-        table *= lr
-        perms = [rng.permutation(n) for rng in rngs]
+    for lr, sigma, perms in training_epochs(schedule, seeds, n):
+        neighborhood(dsq, lr, sigma, out=table)
         for start in range(0, n, block):
             size = min(block, n - start)
             for X, perm, rows in zip(datas, perms, samples):

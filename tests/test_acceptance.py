@@ -11,6 +11,7 @@ import math
 import os
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -160,13 +161,15 @@ def test_divergence_labeling_parity():
             seeds=tuple(range(10)), confused_x=(), confused_y=(), diverge_beta=0.5
         )
         per_seed = [exp.build_stages(spec, s) for s in spec.seeds]
+        # Map y labeled by divergence, from the same built stages.
+        diverging = replace(spec, label_mode_y="diverge")
         direct, healthy, starved = [], [], []
         for st in per_seed:
             direct.append(exp.unimodal_accuracies(st)[1])
             for keep, sink in ((0.25, healthy), (0.02, starved)):
-                ev = exp.evaluate_seed(spec, st, keep, (), diverge=True)
+                ev = exp.evaluate_seed(diverging, st, keep, ())
                 disconnected = inference.disconnected_targets(ev.syn_xy)
-                assert (ev.som_y_diverged.labels[disconnected] == 0).all()
+                assert (ev.som_y.labels[disconnected] == 0).all()
                 if keep == 0.02:
                     assert disconnected.any(), "expected starved connectivity"
                 sink.append(ev.uni_y_diverged)

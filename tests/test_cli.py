@@ -383,6 +383,10 @@ class TestNonFiniteInputs:
         pytest.param("alpha_x = nan", id="alpha-nan"),
         # OverflowError traceback from the prune quota
         pytest.param("keep_fraction = inf", id="keep-inf"),
+        # reported "over 2 seeds" with std 0.00 from one seed run twice, exit 0
+        pytest.param("seeds = 0,0", id="seeds-repeated"),
+        # numpy's "expected non-negative integer", naming no field
+        pytest.param("seeds = -1", id="seeds-negative"),
     ] + [pytest.param(line, id=key) for key, (line, *_) in INVALID_VALUES.items()])
     def test_spec_is_refused_before_training(self, tmp_path, no_training, line):
         spec = tmp_path / "spec.txt"
@@ -625,6 +629,20 @@ def test_report_refuses_a_malformed_record(tmp_path, capsys, text):
     path.write_text(text)
     assert run("report", "--records", path) == 3
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["train", "label", "pipeline", "report"])
+def test_directory_path_is_a_data_error(tmp_path, capsys, command):
+    # Printed an IsADirectoryError traceback and exited 1.
+    argv = {
+        "train": ["--modality", tmp_path, "--grid", "2x2", "--out", tmp_path / "s.rsom"],
+        "label": ["--som", labeled_map(tmp_path / "x.rsom"), "--data", tmp_path,
+                  "--out", tmp_path / "out.rsom"],
+        "pipeline": ["--spec", tmp_path, "--out", tmp_path / "r.csv"],
+        "report": ["--records", tmp_path],
+    }[command]
+    assert run(command, *argv) == 3
+    assert "data error: " in capsys.readouterr().err
 
 
 def test_report_reads_the_report_columns(tmp_path, capsys):

@@ -60,6 +60,11 @@ class TestSpecFile:
         spec = parse_spec("# a comment\n\n  epochs = 5  # trailing\nseeds=1,2\n")
         assert spec.epochs == 5 and spec.seeds == (1, 2)
 
+    @pytest.mark.parametrize("seeds", ["0,0", "-1", "2,0,2"])
+    def test_seeds_are_distinct_and_non_negative(self, seeds):
+        with pytest.raises(SpecError, match="seeds must be distinct and non-negative"):
+            parse_spec(f"seeds = {seeds}\n")
+
     def test_unknown_key(self):
         with pytest.raises(SpecError, match="unknown key"):
             parse_spec("flux_capacitor = 1\n")
@@ -351,8 +356,9 @@ class TestSharedDistances:
         per_seed = []
         for seed in spec.seeds:
             stages = build_stages(spec, seed, StageCache(None))
+            train_pairs, _ = load_dataset(spec, seed)
             subset = labeling.select_label_subset(
-                getattr(stages.train_pairs, modality), fraction, seed * 1000 + offset
+                getattr(train_pairs, modality), fraction, seed * 1000 + offset
             )
             grid = stages.som_x if modality == "x" else stages.som_y
             per_seed.append((grid, subset, getattr(stages.test_pairs, modality), stages.n_classes))

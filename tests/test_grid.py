@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from resom.grid import (
     check_waves,
     cost_report,
     ig_train,
-    ig_train_epoch,
     propagation_steps,
     wave_trace,
     winner_wave,
@@ -258,15 +258,27 @@ class TestCellularTraining:
         rng = np.random.default_rng(9)
         som = make_som(3, 3, 4, seed=1)
         v = rng.random((1, 4))
+        schedule = TrainSchedule(1, 0.5, 0.5, 1e-4, 1e-4)
         for result in (
-            ig_train_epoch(som, v, lr=0.5, sigma=1e-4),
-            train(som, v, TrainSchedule(1, 0.5, 0.5, 1e-4, 1e-4), seed=0,
-                  grid_metric="manhattan"),
+            ig_train(som, v, schedule, seed=0),
+            train(som, v, schedule, seed=0, grid_metric="manhattan"),
         ):
             changed = np.flatnonzero(np.any(result.weights != som.weights, axis=1))
             diff = v[0] - som.weights
             bmu = int(np.argmin(np.sqrt(np.sum(diff * diff, axis=1))))
             assert changed.tolist() == [bmu]
+
+    def test_holds_no_copy_of_the_data(self):
+        # Each epoch walks its sample order by index, not a permuted copy.
+        X = np.random.default_rng(12).random((1_000, 256))
+        som = make_som(3, 2, 256, seed=0)
+        tracemalloc.start()
+        try:
+            ig_train(som, X, TrainSchedule(epochs=2), seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * X.nbytes
 
     def test_dimension_mismatch(self):
         som = make_som(2, 2, 3, seed=0)
