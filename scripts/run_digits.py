@@ -29,6 +29,8 @@ def main(argv=None):
     ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--out", default="results/digits_record.csv")
     args = ap.parse_args(argv)
+    if args.jobs < 1:
+        ap.error(f"--jobs must be at least 1, got {args.jobs}")
 
     spec = exp.digits_spec(args.data_dir, tuple(range(args.seeds)))
     missing = exp.missing_files(spec)

@@ -17,7 +17,7 @@ from . import experiments as exp
 from . import grid as ig
 from . import inference, labeling
 from . import som as som_mod
-from .data import DataFormatError, FeatureMatrix, load_features, pair_by_class
+from .data import DataFormatError, load_features, pair_by_class
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -35,16 +35,6 @@ class VerificationError(RuntimeError):
 def _spec(args) -> exp.ExperimentSpec:
     """The spec the parameter flags describe, checked before any file is read."""
     return exp.ExperimentSpec(**{k: v for k, v in vars(args).items() if k in exp._FIELD_CODECS})
-
-
-def _load_features(path, labels_path, som: som_mod.SomGrid) -> FeatureMatrix:
-    """Features for ``som``: a row width other than the map's is a data error."""
-    data = load_features(path, labels_path)
-    if data.n_features != som.dim:
-        raise DataFormatError(
-            f"{path}: rows have {data.n_features} features, the map takes {som.dim}"
-        )
-    return data
 
 
 def _load_synapses(path, direction: str, source: som_mod.SomGrid, target: som_mod.SomGrid):
@@ -77,7 +67,7 @@ def cmd_train(args) -> int:
 def cmd_label(args) -> int:
     spec = _spec(args)
     grid_som = som_mod.load_som(args.som)
-    data = _load_features(args.data, args.labels, grid_som)
+    data = load_features(args.data, args.labels, grid_som.dim)
     subset = labeling.select_label_subset(data, spec.label_fraction_x, args.seed)
     labeled = labeling.label_som(grid_som, subset, spec.alpha_x)
     som_mod.save_som(labeled, args.out)
@@ -100,8 +90,8 @@ def cmd_associate(args) -> int:
     spec = _spec(args)
     som_x = som_mod.load_som(args.som_x)
     som_y = som_mod.load_som(args.som_y)
-    x = _load_features(args.pairs_x, args.labels_x, som_x)
-    y = _load_features(args.pairs_y, args.labels_y, som_y)
+    x = load_features(args.pairs_x, args.labels_x, som_x.dim)
+    y = load_features(args.pairs_y, args.labels_y, som_y.dim)
     pairs = pair_by_class(x, y, args.pair_seed)
     syn_xy, syn_yx = assoc.associate(som_x, som_y, pairs, spec.rule, spec.eta, spec.assoc_epochs)
     pre = (syn_xy.n_synapses, syn_yx.n_synapses)
@@ -123,7 +113,7 @@ def cmd_diverge_label(args) -> int:
         raise exp.SpecError("--som-x must be a labeled checkpoint")
     som_y = som_mod.load_som(args.som_y)
     syn_xy = _load_synapses(args.syn_xy, "XY", som_x, som_y)
-    data = _load_features(args.data_x, args.labels_x, som_x)
+    data = load_features(args.data_x, args.labels_x, som_x.dim)
     subset = labeling.select_label_subset(data, spec.label_fraction_x, args.seed)
     labeled = inference.diverge_label(som_x, som_y, syn_xy, subset, spec.diverge_beta)
     som_mod.save_som(labeled, args.out)
@@ -140,8 +130,8 @@ def cmd_converge(args) -> int:
         raise exp.SpecError("--som-x and --som-y must be labeled checkpoints")
     syn_xy = _load_synapses(args.syn_xy, "XY", som_x, som_y)
     syn_yx = _load_synapses(args.syn_yx, "YX", som_y, som_x)
-    x = _load_features(args.test_x, args.test_labels_x, som_x)
-    y = _load_features(args.test_y, args.test_labels_y, som_y)
+    x = load_features(args.test_x, args.test_labels_x, som_x.dim)
+    y = load_features(args.test_y, args.test_labels_y, som_y.dim)
     pairs = pair_by_class(x, y, args.pair_seed)
     n_classes = inference.class_count(x.labels, y.labels, som_x.labels, som_y.labels)
     # Each map's test distances once; y's are gathered by the pairing, as in evaluate_seed.

@@ -1,5 +1,6 @@
 """Dataset loading, the binary codec of all four file formats, normalization
-and multimodal pairing.
+and multimodal pairing.  ``load_features`` is the one way feature files
+enter, and ``nonfinite_rows`` the one non-finite rule, which training shares.
 
 Feature matrices are stored as float32 (the on-disk precision of the RSM1
 cache format) with integer class labels.  All normalization statistics come
@@ -200,16 +201,28 @@ def load_rsm1(path_or_file) -> FeatureMatrix:
     return FeatureMatrix(values.reshape(rows, cols), labels.astype(np.int64))
 
 
-def load_features(path, labels_path=None) -> FeatureMatrix:
-    """Load a feature file, sniffing RSM1 vs IDX by magic.  A non-finite
-    value is a DataFormatError naming the file and the first row holding one."""
+def nonfinite_rows(values: np.ndarray) -> np.ndarray:
+    """Indices of the rows of 2-D ``values`` that hold a NaN or an infinity,
+    with no n x d mask: a row with a finite float64 sum is finite, and only
+    the others (an overflowing sum of huge values, too) are checked by value."""
+    with np.errstate(over="ignore", invalid="ignore"):  # such sums only flag their row
+        suspects = np.flatnonzero(~np.isfinite(values.sum(axis=1, dtype=np.float64)))
+    return suspects[~np.isfinite(values[suspects]).all(axis=1)]
+
+
+def load_features(path, labels_path=None, n_features=None) -> FeatureMatrix:
+    """Load a feature file, sniffing RSM1 vs IDX by magic.  Rows of another
+    width than ``n_features`` (when given), then a non-finite value, are a
+    DataFormatError naming the file (and the first row holding one)."""
     with open(path, "rb") as f:
         rsm1 = f.read(len(RSM1_MAGIC)) == RSM1_MAGIC
         f.seek(0)
         data = load_rsm1(f) if rsm1 else load_idx(f, labels_path)
-    # A float64 sum of finite float32 values cannot overflow, so a row's sum is
-    # non-finite exactly when the row holds a non-finite value; no full-size mask.
-    bad = np.flatnonzero(~np.isfinite(data.values.sum(axis=1, dtype=np.float64)))
+    if n_features is not None and data.n_features != n_features:
+        raise DataFormatError(
+            f"{path}: rows have {data.n_features} features, the map takes {n_features}"
+        )
+    bad = nonfinite_rows(data.values)
     if bad.size:
         raise DataFormatError(f"{path}: row {bad[0]} holds a non-finite value")
     return data

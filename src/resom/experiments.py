@@ -73,7 +73,7 @@ _FIELD_CHOICES = {
 
 
 class SpecError(ValueError):
-    """Invalid experiment spec (unknown key, bad value, missing file)."""
+    """Invalid experiment spec or run parameter (unknown key, bad value)."""
 
 
 def parse_grid(text: str) -> tuple[int, int]:
@@ -470,23 +470,17 @@ class RunRecord:
         return _digest(*parts)
 
 
-def _load_file_matrix(path: str, labels_path: str) -> FeatureMatrix:
-    try:
-        return load_features(path, labels_path or None)
-    except FileNotFoundError as e:
-        raise SpecError(f"missing data file: {e.filename}") from e
-
-
 def load_dataset(spec: ExperimentSpec, seed: int) -> tuple[PairedDataset, PairedDataset]:
-    """(train, test) pairs for one run; file datasets are paired per seed."""
+    """(train, test) pairs for one run; file datasets are paired per seed,
+    and a test file must be as wide as its training file."""
     if spec.dataset == "synthetic":
         return synthetic.make_paired_dataset(
             spec.synthetic_spec(), seed * 1000 + SEED_DATA
         )
-    x_train = _load_file_matrix(spec.x_train, spec.x_train_labels)
-    x_test = _load_file_matrix(spec.x_test, spec.x_test_labels)
-    y_train = _load_file_matrix(spec.y_train, spec.y_train_labels)
-    y_test = _load_file_matrix(spec.y_test, spec.y_test_labels)
+    x_train = load_features(spec.x_train, spec.x_train_labels or None)
+    y_train = load_features(spec.y_train, spec.y_train_labels or None)
+    x_test = load_features(spec.x_test, spec.x_test_labels or None, x_train.n_features)
+    y_test = load_features(spec.y_test, spec.y_test_labels or None, y_train.n_features)
     x_train, x_test = _NORMALIZERS[spec.normalize_x](x_train, x_test)
     y_train, y_test = _NORMALIZERS[spec.normalize_y](y_train, y_test)
     train = pair_by_class(x_train, y_train, seed * 1000 + SEED_PAIR_TRAIN)
@@ -672,11 +666,13 @@ def run_pipeline(
     jobs: int = 1,
     artifact_dir: str | None = None,
 ) -> RunRecord:
-    """All seeds of a spec; independent jobs when jobs > 1 (each seed names its own artifacts)."""
+    """All seeds of a spec, on up to one worker process per seed when jobs > 1."""
+    if jobs < 1:
+        raise SpecError(f"jobs must be at least 1, got {jobs}")
     started = time.perf_counter()
     run = partial(run_seed, spec, cache=cache, artifact_dir=artifact_dir)
     if jobs > 1 and len(spec.seeds) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(spec.seeds))) as pool:
             results = list(pool.map(run, spec.seeds))
     else:
         results = [run(s) for s in spec.seeds]

@@ -41,7 +41,7 @@ from functools import partial
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .data import DataFormatError, read_binary, write_binary
+from .data import DataFormatError, nonfinite_rows, read_binary, write_binary
 
 RSOM_MAGIC = b"RSOM"
 GRID_METRICS = ("euclidean", "manhattan")
@@ -233,7 +233,7 @@ def validate_training_data(som: SomGrid, data: np.ndarray) -> np.ndarray:
         raise ValueError(f"data shape {X.shape} does not match som dim {som.dim}")
     if X.shape[0] == 0:
         raise ValueError("empty dataset")
-    if not np.isfinite(X).all():
+    if nonfinite_rows(X).size:
         raise ValueError("training data contains non-finite values")
     return X
 

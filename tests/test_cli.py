@@ -608,6 +608,32 @@ def test_labeled_data_without_a_class_is_a_data_error(workspace, tmp_path, capsy
     assert not (t / "out").exists()
 
 
+@pytest.mark.parametrize("narrow", ["x_test", "y_test"])
+@pytest.mark.parametrize("command", ["pipeline", "prune-sweep", "alpha-sweep"])
+def test_test_file_narrower_than_its_training_file_is_a_data_error(
+    workspace, tmp_path, capsys, no_training, command, narrow
+):
+    # A 5-wide test file against 6-wide training rows trained both maps, then
+    # exited 2 with scipy's "XA and XB must have the same number of columns".
+    w = workspace
+    m = load_features(w / f"{narrow}.rsm1")
+    save_rsm1(FeatureMatrix(m.values[:, :5], m.labels), tmp_path / "narrow.rsm1")
+    files = {name: w / f"{name}.rsm1" for name in ("x_train", "y_train", "x_test", "y_test")}
+    spec = files_spec(tmp_path / "spec.txt", **{**files, narrow: tmp_path / "narrow.rsm1"})
+    assert run(command, "--spec", spec, "--out", tmp_path / "out.csv") == 3
+    assert "narrow.rsm1: rows have 5 features, the map takes 6" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_pipeline_needs_a_job(tmp_path, capsys, no_training, jobs):
+    spec = tmp_path / "spec.txt"
+    spec.write_text(TINY_SPEC.replace("seeds = 0", "seeds = 0,1"))
+    assert run("pipeline", "--spec", spec, "--jobs", jobs, "--out", tmp_path / "r.csv") == 2
+    assert f"config error: jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 REPORT_CELLS = {"seed": "0", "uni_x": "0.5", "uni_y": "0.6", "convergence": "0.7"}
 
 

@@ -15,6 +15,7 @@ from resom.data import (
     load_idx,
     load_idx_labels,
     load_rsm1,
+    nonfinite_rows,
     normalize_minmax,
     opened,
     pair_by_class,
@@ -141,6 +142,21 @@ class TestRsm1:
         save_rsm1(FeatureMatrix(values, np.zeros(values.shape[0], dtype=np.int64)), path)
         with pytest.raises(DataFormatError, match=f"m.rsm1: row {row} holds a non-finite"):
             load_features(path)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_nonfinite_rows_equal_the_exact_row_mask(dtype, data):
+    # Rows of huge finite values overflow a float64 row sum; they are finite.
+    huge = 1e308 if dtype is np.float64 else float(np.finfo(np.float32).max)
+    special = st.sampled_from([huge, -huge, np.nan, np.inf, -np.inf])
+    values = data.draw(hnp.arrays(
+        dtype, st.tuples(st.integers(0, 6), st.integers(0, 6)),
+        elements=st.one_of(st.floats(width=np.dtype(dtype).itemsize * 8), special),
+    ))
+    want = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    assert np.array_equal(nonfinite_rows(values), want)
 
 
 def assert_every_prefix_is_a_data_error(blob: bytes, load) -> None:

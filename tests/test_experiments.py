@@ -22,6 +22,7 @@ from resom.experiments import (
     evaluate_seed,
     format_spec,
     load_dataset,
+    load_spec,
     parse_spec,
     prune_sweep,
     read_record_csv,
@@ -234,6 +235,30 @@ class TestPipeline:
         assert names == sorted(path.name for path in (tmp_path / "b").iterdir())
         for name in names:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_starts_one_worker_process_per_seed_at_most(self, monkeypatch):
+        # --jobs 64 over two seeds asked the pool for 64 processes.
+        import resom.experiments as exp
+
+        workers = []
+
+        class InlinePool:  # records its size and starts no process
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(exp, "ProcessPoolExecutor", InlinePool)
+        spec = ExperimentSpec(**{**TINY, "seeds": (0, 1)})
+        record = run_pipeline(spec, StageCache(None), jobs=64)
+        assert workers == [2]
+        assert record.content_hash() == run_pipeline(spec, StageCache(None)).content_hash()
 
 
 class TestStageCache:
@@ -499,17 +524,19 @@ class TestFiles:
         for modality in ("x", "y"):
             assert len(alpha_sweep(spec, (1.0,), modality, StageCache(None))) == 1
 
-    def test_missing_file_is_spec_error(self, tmp_path):
-        spec = ExperimentSpec(
-            dataset="files",
-            x_train=str(tmp_path / "nope.rsm1"),
-            x_test=str(tmp_path / "nope.rsm1"),
-            y_train=str(tmp_path / "nope.rsm1"),
-            y_test=str(tmp_path / "nope.rsm1"),
-            seeds=(0,),
-        )
-        with pytest.raises(SpecError, match="missing data file"):
-            load_dataset(spec, seed=0)
+    def test_missing_file_is_a_data_error(self, tmp_path, monkeypatch):
+        # Exited 2 as "config error: missing data file", unlike every other data error.
+        spec = tmp_path / "spec.txt"
+        keys = ("x_train", "x_test", "y_train", "y_test")
+        spec.write_text("dataset = files\n" + "".join(f"{k} = {tmp_path}/nope.rsm1\n" for k in keys))
+        with pytest.raises(FileNotFoundError, match="nope.rsm1"):
+            load_dataset(load_spec(spec), seed=0)
+        def refuse(*args, **kwargs):
+            raise AssertionError("trained on a spec naming a missing file")
+
+        monkeypatch.setattr(resom.som, "train_many", refuse)
+        assert main(["pipeline", "--spec", str(spec), "--out", str(tmp_path / "r.csv")]) == 3
+        assert not (tmp_path / "r.csv").exists()
 
 
 class TestRecordsAndMetrics:

@@ -280,6 +280,18 @@ class TestCellularTraining:
             tracemalloc.stop()
         assert peak < 0.25 * X.nbytes
 
+    def test_finiteness_check_holds_no_mask(self):
+        # An n x d isfinite mask of the data was the whole peak, 0.125x the data.
+        X = np.random.default_rng(14).random((20_000, 64))
+        som = make_som(1, 1, 64, seed=0)
+        tracemalloc.start()
+        try:
+            ig_train(som, X, TrainSchedule(epochs=1), seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * X.nbytes
+
     def test_dimension_mismatch(self):
         som = make_som(2, 2, 3, seed=0)
         with pytest.raises(ValueError, match="dim"):

@@ -25,6 +25,13 @@ def test_run_digits_without_data_returns_3(tmp_path):
     assert script_main("run_digits.py")(["--data-dir", str(tmp_path)]) == 3
 
 
+def test_run_digits_refuses_zero_jobs(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        script_main("run_digits.py")(["--data-dir", str(tmp_path), "--jobs", "0"])
+    assert exit_info.value.code == 2
+    assert "--jobs must be at least 1, got 0" in capsys.readouterr().err
+
+
 def test_ig_scaling_prints_one_row_per_grid(capsys):
     assert script_main("ig_scaling.py")(["--verify-trials", "5"]) == 0
     lines = capsys.readouterr().out.splitlines()
