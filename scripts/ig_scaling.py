@@ -3,16 +3,18 @@
 centralized scan grows as n, and measured messages stay under the 4-per-cell
 bound because boundary cells have fewer neighbors.  Then N seeded 12x12
 waves are checked against the centralized oracle (BMU, WMU and each cell's
-distance to the BMU).
+distance to the BMU); a mismatch exits 4, as ``resom ig-verify`` does.
 
 Usage: python scripts/ig_scaling.py [--verify-trials N]
 """
 
 import argparse
 
+from resom import cli
 from resom import grid as ig
 
 
+@cli.exit_codes
 def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--verify-trials", type=int, default=200)
@@ -28,7 +30,9 @@ def main(argv=None):
 
     mismatches, _ = ig.check_waves(12, 12, args.verify_trials, seed=0)
     print(f"\nverification on 12x12: {args.verify_trials} trials, {mismatches} mismatches")
-    return 1 if mismatches else 0
+    if mismatches:
+        raise cli.VerificationError(f"{mismatches} wave/oracle mismatches")
+    return 0
 
 
 if __name__ == "__main__":

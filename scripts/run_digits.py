@@ -8,20 +8,20 @@ Expects, under --data-dir (default ./data):
 
 The RSM1 files hold 507-dimensional spoken-digit MFCC feature rows with
 their class labels (see README for the format).  Raw audio processing is out
-of scope here; prepare the features offline.
+of scope here; prepare the features offline.  Prints ``resom report`` of
+the record it writes, and exits with ``resom``'s codes.
 
 Usage: python scripts/run_digits.py [--data-dir data] [--seeds N] [--jobs J]
 """
 
 import argparse
-import sys
 from pathlib import Path
 
-import numpy as np
-
+from resom import cli
 from resom import experiments as exp
 
 
+@cli.exit_codes
 def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--data-dir", default="data")
@@ -29,24 +29,13 @@ def main(argv=None):
     ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--out", default="results/digits_record.csv")
     args = ap.parse_args(argv)
-    if args.jobs < 1:
-        ap.error(f"--jobs must be at least 1, got {args.jobs}")
 
     spec = exp.digits_spec(args.data_dir, tuple(range(args.seeds)))
-    missing = exp.missing_files(spec)
-    if missing:
-        print("missing data files:\n  " + "\n  ".join(missing), file=sys.stderr)
-        return 3
     record = exp.run_pipeline(spec, jobs=args.jobs)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     exp.write_record_csv(record, args.out)
-    best_uni = np.mean([max(r.uni_x, r.uni_y) for r in record.results])
-    print(f"unimodal best     {100 * best_uni:.2f}%")
-    print(f"convergence       {100 * record.mean:.2f}% +/- {100 * record.std:.2f}")
-    print(f"gain              {100 * (record.mean - best_uni):+.2f} points")
-    print(f"record -> {args.out}")
-    return 0
+    return cli.main(["report", "--records", args.out])
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(main())

@@ -10,41 +10,39 @@ from pathlib import Path
 
 import numpy as np
 
+from resom import cli
 from resom import experiments as exp
 from resom import inference
 
 
+@cli.exit_codes
 def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--seeds", type=int, default=10)
     ap.add_argument("--out-dir", default="results")
     args = ap.parse_args(argv)
+
+    spec = exp.ExperimentSpec(seeds=tuple(range(args.seeds)))  # checked before --out-dir exists
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    spec = exp.ExperimentSpec(seeds=tuple(range(args.seeds)))
     print(f"building {args.seeds} seeds of the default synthetic pipeline ...")
     per_seed = [exp.build_stages(spec, s) for s in spec.seeds]
-    uni = [exp.unimodal_accuracies(st) for st in per_seed]
-    ux = np.mean([x for x, _ in uni])
-    uy = np.mean([y for _, y in uni])
-    print(f"unimodal: x {100 * ux:.2f}%  y {100 * uy:.2f}%")
+    ux, uy = zip(*(exp.unimodal_accuracies(st) for st in per_seed))
+    print(f"unimodal: x {100 * np.mean(ux):.2f}%  y {100 * np.mean(uy):.2f}%")
 
     configs = inference.ALL_VARIANTS
     evals = [exp.evaluate_seed(spec, st, spec.keep_fraction, configs) for st in per_seed]
     variant_rows = []
-    for i, cfg in enumerate(configs):
-        accs = [ev.convergence[i].accuracy for ev in evals]
+    for cfg, scores in zip(configs, zip(*(ev.convergence for ev in evals))):
+        accs = [score.accuracy for score in scores]
+        mean, std = float(np.mean(accs)), float(np.std(accs))
         variant_rows.append({
             "variant": cfg.name(),
-            "accuracy_mean": float(np.mean(accs)),
-            "accuracy_std": float(np.std(accs)),
-            "gain_over_best_unimodal": float(np.mean(accs)) - max(ux, uy),
+            "accuracy_mean": mean,
+            "accuracy_std": std,
+            "gain_over_best_unimodal": exp.gain_over_best_unimodal(accs, ux, uy),
         })
-        print(
-            f"{cfg.name():<14} {100 * variant_rows[-1]['accuracy_mean']:6.2f}% "
-            f"+/- {100 * variant_rows[-1]['accuracy_std']:.2f}"
-        )
+        print(f"{cfg.name():<14} {100 * mean:6.2f}% +/- {100 * std:.2f}")
     exp.write_rows_csv(variant_rows, out / "convergence_variants.csv")
 
     print("pruning sweep (divergence and convergence paths) ...")
@@ -58,7 +56,8 @@ def main(argv=None):
             f"  convergence {100 * row['convergence_mean']:6.2f}%"
         )
     print(f"CSV written to {out}/")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -147,7 +147,9 @@ def cmd_converge(args) -> int:
         "accuracy": result.accuracy,
         "unimodal_x": uni_x.accuracy,
         "unimodal_y": uni_y.accuracy,
-        "gain_over_best_unimodal": result.accuracy - max(uni_x.accuracy, uni_y.accuracy),
+        "gain_over_best_unimodal": exp.gain_over_best_unimodal(
+            [result.accuracy], [uni_x.accuracy], [uni_y.accuracy]
+        ),
         "no_decision": result.n_no_decision,
         "samples": pairs.n_samples,
     }
@@ -155,10 +157,8 @@ def cmd_converge(args) -> int:
     if args.confusion_csv:
         np.savetxt(args.confusion_csv, result.confusion, fmt="%d", delimiter=",")
     if args.gain_csv:
-        gain = inference.gain_matrix(
-            result.confusion,
-            (uni_x if uni_x.accuracy >= uni_y.accuracy else uni_y).confusion,
-        )
+        best = max(uni_x, uni_y, key=lambda uni: uni.accuracy)  # x on a tie
+        gain = inference.gain_matrix(result.confusion, best.confusion)
         np.savetxt(args.gain_csv, gain, fmt="%.6f", delimiter=",")
     if args.metrics:
         print(f"accuracy={result.accuracy:.4f} (metrics -> {args.metrics})")
@@ -210,14 +210,15 @@ def cmd_prune_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     digest, rows = exp.read_record_csv(args.records)
-    conv = np.array([r["convergence"] for r in rows])
+    conv, uni_x, uni_y = (np.array([r[c] for r in rows]) for c in ("convergence", "uni_x", "uni_y"))
     metrics = {
         "spec_hash": digest,
         "seeds": len(rows),
         "convergence_mean": conv.mean(),
         "convergence_std": conv.std(),
-        "unimodal_x_mean": np.mean([r["uni_x"] for r in rows]),
-        "unimodal_y_mean": np.mean([r["uni_y"] for r in rows]),
+        "unimodal_x_mean": uni_x.mean(),
+        "unimodal_y_mean": uni_y.mean(),
+        "gain_over_best_unimodal": exp.gain_over_best_unimodal(conv, uni_x, uni_y),
     }
     exp.write_metrics(metrics, sys.stdout)
     return 0
@@ -343,19 +344,27 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def exit_codes(main):
+    """``main`` returning the exit code of an error it raises, told in one line on stderr."""
+    def run(*args):
+        try:
+            return main(*args)
+        except (DataFormatError, OSError) as e:  # OSError: missing, unreadable or a directory
+            print(f"data error: {e}", file=sys.stderr)
+            return EXIT_DATA
+        except VerificationError as e:
+            print(f"verification failed: {e}", file=sys.stderr)
+            return EXIT_VERIFY
+        except ValueError as e:  # SpecError included; DataFormatError is caught above
+            print(f"config error: {e}", file=sys.stderr)
+            return EXIT_CONFIG
+    return run
+
+
+@exit_codes
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (DataFormatError, OSError) as e:  # OSError: missing, unreadable or a directory
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except VerificationError as e:
-        print(f"verification failed: {e}", file=sys.stderr)
-        return EXIT_VERIFY
-    except ValueError as e:  # SpecError included; DataFormatError is caught above
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -470,6 +470,12 @@ class RunRecord:
         return _digest(*parts)
 
 
+def gain_over_best_unimodal(convergence, uni_x, uni_y) -> float:
+    """Mean convergence accuracy minus the mean over seeds of the better
+    unimodal map's accuracy; each argument holds one accuracy per seed."""
+    return float(np.mean(convergence) - np.mean(np.maximum(uni_x, uni_y)))
+
+
 def load_dataset(spec: ExperimentSpec, seed: int) -> tuple[PairedDataset, PairedDataset]:
     """(train, test) pairs for one run; file datasets are paired per seed,
     and a test file must be as wide as its training file."""
@@ -504,12 +510,6 @@ def digits_spec(data_dir, seeds: tuple[int, ...] = tuple(range(10))) -> Experime
         grid_x=(10, 10), grid_y=(16, 16), label_fraction_x=0.01, alpha_y=0.1,
         keep_fraction=0.1, beta_x=10.0, beta_y=10.0, seeds=tuple(seeds),
     )
-
-
-def missing_files(spec: ExperimentSpec) -> list[str]:
-    """The data files a spec names that do not exist."""
-    paths = [getattr(spec, name) for name in _FIELD_CODECS if name[:2] in ("x_", "y_")]
-    return [p for p in paths if p and not os.path.exists(p)]
 
 
 @dataclass

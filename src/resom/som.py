@@ -199,13 +199,12 @@ def activities_batch(som: SomGrid, values: np.ndarray, kernel_width: float) -> n
 
 def bmu_stream(som: SomGrid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample BMU index and BMU activity (kernel width 1), computed
-    4 096 rows at a time."""
-    block = 4096
-    v = np.ascontiguousarray(values, dtype=np.float64)
+    SAMPLE_BLOCK rows at a time, so only one block is ever cast to float64."""
+    v = np.asarray(values)
     idx = np.empty(v.shape[0], dtype=np.int64)
     val = np.empty(v.shape[0], dtype=np.float64)
-    for start in range(0, v.shape[0], block):
-        d = distances(som, v[start : start + block])
+    for start in range(0, v.shape[0], SAMPLE_BLOCK):
+        d = distances(som, v[start : start + SAMPLE_BLOCK])
         b = np.argmin(d, axis=1)
         idx[start : start + d.shape[0]] = b
         val[start : start + d.shape[0]] = np.exp(-d[np.arange(d.shape[0]), b])

@@ -676,9 +676,19 @@ def test_report_reads_the_report_columns(tmp_path, capsys):
     path.write_text("# spec_hash=ab\n" + record_text(REPORT_CELLS, rows=2))
     assert run("report", "--records", path) == 0
     assert capsys.readouterr().out == (
-        "convergence_mean=0.7\nconvergence_std=0.0\nseeds=2\nspec_hash=ab\n"
+        "convergence_mean=0.7\nconvergence_std=0.0\n"
+        f"gain_over_best_unimodal={0.7 - 0.6}\nseeds=2\nspec_hash=ab\n"
         "unimodal_x_mean=0.5\nunimodal_y_mean=0.6\n"
     )
+
+
+def test_report_gain_takes_the_better_map_of_each_seed(tmp_path, capsys):
+    # y is the better map of seed 0 and x of seed 1: the gain is 0.875 - 0.75,
+    # not 0.875 minus the better of the two mean accuracies (0.625).
+    path = tmp_path / "record.csv"
+    path.write_text("seed,uni_x,uni_y,convergence\n0,0.5,0.75,0.875\n1,0.75,0.5,0.875\n")
+    assert run("report", "--records", path) == 0
+    assert "gain_over_best_unimodal=0.125\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command, extra", [

@@ -1,9 +1,18 @@
-"""The runnable scripts under scripts/, called in-process through main(argv)."""
+"""The runnable scripts under scripts/, called in-process through main(argv).
+
+The scripts exit through ``resom``'s CLI mapping: 2 for a configuration
+error, 3 for a data error and 4 for a failed verification, each reported as
+one line on stderr.
+"""
 
 import runpy
 from pathlib import Path
 
 import pytest
+
+from resom import experiments as exp
+from resom import grid as ig
+from resom.cli import main
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -12,24 +21,75 @@ def script_main(name):
     return runpy.run_path(str(SCRIPTS / name))["main"]
 
 
+def one_line_error(capsys, prefix: str, message: str = "") -> None:
+    """stderr holds one line: ``prefix`` then a message containing ``message``."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix) and message in lines[0], lines
+
+
 def test_run_synthetic_writes_variants_and_sweep(tmp_path, monkeypatch):
     monkeypatch.delenv("RESOM_CACHE_DIR", raising=False)
-    script_main("run_synthetic.py")(["--seeds", "1", "--out-dir", str(tmp_path)])
+    assert script_main("run_synthetic.py")(["--seeds", "1", "--out-dir", str(tmp_path)]) == 0
     variants = (tmp_path / "convergence_variants.csv").read_text().splitlines()
     sweep = (tmp_path / "prune_sweep.csv").read_text().splitlines()
     assert len(variants) == 1 + 8
     assert len(sweep) == 1 + 6
 
 
-def test_run_digits_without_data_returns_3(tmp_path):
-    assert script_main("run_digits.py")(["--data-dir", str(tmp_path)]) == 3
+def test_run_synthetic_refuses_zero_seeds_before_creating_out_dir(tmp_path, capsys):
+    out = tmp_path / "results"
+    assert script_main("run_synthetic.py")(["--seeds", "0", "--out-dir", str(out)]) == 2
+    one_line_error(capsys, "config error: ", "at least one seed required")
+    assert not out.exists()
+
+
+def test_run_digits_without_data_returns_3(tmp_path, capsys):
+    record = tmp_path / "record.csv"
+    assert script_main("run_digits.py")(
+        ["--data-dir", str(tmp_path), "--out", str(record)]
+    ) == 3
+    one_line_error(capsys, "data error: ", "train-images-idx3-ubyte")
+    assert not record.exists()
+
+
+def test_run_digits_on_empty_data_files_returns_3(tmp_path, capsys):
+    # Ended in a DataFormatError traceback and exit 1.
+    spec = exp.digits_spec(tmp_path)
+    for name in ("mnist", "digits"):
+        (tmp_path / name).mkdir()
+    for path in (spec.x_train, spec.x_train_labels, spec.x_test, spec.x_test_labels,
+                 spec.y_train, spec.y_test):
+        Path(path).touch()
+    record = tmp_path / "record.csv"
+    assert script_main("run_digits.py")(
+        ["--data-dir", str(tmp_path), "--out", str(record)]
+    ) == 3
+    one_line_error(capsys, "data error: ")
+    assert not record.exists()
+
+
+def test_run_digits_refuses_zero_seeds(tmp_path, capsys):
+    assert script_main("run_digits.py")(["--data-dir", str(tmp_path), "--seeds", "0"]) == 2
+    one_line_error(capsys, "config error: ", "at least one seed required")
 
 
 def test_run_digits_refuses_zero_jobs(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        script_main("run_digits.py")(["--data-dir", str(tmp_path), "--jobs", "0"])
-    assert exit_info.value.code == 2
-    assert "--jobs must be at least 1, got 0" in capsys.readouterr().err
+    # Refused before any data is read: the data directory is empty.
+    assert script_main("run_digits.py")(["--data-dir", str(tmp_path), "--jobs", "0"]) == 2
+    one_line_error(capsys, "config error: ", "jobs must be at least 1, got 0")
+
+
+def test_run_digits_prints_the_report_of_its_record(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("RESOM_CACHE_DIR", raising=False)
+    monkeypatch.setattr(
+        exp, "digits_spec", lambda data_dir, seeds: exp.ExperimentSpec(seeds=seeds, epochs=1)
+    )
+    record = tmp_path / "out" / "record.csv"
+    assert script_main("run_digits.py")(["--seeds", "2", "--out", str(record)]) == 0
+    printed = capsys.readouterr().out
+    assert "gain_over_best_unimodal=" in printed
+    assert main(["report", "--records", str(record)]) == 0
+    assert capsys.readouterr().out == printed
 
 
 def test_ig_scaling_prints_one_row_per_grid(capsys):
@@ -40,6 +100,13 @@ def test_ig_scaling_prints_one_row_per_grid(capsys):
     assert lines[-1] == "verification on 12x12: 5 trials, 0 mismatches"
 
 
-def test_ig_scaling_refuses_zero_trials():
-    with pytest.raises(ValueError, match="trials must be at least 1"):
-        script_main("ig_scaling.py")(["--verify-trials", "0"])
+def test_ig_scaling_refuses_zero_trials(capsys):
+    assert script_main("ig_scaling.py")(["--verify-trials", "0"]) == 2
+    one_line_error(capsys, "config error: ", "trials must be at least 1")
+
+
+def test_ig_scaling_mismatch_exits_4(monkeypatch, capsys):
+    # Returned 1, where `resom ig-verify` exits 4.
+    monkeypatch.setattr(ig, "check_waves", lambda rows, cols, trials, seed: (2, None))
+    assert script_main("ig_scaling.py")(["--verify-trials", "5"]) == 4
+    one_line_error(capsys, "verification failed: ", "2 wave/oracle mismatches")

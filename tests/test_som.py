@@ -89,6 +89,22 @@ class TestDistances:
         assert np.array_equal(got, cdist(X, som.weights))
 
 
+class TestBmuStream:
+    def test_casts_one_sample_block_at_a_time(self):
+        # A float64 copy of the whole matrix peaked at 2.11x the float32 rows.
+        X = np.random.default_rng(14).random((20_000, 784), dtype=np.float32)
+        som = make_som(2, 2, 784, seed=0)
+        want = som_mod.bmu_stream(som, X.astype(np.float64))
+        tracemalloc.start()
+        try:
+            got = som_mod.bmu_stream(som, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * X.nbytes
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 class TestElection:
     def test_tie_breaks_to_lowest_index(self):
         bmu, wmu = elect_bmu_wmu(np.array([0.2, 0.9, 0.9]))
