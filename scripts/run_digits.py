@@ -19,6 +19,7 @@ from pathlib import Path
 
 from resom import cli
 from resom import experiments as exp
+from resom.data import opened
 
 
 @cli.exit_codes
@@ -31,9 +32,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     spec = exp.digits_spec(args.data_dir, tuple(range(args.seeds)))
-    record = exp.run_pipeline(spec, jobs=args.jobs)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    exp.write_record_csv(record, args.out)
+    with opened(args.out, "w") as out:
+        exp.write_record_csv(exp.run_pipeline(spec, jobs=args.jobs), out)
     return cli.main(["report", "--records", args.out])
 
 

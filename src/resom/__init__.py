@@ -10,12 +10,7 @@ communication.
 
 from .association import LateralSynapses, associate, prune
 from .data import FeatureMatrix, PairedDataset, load_idx, pair_by_class
-from .inference import (
-    ConvergenceConfig,
-    GlobalDecision,
-    converge_classify,
-    diverge_label,
-)
+from .inference import ConvergenceConfig, diverge_label
 from .grid import cost_report, ig_train, winner_wave
 from .labeling import label_som, select_label_subset
 from .som import SomGrid, TrainSchedule, make_som, train
@@ -23,13 +18,11 @@ from .som import SomGrid, TrainSchedule, make_som, train
 __all__ = [
     "ConvergenceConfig",
     "FeatureMatrix",
-    "GlobalDecision",
     "LateralSynapses",
     "PairedDataset",
     "SomGrid",
     "TrainSchedule",
     "associate",
-    "converge_classify",
     "cost_report",
     "diverge_label",
     "ig_train",

@@ -17,7 +17,7 @@ from . import experiments as exp
 from . import grid as ig
 from . import inference, labeling
 from . import som as som_mod
-from .data import DataFormatError, load_features, pair_by_class
+from .data import DataFormatError, load_features, opened, pair_by_class
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -54,33 +54,35 @@ def _load_synapses(path, direction: str, source: som_mod.SomGrid, target: som_mo
 def cmd_train(args) -> int:
     spec = _spec(args)
     width, height = exp.parse_grid(args.grid)
-    data = load_features(args.modality, args.labels)
-    grid_som = som_mod.train(
-        som_mod.make_som(width, height, data.n_features, args.seed),
-        data.values, spec.schedule(), args.seed, spec.grid_metric,
-    )
-    som_mod.save_som(grid_som, args.out)
+    with opened(args.out, "wb") as out:
+        data = load_features(args.modality, args.labels)
+        grid_som = som_mod.train(
+            som_mod.make_som(width, height, data.n_features, args.seed),
+            data.values, spec.schedule(), args.seed, spec.grid_metric,
+        )
+        som_mod.save_som(grid_som, out)
     print(f"trained {width}x{height} map on {data.n_samples} samples -> {args.out}")
     return 0
 
 
 def cmd_label(args) -> int:
     spec = _spec(args)
-    grid_som = som_mod.load_som(args.som)
-    data = load_features(args.data, args.labels, grid_som.dim)
-    subset = labeling.select_label_subset(data, spec.label_fraction_x, args.seed)
-    labeled = labeling.label_som(grid_som, subset, spec.alpha_x)
-    som_mod.save_som(labeled, args.out)
+    with opened(args.out, "wb") as out:
+        grid_som = som_mod.load_som(args.som)
+        data = load_features(args.data, args.labels, grid_som.dim)
+        subset = labeling.select_label_subset(data, spec.label_fraction_x, args.seed)
+        labeled = labeling.label_som(grid_som, subset, spec.alpha_x)
+        som_mod.save_som(labeled, out)
     print(f"labeled {labeled.n_neurons} neurons from {subset.n_samples} samples -> {args.out}")
     return 0
 
 
 def cmd_alpha_sweep(args) -> int:
     spec = exp.load_spec(args.spec)
-    rows = exp.alpha_sweep(
-        spec, tuple(float(a) for a in args.alphas.split(",")), args.modality
-    )
-    exp.write_rows_csv(rows, args.out)
+    alphas = tuple(float(a) for a in args.alphas.split(","))
+    with opened(args.out, "w") as out:
+        rows = exp.alpha_sweep(spec, alphas, args.modality)
+        exp.write_rows_csv(rows, out)
     for row in rows:
         print(f"alpha={row['alpha']} accuracy={row['accuracy_mean']:.4f}")
     return 0
@@ -88,17 +90,20 @@ def cmd_alpha_sweep(args) -> int:
 
 def cmd_associate(args) -> int:
     spec = _spec(args)
-    som_x = som_mod.load_som(args.som_x)
-    som_y = som_mod.load_som(args.som_y)
-    x = load_features(args.pairs_x, args.labels_x, som_x.dim)
-    y = load_features(args.pairs_y, args.labels_y, som_y.dim)
-    pairs = pair_by_class(x, y, args.pair_seed)
-    syn_xy, syn_yx = assoc.associate(som_x, som_y, pairs, spec.rule, spec.eta, spec.assoc_epochs)
-    pre = (syn_xy.n_synapses, syn_yx.n_synapses)
-    # A keep fraction of 1 or more keeps every synapse.
-    syn_xy, syn_yx = (assoc.prune(syn, spec.keep_fraction) for syn in (syn_xy, syn_yx))
-    assoc.save_synapses(syn_xy, args.out_xy, "XY")
-    assoc.save_synapses(syn_yx, args.out_yx, "YX")
+    with opened(args.out_xy, "wb") as out_xy, opened(args.out_yx, "wb") as out_yx:
+        som_x = som_mod.load_som(args.som_x)
+        som_y = som_mod.load_som(args.som_y)
+        x = load_features(args.pairs_x, args.labels_x, som_x.dim)
+        y = load_features(args.pairs_y, args.labels_y, som_y.dim)
+        pairs = pair_by_class(x, y, args.pair_seed)
+        syn_xy, syn_yx = assoc.associate(
+            som_x, som_y, pairs, spec.rule, spec.eta, spec.assoc_epochs
+        )
+        pre = (syn_xy.n_synapses, syn_yx.n_synapses)
+        # A keep fraction of 1 or more keeps every synapse.
+        syn_xy, syn_yx = (assoc.prune(syn, spec.keep_fraction) for syn in (syn_xy, syn_yx))
+        assoc.save_synapses(syn_xy, out_xy, "XY")
+        assoc.save_synapses(syn_yx, out_yx, "YX")
     print(
         f"synapses x->y {pre[0]} -> {syn_xy.n_synapses}, "
         f"y->x {pre[1]} -> {syn_yx.n_synapses}"
@@ -108,15 +113,16 @@ def cmd_associate(args) -> int:
 
 def cmd_diverge_label(args) -> int:
     spec = _spec(args)
-    som_x = som_mod.load_som(args.som_x)
-    if som_x.labels is None:
-        raise exp.SpecError("--som-x must be a labeled checkpoint")
-    som_y = som_mod.load_som(args.som_y)
-    syn_xy = _load_synapses(args.syn_xy, "XY", som_x, som_y)
-    data = load_features(args.data_x, args.labels_x, som_x.dim)
-    subset = labeling.select_label_subset(data, spec.label_fraction_x, args.seed)
-    labeled = inference.diverge_label(som_x, som_y, syn_xy, subset, spec.diverge_beta)
-    som_mod.save_som(labeled, args.out)
+    with opened(args.out, "wb") as out:
+        som_x = som_mod.load_som(args.som_x)
+        if som_x.labels is None:
+            raise exp.SpecError("--som-x must be a labeled checkpoint")
+        som_y = som_mod.load_som(args.som_y)
+        syn_xy = _load_synapses(args.syn_xy, "XY", som_x, som_y)
+        data = load_features(args.data_x, args.labels_x, som_x.dim)
+        subset = labeling.select_label_subset(data, spec.label_fraction_x, args.seed)
+        labeled = inference.diverge_label(som_x, som_y, syn_xy, subset, spec.diverge_beta)
+        som_mod.save_som(labeled, out)
     n_disc = int(inference.disconnected_targets(syn_xy).sum())
     print(f"diverge-labeled {labeled.n_neurons} neurons ({n_disc} disconnected) -> {args.out}")
     return 0
@@ -124,42 +130,47 @@ def cmd_diverge_label(args) -> int:
 
 def cmd_converge(args) -> int:
     cfg = _spec(args).convergence_config()
-    som_x = som_mod.load_som(args.som_x)
-    som_y = som_mod.load_som(args.som_y)
-    if som_x.labels is None or som_y.labels is None:
-        raise exp.SpecError("--som-x and --som-y must be labeled checkpoints")
-    syn_xy = _load_synapses(args.syn_xy, "XY", som_x, som_y)
-    syn_yx = _load_synapses(args.syn_yx, "YX", som_y, som_x)
-    x = load_features(args.test_x, args.test_labels_x, som_x.dim)
-    y = load_features(args.test_y, args.test_labels_y, som_y.dim)
-    pairs = pair_by_class(x, y, args.pair_seed)
-    n_classes = inference.class_count(x.labels, y.labels, som_x.labels, som_y.labels)
-    # Each map's test distances once; y's are gathered by the pairing, as in evaluate_seed.
-    dist_x = som_mod.distances(som_x, x.values)
-    dist_y = som_mod.distances(som_y, y.values)
-    result = inference.score_convergence(
-        som_x, som_y, syn_xy, syn_yx, dist_x, dist_y[pairs.pairing], x.labels, cfg, n_classes
-    )
-    uni_x = inference.score(som_x.labels[np.argmin(dist_x, axis=1)], x.labels, n_classes)
-    uni_y = inference.score(som_y.labels[np.argmin(dist_y, axis=1)], y.labels, n_classes)
-    metrics = {
-        "variant": cfg.name(),
-        "accuracy": result.accuracy,
-        "unimodal_x": uni_x.accuracy,
-        "unimodal_y": uni_y.accuracy,
-        "gain_over_best_unimodal": exp.gain_over_best_unimodal(
-            [result.accuracy], [uni_x.accuracy], [uni_y.accuracy]
-        ),
-        "no_decision": result.n_no_decision,
-        "samples": pairs.n_samples,
-    }
-    exp.write_metrics(metrics, args.metrics if args.metrics else sys.stdout)
-    if args.confusion_csv:
-        np.savetxt(args.confusion_csv, result.confusion, fmt="%d", delimiter=",")
-    if args.gain_csv:
-        best = max(uni_x, uni_y, key=lambda uni: uni.accuracy)  # x on a tie
-        gain = inference.gain_matrix(result.confusion, best.confusion)
-        np.savetxt(args.gain_csv, gain, fmt="%.6f", delimiter=",")
+    with (
+        opened(args.metrics or sys.stdout, "w") as metrics_out,
+        opened(args.confusion_csv, "w") as confusion_out,
+        opened(args.gain_csv, "w") as gain_out,
+    ):
+        som_x = som_mod.load_som(args.som_x)
+        som_y = som_mod.load_som(args.som_y)
+        if som_x.labels is None or som_y.labels is None:
+            raise exp.SpecError("--som-x and --som-y must be labeled checkpoints")
+        syn_xy = _load_synapses(args.syn_xy, "XY", som_x, som_y)
+        syn_yx = _load_synapses(args.syn_yx, "YX", som_y, som_x)
+        x = load_features(args.test_x, args.test_labels_x, som_x.dim)
+        y = load_features(args.test_y, args.test_labels_y, som_y.dim)
+        pairs = pair_by_class(x, y, args.pair_seed)
+        n_classes = inference.class_count(x.labels, y.labels, som_x.labels, som_y.labels)
+        # Each map's test distances once; y's are gathered by the pairing, as in evaluate_seed.
+        dist_x = som_mod.distances(som_x, x.values)
+        dist_y = som_mod.distances(som_y, y.values)
+        result = inference.score_convergence(
+            som_x, som_y, syn_xy, syn_yx, dist_x, dist_y[pairs.pairing], x.labels, cfg, n_classes
+        )
+        uni_x = inference.score(som_x.labels[np.argmin(dist_x, axis=1)], x.labels, n_classes)
+        uni_y = inference.score(som_y.labels[np.argmin(dist_y, axis=1)], y.labels, n_classes)
+        metrics = {
+            "variant": cfg.name(),
+            "accuracy": result.accuracy,
+            "unimodal_x": uni_x.accuracy,
+            "unimodal_y": uni_y.accuracy,
+            "gain_over_best_unimodal": exp.gain_over_best_unimodal(
+                [result.accuracy], [uni_x.accuracy], [uni_y.accuracy]
+            ),
+            "no_decision": result.n_no_decision,
+            "samples": pairs.n_samples,
+        }
+        exp.write_metrics(metrics, metrics_out)
+        if args.confusion_csv:
+            np.savetxt(confusion_out, result.confusion, fmt="%d", delimiter=",")
+        if args.gain_csv:
+            best = max(uni_x, uni_y, key=lambda uni: uni.accuracy)  # x on a tie
+            gain = inference.gain_matrix(result.confusion, best.confusion)
+            np.savetxt(gain_out, gain, fmt="%.6f", delimiter=",")
     if args.metrics:
         print(f"accuracy={result.accuracy:.4f} (metrics -> {args.metrics})")
     return 0
@@ -167,11 +178,11 @@ def cmd_converge(args) -> int:
 
 def cmd_ig_verify(args) -> int:
     width, height = exp.parse_grid(args.grid)
-    mismatches, first = ig.check_waves(height, width, args.trials, args.seed)
-    if args.trace:
-        with open(args.trace, "w", newline="") as f:
+    with opened(args.trace, "w", newline="") as trace:
+        mismatches, first = ig.check_waves(height, width, args.trials, args.seed)
+        if args.trace:
             rows_out = ig.wave_trace(first)
-            writer = csv.DictWriter(f, fieldnames=list(rows_out[0]))
+            writer = csv.DictWriter(trace, fieldnames=list(rows_out[0]))
             writer.writeheader()
             writer.writerows(rows_out)
     print(
@@ -186,8 +197,9 @@ def cmd_ig_verify(args) -> int:
 def cmd_pipeline(args) -> int:
     spec = exp.load_spec(args.spec)
     cache = exp.StageCache(args.cache) if args.cache else None
-    record = exp.run_pipeline(spec, cache, jobs=args.jobs, artifact_dir=args.artifacts)
-    exp.write_record_csv(record, args.out)
+    with opened(args.out, "w") as out:
+        record = exp.run_pipeline(spec, cache, jobs=args.jobs, artifact_dir=args.artifacts)
+        exp.write_record_csv(record, out)
     print(
         f"convergence accuracy {100 * record.mean:.2f} +/- {100 * record.std:.2f} "
         f"over {len(record.results)} seeds (record -> {args.out})"
@@ -198,8 +210,9 @@ def cmd_pipeline(args) -> int:
 def cmd_prune_sweep(args) -> int:
     spec = exp.load_spec(args.spec)
     fractions = tuple(float(f) for f in args.fractions.split(","))
-    rows = exp.prune_sweep(spec, fractions)
-    exp.write_rows_csv(rows, args.out)
+    with opened(args.out, "w") as out:
+        rows = exp.prune_sweep(spec, fractions)
+        exp.write_rows_csv(rows, out)
     for row in rows:
         print(
             f"keep={row['keep_fraction']} divergence={row['divergence_mean']:.4f} "

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import struct
 from dataclasses import dataclass
 from itertools import accumulate
@@ -92,12 +93,34 @@ class PairedDataset:
         return self.y.values[self.pairing]
 
 
-def opened(path_or_file, mode: str):
-    """A context manager over ``path_or_file``: a path is opened in ``mode``
-    and closed on exit; an open file is used as is and left open."""
-    if hasattr(path_or_file, "write" if "w" in mode else "read"):
+def opened(path_or_file, mode: str, newline=None):
+    """A context manager over ``path_or_file``: an open file (or None) is used
+    as is and left open; a path is opened in ``mode``.  To write, the block
+    gets a new temp file beside the path, which replaces the path when the
+    block ends and is removed when it raises: whole or not at all."""
+    if path_or_file is None or hasattr(path_or_file, "write" if "w" in mode else "read"):
         return contextlib.nullcontext(path_or_file)
-    return open(path_or_file, mode)
+    if "w" not in mode:
+        return open(path_or_file, mode)
+    return _committed(path_or_file, mode.replace("w", "x"), newline)
+
+
+@contextlib.contextmanager
+def _committed(path, mode: str, newline):
+    if os.path.isdir(path):  # else found only by the os.replace after the work
+        raise IsADirectoryError(f"Is a directory: {str(path)!r}")
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    try:
+        f = open(tmp, mode, newline=newline)  # open's umask permissions, unlike mkstemp's 0600
+    except OSError as e:  # told as the output's error, not the temp's
+        raise OSError(e.errno, e.strerror, str(path)) from None
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -140,15 +163,21 @@ def read_binary(path_or_file, magic: bytes, header: str, layout) -> tuple[tuple,
     magic and the ``struct`` header, ``layout(*fields)`` lists the arrays as
     (dtype, count) pairs or refuses the header with DataFormatError.  The
     arrays are read-only views of one exact read, so a short file or an
-    oversize header is a DataFormatError before any array is allocated."""
+    oversize header is a DataFormatError before any array is allocated; its
+    message starts with the file's name when the file has one."""
     with opened(path_or_file, "rb") as f:
-        got = _read_exact(f, len(magic))
-        if got != magic:
-            raise DataFormatError(f"bad magic {got!r}, expected {magic!r}")
-        fields = struct.unpack(header, _read_exact(f, struct.calcsize(header)))
-        shapes = [(np.dtype(dtype), count) for dtype, count in layout(*fields)]
-        sizes = [dtype.itemsize * count for dtype, count in shapes]
-        payload = _read_exact(f, sum(sizes))
+        try:
+            got = _read_exact(f, len(magic))
+            if got != magic:
+                raise DataFormatError(f"bad magic {got!r}, expected {magic!r}")
+            fields = struct.unpack(header, _read_exact(f, struct.calcsize(header)))
+            shapes = [(np.dtype(dtype), count) for dtype, count in layout(*fields)]
+            sizes = [dtype.itemsize * count for dtype, count in shapes]
+            payload = _read_exact(f, sum(sizes))
+        except DataFormatError as e:
+            if getattr(f, "name", None) is None:  # an in-memory file
+                raise
+            raise DataFormatError(f"{f.name}: {e}") from None
     starts = accumulate(sizes, initial=0)
     return fields, [np.frombuffer(payload, dt, n, at) for (dt, n), at in zip(shapes, starts)]
 

@@ -17,7 +17,6 @@ import hashlib
 import io
 import math
 import os
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -301,7 +300,7 @@ class StageCache:
     """Byte blobs keyed by content hashes of their inputs.
 
     A stored file is the sha256 digest of the blob followed by the blob.  It
-    is written through a unique temporary file and renamed into place, so
+    is written through ``opened``, which renames a whole file into place, so
     runs sharing one directory never read a half-written file; a short or
     corrupt file reads as a miss, and the stage is recomputed and rewritten.
     """
@@ -332,15 +331,9 @@ class StageCache:
     def put(self, key: str, blob: bytes) -> None:
         if not self.directory:
             return
-        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=key + ".", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(hashlib.sha256(blob).digest())
-                f.write(blob)
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        with opened(self._path(key), "wb") as f:
+            f.write(hashlib.sha256(blob).digest())
+            f.write(blob)
 
 
 def _digest(*parts) -> str:
@@ -779,19 +772,19 @@ def alpha_sweep(
 # ---------------------------------------------------------------------------
 
 
-def write_record_csv(record: RunRecord, path) -> None:
-    with open(path, "w") as f:
+def write_record_csv(record: RunRecord, path_or_file) -> None:
+    with opened(path_or_file, "w") as f:
         f.write("# spec_hash=" + record.spec_digest + "\n")
         f.write(",".join(RECORD_COLUMNS) + "\n")
         for r in record.results:
             f.write(",".join(str(getattr(r, c)) for c in RECORD_COLUMNS) + "\n")
 
 
-def write_rows_csv(rows: list[dict], path) -> None:
+def write_rows_csv(rows: list[dict], path_or_file) -> None:
     if not rows:
         raise ValueError("nothing to write")
     cols = list(rows[0])
-    with open(path, "w") as f:
+    with opened(path_or_file, "w") as f:
         f.write(",".join(cols) + "\n")
         for row in rows:
             f.write(",".join(str(row[c]) for c in cols) + "\n")

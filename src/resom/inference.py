@@ -81,13 +81,6 @@ ALL_VARIANTS = tuple(
 )
 
 
-@dataclass(frozen=True)
-class GlobalDecision:
-    map_id: str  # "x" | "y"
-    neuron: int
-    label: int
-
-
 def minmax_rows(fields: np.ndarray) -> np.ndarray:
     """Min-max normalize each row via its BMU/WMU; constant rows become 0."""
     lo = fields.min(axis=1, keepdims=True)
@@ -240,27 +233,6 @@ def converge_from_fields(
         neurons=np.where(decided, neurons, -1),
         labels=np.where(decided, labels, -1),
     )
-
-
-def converge_classify(
-    v_x: np.ndarray,
-    v_y: np.ndarray,
-    som_x: SomGrid,
-    som_y: SomGrid,
-    syn_xy: LateralSynapses,
-    syn_yx: LateralSynapses,
-    cfg: ConvergenceConfig,
-) -> GlobalDecision | None:
-    """Single-sample convergence; None signals an explicit no-decision."""
-    batch = converge_from_fields(
-        som_x, som_y, syn_xy, syn_yx,
-        activities_batch(som_x, np.asarray(v_x)[None, :], cfg.kernel_width_x),
-        activities_batch(som_y, np.asarray(v_y)[None, :], cfg.kernel_width_y),
-        cfg,
-    )
-    if batch.no_decision[0]:
-        return None
-    return GlobalDecision(str(batch.map_ids[0]), int(batch.neurons[0]), int(batch.labels[0]))
 
 
 # ---------------------------------------------------------------------------

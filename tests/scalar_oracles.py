@@ -7,15 +7,19 @@ library computes the same quantities in batches
 (``som.distances``/``activities_from_distances``, the per-epoch table in
 ``som.train_many``, ``np.argmax`` over activity rows,
 ``labeling.class_means``, the ``grid`` wave loop); the tests check
-those against these oracles.
+those against these oracles.  ``converge_classify`` is no oracle: it is
+the one-sample form of ``inference.converge_from_fields`` that the
+convergence tests state their expected winners with.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from resom.association import LateralSynapses
 from resom.grid import WaveResult, propagation_steps
-from resom.som import SomGrid
+from resom.inference import ConvergenceConfig, converge_from_fields
+from resom.som import SomGrid, activities_batch
 
 
 @dataclass
@@ -138,3 +142,31 @@ def winner_wave_cellwise(activities: np.ndarray, cell_order=None) -> WaveResult:
     wv = np.array([[states[(r, c)].worst_value for c in range(cols)] for r in range(rows)])
     wo = np.array([[states[(r, c)].worst_origin for c in range(cols)] for r in range(rows)])
     return WaveResult(bv, bo, wv, wo, adopt, t_p)
+
+
+@dataclass(frozen=True)
+class GlobalDecision:
+    map_id: str  # "x" | "y"
+    neuron: int
+    label: int
+
+
+def converge_classify(
+    v_x: np.ndarray,
+    v_y: np.ndarray,
+    som_x: SomGrid,
+    som_y: SomGrid,
+    syn_xy: LateralSynapses,
+    syn_yx: LateralSynapses,
+    cfg: ConvergenceConfig,
+) -> GlobalDecision | None:
+    """Single-sample convergence; None signals an explicit no-decision."""
+    batch = converge_from_fields(
+        som_x, som_y, syn_xy, syn_yx,
+        activities_batch(som_x, np.asarray(v_x)[None, :], cfg.kernel_width_x),
+        activities_batch(som_y, np.asarray(v_y)[None, :], cfg.kernel_width_y),
+        cfg,
+    )
+    if batch.no_decision[0]:
+        return None
+    return GlobalDecision(str(batch.map_ids[0]), int(batch.neurons[0]), int(batch.labels[0]))

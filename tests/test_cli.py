@@ -179,7 +179,7 @@ class TestExitCodes:
         assert run("ig-verify", "--grid", "3x3", "--trials", trials, "--trace", trace) == 2
         assert not trace.exists()
 
-    def test_verification_failure(self, monkeypatch):
+    def test_verification_failure(self, monkeypatch, tmp_path):
         import resom.cli as cli
 
         real = cli.ig.winner_wave
@@ -190,7 +190,9 @@ class TestExitCodes:
             return res
 
         monkeypatch.setattr(cli.ig, "winner_wave", lying_wave)
-        assert run("ig-verify", "--grid", "3x3", "--trials", 2) == 4
+        trace = tmp_path / "trace.csv"
+        assert run("ig-verify", "--grid", "3x3", "--trials", 2, "--trace", trace) == 4
+        assert trace.exists()  # the trace of the failing run is kept
 
 
 def labeled_map(path, width=2, height=2, dim=6, seed=0):
@@ -770,3 +772,55 @@ def test_features_that_do_not_fit_the_map_are_a_data_error(workspace, tmp_path, 
     err = capsys.readouterr().err
     assert "rows have 3 features, the map takes 6" in err
     assert not out.exists()
+
+
+@pytest.fixture
+def training_calls(monkeypatch):
+    """The arguments of each ``som.train_many`` call the test makes."""
+    calls = []
+    train_many = resom.som.train_many
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return train_many(*args, **kwargs)
+
+    monkeypatch.setattr(resom.som, "train_many", counted)
+    return calls
+
+
+@pytest.mark.parametrize("out, error", [
+    (("no", "such", "r.csv"), "No such file or directory"), (("adir",), "Is a directory"),
+], ids=["missing-directory", "directory"])
+@pytest.mark.parametrize("command", ["pipeline", "prune-sweep", "alpha-sweep", "train"])
+def test_output_path_that_cannot_be_written_exits_before_training(
+    workspace, tmp_path, capsys, training_calls, command, out, error
+):
+    # pipeline, prune-sweep and alpha-sweep trained every seed, then exited 3.
+    spec = tmp_path / "spec.txt"
+    spec.write_text(TINY_SPEC.replace("seeds = 0", "seeds = 0,1"))
+    (tmp_path / "adir").mkdir()
+    argv = (["--modality", workspace / "x_train.rsm1", "--grid", "2x2"] if command == "train"
+            else ["--spec", spec])
+    out = tmp_path.joinpath(*out)
+    assert run(command, *argv, "--out", out) == 3
+    assert capsys.readouterr().err.endswith(f"{error}: '{out}'\n")
+    assert training_calls == []
+    assert list(tmp_path.glob("**/*.tmp")) == []
+
+
+def test_a_failed_pipeline_keeps_the_earlier_record(workspace, tmp_path):
+    w, t = workspace, tmp_path
+    spec = t / "spec.txt"
+    spec.write_text(TINY_SPEC)
+    record = t / "record.csv"
+    assert run("pipeline", "--spec", spec, "--out", record) == 0
+    earlier = record.read_bytes()
+    x = load_features(w / "x_test.rsm1")
+    values = x.values.copy()
+    values[3, 1] = np.nan
+    save_rsm1(FeatureMatrix(values, x.labels), t / "bad.rsm1")
+    bad = files_spec(t / "bad.txt", w / "x_train.rsm1", w / "y_train.rsm1",
+                     t / "bad.rsm1", w / "y_test.rsm1")
+    assert run("pipeline", "--spec", bad, "--out", record) == 3
+    assert record.read_bytes() == earlier
+    assert list(t.glob("*.tmp")) == []

@@ -1,4 +1,5 @@
 import io
+import os
 import struct
 
 import numpy as np
@@ -159,15 +160,16 @@ def test_nonfinite_rows_equal_the_exact_row_mask(dtype, data):
     assert np.array_equal(nonfinite_rows(values), want)
 
 
-def assert_every_prefix_is_a_data_error(blob: bytes, load) -> None:
+def assert_every_prefix_is_a_data_error(blob: bytes, load, path=None) -> None:
+    """Each proper prefix of ``blob`` is a DataFormatError; its message names
+    ``path``, the file ``load`` reads it from, unless that is None."""
     for cut in range(len(blob)):
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataFormatError) as refused:
             load(blob[:cut])
+        assert path is None or str(refused.value).startswith(f"{path}: ")
 
 
-def load_via_file(tmp_dir, reader):
-    path = tmp_dir / "blob"
-
+def load_via_file(path, reader):
     def load(blob):
         path.write_bytes(blob)
         return reader(path)
@@ -196,9 +198,12 @@ class TestCodecFuzz:
         flat = images.reshape(images.shape[0], images.shape[1] * images.shape[2])
         assert np.array_equal(m.values, flat.astype(np.float32) / np.float32(255.0))
         assert np.array_equal(m.labels, labels)
-        assert_every_prefix_is_a_data_error(idx_image_bytes(images), load_via_file(tmp, load_idx))
+        cut = tmp / "cut"
         assert_every_prefix_is_a_data_error(
-            idx_label_bytes(labels), load_via_file(tmp, load_idx_labels)
+            idx_image_bytes(images), load_via_file(cut, load_idx), cut
+        )
+        assert_every_prefix_is_a_data_error(
+            idx_label_bytes(labels), load_via_file(cut, load_idx_labels), cut
         )
 
     @settings(max_examples=25, deadline=None)
@@ -211,7 +216,8 @@ class TestCodecFuzz:
         back = load_rsm1(tmp / "m.rsm1")
         assert np.array_equal(back.values, values) and np.array_equal(back.labels, labels)
         blob = (tmp / "m.rsm1").read_bytes()
-        assert_every_prefix_is_a_data_error(blob, load_via_file(tmp, load_rsm1))
+        cut = tmp / "cut"
+        assert_every_prefix_is_a_data_error(blob, load_via_file(cut, load_rsm1), cut)
 
     @settings(max_examples=25, deadline=None)
     @given(width=st.integers(1, 3), height=st.integers(1, 3), dim=st.integers(1, 4),
@@ -266,6 +272,27 @@ class TestOpened:
             assert f.read() == b"abc"
         assert f.closed
 
+    def test_a_raising_block_leaves_the_earlier_file_and_no_temp(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_text("earlier")
+        with pytest.raises(RuntimeError), opened(path, "w") as f:
+            f.write("later")
+            raise RuntimeError
+        assert path.read_text() == "earlier"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_a_written_path_gets_the_mode_bits_of_open(self, tmp_path):
+        umask = os.umask(0o022)  # mkstemp's files would be 0600, not 0644
+        try:
+            with open(tmp_path / "plain", "w"):
+                pass
+            with opened(tmp_path / "committed", "w"):
+                pass
+        finally:
+            os.umask(umask)
+        mode = (tmp_path / "plain").stat().st_mode
+        assert (tmp_path / "committed").stat().st_mode == mode == 0o100644
+
     @pytest.mark.parametrize("save, obj, text", [
         (save_som, SomGrid(2, 1, np.eye(2), np.array([0, 1])), False),
         (save_synapses, LateralSynapses.empty(2, 3), False),
@@ -317,6 +344,33 @@ def test_writer_bytes_follow_the_documented_layout(name):
     buf = io.BytesIO()
     write(buf)
     assert buf.getvalue() == expected
+
+
+@pytest.mark.parametrize("name, reader", [("rsom", load_som), ("rlat", load_synapses)])
+def test_every_prefix_of_a_file_names_the_file(tmp_path, name, reader):
+    path = tmp_path / f"cut.{name}"
+    assert_every_prefix_is_a_data_error(LAYOUTS[name][1], load_via_file(path, reader), path)
+
+
+@pytest.mark.parametrize("blob, reader, message", [
+    (b"RSM2", load_rsm1, "bad magic"),
+    (b"\x00\x00\x08\x03" + struct.pack(">III", 1, 0, 3), load_idx, "IDX images of 0x3"),
+    (b"RSOM" + struct.pack("<IIIB", 0, 1, 2, 0), load_som, "checkpoint holds no weights"),
+    (b"RLAT" + struct.pack("<2sIII", b"\xff\xff", 1, 1, 0), load_synapses, "direction tag"),
+    (b"", load_features, "truncated payload"),
+], ids=["magic", "idx-layout", "rsom-layout", "rlat-layout", "load-features"])
+def test_a_refused_header_names_the_file(tmp_path, blob, reader, message):
+    path = tmp_path / "refused"
+    path.write_bytes(blob)
+    with pytest.raises(DataFormatError) as refused:
+        reader(path)
+    assert str(refused.value).startswith(f"{path}: ") and message in str(refused.value)
+
+
+def test_an_in_memory_file_is_not_named():
+    with pytest.raises(DataFormatError) as refused:
+        load_rsm1(io.BytesIO())
+    assert str(refused.value) == "truncated payload: wanted 4 bytes, 0 left"
 
 
 class TestNormalization:

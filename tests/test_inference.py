@@ -8,7 +8,6 @@ from resom.association import LateralSynapses
 from resom.data import FeatureMatrix, PairedDataset
 from resom.inference import (
     ConvergenceConfig,
-    converge_classify,
     converge_from_fields,
     disconnected_targets,
     diverge_label,
@@ -21,7 +20,7 @@ from resom.inference import (
 )
 from resom.labeling import label_som
 from resom.som import SomGrid, activities_batch
-from scalar_oracles import activation_field
+from scalar_oracles import activation_field, converge_classify
 
 
 def classify_batch(som_x, som_y, syn_xy, syn_yx, values_x, values_y, cfg):

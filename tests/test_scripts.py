@@ -64,7 +64,7 @@ def test_run_digits_on_empty_data_files_returns_3(tmp_path, capsys):
     assert script_main("run_digits.py")(
         ["--data-dir", str(tmp_path), "--out", str(record)]
     ) == 3
-    one_line_error(capsys, "data error: ")
+    one_line_error(capsys, "data error: ", "train-images-idx3-ubyte")
     assert not record.exists()
 
 
