@@ -11,7 +11,7 @@ their class labels (see README for the format).  Raw audio processing is out
 of scope here; prepare the features offline.  Prints ``resom report`` of
 the record it writes, and exits with ``resom``'s codes.
 
-Usage: python scripts/run_digits.py [--data-dir data] [--seeds N] [--jobs J]
+Usage: python scripts/run_digits.py [--data-dir data] [--seeds N] [--out CSV]
 """
 
 import argparse
@@ -27,14 +27,13 @@ def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--data-dir", default="data")
     ap.add_argument("--seeds", type=int, default=10)
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--out", default="results/digits_record.csv")
     args = ap.parse_args(argv)
 
     spec = exp.digits_spec(args.data_dir, tuple(range(args.seeds)))
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     with opened(args.out, "w") as out:
-        exp.write_record_csv(exp.run_pipeline(spec, jobs=args.jobs), out)
+        exp.write_record_csv(exp.run_pipeline(spec), out)
     return cli.main(["report", "--records", args.out])
 
 

@@ -198,7 +198,7 @@ def cmd_pipeline(args) -> int:
     spec = exp.load_spec(args.spec)
     cache = exp.StageCache(args.cache) if args.cache else None
     with opened(args.out, "w") as out:
-        record = exp.run_pipeline(spec, cache, jobs=args.jobs, artifact_dir=args.artifacts)
+        record = exp.run_pipeline(spec, cache, artifact_dir=args.artifacts)
         exp.write_record_csv(record, out)
     print(
         f"convergence accuracy {100 * record.mean:.2f} +/- {100 * record.std:.2f} "
@@ -339,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser("pipeline", help="run a full spec over its seeds")
     pl.add_argument("--spec", required=True)
     pl.add_argument("--out", required=True)
-    pl.add_argument("--jobs", type=int, default=1)
     pl.add_argument("--cache", help=f"stage cache dir (default ${exp.CACHE_ENV_VAR})")
     pl.add_argument("--artifacts", help="directory for per-seed checkpoint/synapse files")
     pl.set_defaults(func=cmd_pipeline)

@@ -1,14 +1,17 @@
 """End-to-end reproduction harness: spec files, stage cache, seed sweeps.
 
 A pipeline run is described by a flat key=value spec (diff-able, hashable)
-and executed independently per seed in two steps: build_stages trains both
-maps, labels them from small subsets, learns the lateral synapses and
-computes the test rows' distances to both maps, once per seed;
-evaluate_seed prunes the synapses at a keep fraction, labels map y as the
-spec says and classifies the test pairs from those distances, so no keep
-fraction or labeling of map y recomputes them.  Every stage output passes
-through its binary file encoding (float32 weights), so a cached stage and a
-freshly computed one feed bit-identical state downstream.
+and executed by one run plan, ``run_plan``: it reads a files spec's data
+once, draws every seed's label subsets, trains every seed's maps in one
+``som.train_many`` call, then builds each seed in seed order.  A seed is
+built and evaluated in two steps: build_stages labels both maps from small
+subsets, learns the lateral synapses and computes the test rows' distances
+to both maps, once per seed; evaluate_seed prunes the synapses at a keep
+fraction, labels map y as the spec says and classifies the test pairs from
+those distances, so no keep fraction or labeling of map y recomputes them.
+Every stage output passes through its binary file encoding (float32
+weights), so a cached stage and a freshly computed one feed bit-identical
+state downstream.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ import io
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+import weakref
 from dataclasses import dataclass, fields
 from functools import partial
-from typing import get_type_hints
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -351,8 +354,36 @@ def matrix_fingerprint(m: FeatureMatrix) -> str:
     return _digest(m.values, m.labels if m.labels is not None else b"")
 
 
+class _Keys:
+    """The stage cache of one run and the keys of its stages.
+
+    Without a cache directory every key is None, which StageCache reads as a
+    miss, and nothing is hashed.  With one, a FeatureMatrix part of a key is
+    fingerprinted once per run, however many maps and seeds use it.
+    """
+
+    def __init__(self, cache: StageCache):
+        self.cache = cache
+        # id -> (weak reference, fingerprint); the reference tells a live
+        # matrix from a later one given the same id.
+        self._fingerprints: dict[int, tuple[weakref.ref, str]] = {}
+
+    def __call__(self, *parts) -> str | None:
+        if not self.cache.directory:
+            return None
+        return _digest(*(self._fingerprint(p) if isinstance(p, FeatureMatrix) else p
+                         for p in parts))
+
+    def _fingerprint(self, m: FeatureMatrix) -> str:
+        ref, digest = self._fingerprints.get(id(m), (None, ""))
+        if ref is None or ref() is not m:
+            digest = matrix_fingerprint(m)
+            self._fingerprints[id(m)] = weakref.ref(m), digest
+        return digest
+
+
 def _train_cached(
-    cache: StageCache,
+    keys: _Keys,
     maps: list[tuple[tuple[int, int], FeatureMatrix, int]],
     schedule: som_mod.TrainSchedule,
     grid_metric: str,
@@ -362,11 +393,11 @@ def _train_cached(
     The cache misses are trained by a single ``train_many`` call; every map
     comes back checkpoint-encoded.
     """
-    keys = [
-        _digest("som", width, height, matrix_fingerprint(data), schedule, seed, grid_metric)
+    map_keys = [
+        keys("som", width, height, data, schedule, seed, grid_metric)
         for (width, height), data, seed in maps
     ]
-    blobs = [cache.get(key) for key in keys]
+    blobs = [keys.cache.get(key) for key in map_keys]
     missing = [i for i, blob in enumerate(blobs) if blob is None]
     fresh = [maps[i] for i in missing]
     trained = som_mod.train_many(
@@ -380,23 +411,22 @@ def _train_cached(
         buf = io.BytesIO()
         som_mod.save_som(grid, buf)
         blobs[i] = buf.getvalue()
-        cache.put(keys[i], blobs[i])
+        keys.cache.put(map_keys[i], blobs[i])
     return [som_mod.load_som(io.BytesIO(blob)) for blob in blobs]
 
 
 def _associate_cached(
-    cache: StageCache,
+    keys: _Keys,
     som_x: som_mod.SomGrid,
     som_y: som_mod.SomGrid,
     pairs: PairedDataset,
     spec: ExperimentSpec,
 ) -> tuple[assoc.LateralSynapses, assoc.LateralSynapses]:
-    key = _digest(
-        "assoc", som_x.weights, som_y.weights,
-        matrix_fingerprint(pairs.x), matrix_fingerprint(pairs.y), pairs.pairing,
+    key = keys(
+        "assoc", som_x.weights, som_y.weights, pairs.x, pairs.y, pairs.pairing,
         spec.rule, spec.eta, spec.assoc_epochs,
     )
-    blob = cache.get(key)
+    blob = keys.cache.get(key)
     if blob is None:
         syn_xy, syn_yx = assoc.associate(
             som_x, som_y, pairs, spec.rule, spec.eta, spec.assoc_epochs
@@ -405,7 +435,7 @@ def _associate_cached(
         assoc.save_synapses(syn_xy, buf, "XY")
         assoc.save_synapses(syn_yx, buf, "YX")
         blob = buf.getvalue()
-        cache.put(key, blob)
+        keys.cache.put(key, blob)
     buf = io.BytesIO(blob)
     syn_xy, _ = assoc.load_synapses(buf)
     syn_yx, _ = assoc.load_synapses(buf)
@@ -413,7 +443,7 @@ def _associate_cached(
 
 
 # ---------------------------------------------------------------------------
-# Per-seed pipeline
+# Run plan and pipeline
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -469,22 +499,26 @@ def gain_over_best_unimodal(convergence, uni_x, uni_y) -> float:
     return float(np.mean(convergence) - np.mean(np.maximum(uni_x, uni_y)))
 
 
-def load_dataset(spec: ExperimentSpec, seed: int) -> tuple[PairedDataset, PairedDataset]:
-    """(train, test) pairs for one run; file datasets are paired per seed,
-    and a test file must be as wide as its training file."""
+def load_dataset(spec: ExperimentSpec) -> Callable[[int], tuple[PairedDataset, PairedDataset]]:
+    """The (train, test) pairs of a run as a function of the seed.
+
+    A files spec's four feature files are read, checked (a test file must
+    be as wide as its training file) and normalized here, once per run; per
+    seed only the pairing is drawn.  A synthetic spec is generated per seed.
+    """
     if spec.dataset == "synthetic":
-        return synthetic.make_paired_dataset(
-            spec.synthetic_spec(), seed * 1000 + SEED_DATA
-        )
+        synth = spec.synthetic_spec()
+        return lambda seed: synthetic.make_paired_dataset(synth, seed * 1000 + SEED_DATA)
     x_train = load_features(spec.x_train, spec.x_train_labels or None)
     y_train = load_features(spec.y_train, spec.y_train_labels or None)
     x_test = load_features(spec.x_test, spec.x_test_labels or None, x_train.n_features)
     y_test = load_features(spec.y_test, spec.y_test_labels or None, y_train.n_features)
     x_train, x_test = _NORMALIZERS[spec.normalize_x](x_train, x_test)
     y_train, y_test = _NORMALIZERS[spec.normalize_y](y_train, y_test)
-    train = pair_by_class(x_train, y_train, seed * 1000 + SEED_PAIR_TRAIN)
-    test = pair_by_class(x_test, y_test, seed * 1000 + SEED_PAIR_TEST)
-    return train, test
+    return lambda seed: (
+        pair_by_class(x_train, y_train, seed * 1000 + SEED_PAIR_TRAIN),
+        pair_by_class(x_test, y_test, seed * 1000 + SEED_PAIR_TEST),
+    )
 
 
 def digits_spec(data_dir, seeds: tuple[int, ...] = tuple(range(10))) -> ExperimentSpec:
@@ -506,9 +540,83 @@ def digits_spec(data_dir, seeds: tuple[int, ...] = tuple(range(10))) -> Experime
 
 
 @dataclass
+class SeedData:
+    """One seed's rows and label subsets, drawn before any map trains."""
+
+    seed: int
+    train: PairedDataset
+    test: PairedDataset
+    subsets: dict[str, FeatureMatrix]  # by modality, "x" or "y"
+
+
+def _modality(spec: ExperimentSpec, modality: str) -> tuple[tuple[int, int], float, int, int]:
+    """(grid, label fraction, training seed offset, subset seed offset) of map x or y."""
+    if modality == "x":
+        return spec.grid_x, spec.label_fraction_x, SEED_TRAIN_X, SEED_SUBSET_X
+    return spec.grid_y, spec.label_fraction_y, SEED_TRAIN_Y, SEED_SUBSET_Y
+
+
+def _trained_seeds(
+    spec: ExperimentSpec, keys: _Keys, modality: str | None
+) -> list[tuple[SeedData, list[som_mod.SomGrid]]]:
+    """Every seed's SeedData and trained maps, the last seed first; see run_plan."""
+    if modality is None:
+        trained = ("x", "y")
+        labeled = trained if spec.label_fraction_y > 0 else ("x",)
+    else:
+        trained = labeled = (modality,)
+    pairs = load_dataset(spec)
+    seeds, entries = [], []
+    for seed in spec.seeds:
+        train, test = pairs(seed)
+        subsets = {}
+        for m in labeled:
+            _, fraction, _, offset = _modality(spec, m)
+            subsets[m] = labeling.select_label_subset(
+                getattr(train, m), fraction, seed * 1000 + offset
+            )
+        seeds.append(SeedData(seed, train, test, subsets))
+        for m in trained:
+            grid, _, offset, _ = _modality(spec, m)
+            entries.append((grid, getattr(train, m), seed * 1000 + offset))
+    maps = iter(_train_cached(keys, entries, spec.schedule(), spec.grid_metric))
+    return [(data, [next(maps) for _ in trained]) for data in seeds][::-1]
+
+
+def run_plan(
+    spec: ExperimentSpec,
+    build: Callable,
+    visit: Callable = lambda built: built,
+    cache: StageCache | None = None,
+    modality: str | None = None,
+) -> list:
+    """``visit(build(data, maps, keys))`` of each seed, in seed order: the one
+    run plan of the pipeline and the sweeps.
+
+    1. ``load_dataset`` reads a files spec's data once per run.
+    2. Every seed's label subsets are drawn, so a fraction that selects no
+       samples fails before any map trains.
+    3. Every seed's maps train in one ``_train_cached`` call: maps x and y,
+       or with ``modality`` ("x" or "y") that map alone.  Map x is labeled,
+       and map y when label_fraction_y > 0 or it is ``modality``.
+    4. ``build`` gets each seed's SeedData, its trained maps and the run's
+       cache keys, and ``visit`` what ``build`` returns.  A seed's rows die
+       once its ``build`` returns, and its build once its ``visit`` returns,
+       so what ``visit`` returns is all that is kept of a seed.
+    """
+    keys = _Keys(cache or StageCache.from_env())
+    work = _trained_seeds(spec, keys, modality)
+    results = []
+    while work:
+        results.append(visit(build(*work.pop(), keys)))
+    return results
+
+
+@dataclass
 class SeedStages:
     """One seed's state up to pruning, which evaluate_seed reads at any keep."""
 
+    seed: int
     test_pairs: PairedDataset
     som_x: som_mod.SomGrid  # labeled
     som_y: som_mod.SomGrid  # unlabeled
@@ -521,39 +629,34 @@ class SeedStages:
     dist_y: np.ndarray  # test_pairs.y rows (unpaired) to som_y's weights
 
 
-def build_stages(spec: ExperimentSpec, seed: int, cache: StageCache | None = None) -> SeedStages:
-    """Train both maps, label x (and y directly, given a y subset), associate,
-    and measure the test rows' distances to both maps."""
-    cache = cache or StageCache.from_env()
-    train_pairs, test_pairs = load_dataset(spec, seed)
-    base = seed * 1000
-    subset_x = labeling.select_label_subset(
-        train_pairs.x, spec.label_fraction_x, base + SEED_SUBSET_X
-    )
-    subset_y = None
-    if spec.label_fraction_y > 0:
-        subset_y = labeling.select_label_subset(
-            train_pairs.y, spec.label_fraction_y, base + SEED_SUBSET_Y
-        )
-    som_x, som_y = _train_cached(
-        cache,
-        [(spec.grid_x, train_pairs.x, base + SEED_TRAIN_X),
-         (spec.grid_y, train_pairs.y, base + SEED_TRAIN_Y)],
-        spec.schedule(), spec.grid_metric,
-    )
+def build_stages(
+    spec: ExperimentSpec, data: SeedData, maps: list[som_mod.SomGrid], keys: _Keys
+) -> SeedStages:
+    """Label x (and y directly, given a y subset) of a seed's trained maps,
+    associate, and measure the test rows' distances to both maps."""
+    som_x, som_y = maps
+    subset_x, subset_y = data.subsets["x"], data.subsets.get("y")
     som_x = labeling.label_som(som_x, subset_x, spec.alpha_x)
     som_y_direct = None if subset_y is None else labeling.label_som(som_y, subset_y, spec.alpha_y)
-    syn_xy, syn_yx = _associate_cached(cache, som_x, som_y, train_pairs, spec)
+    syn_xy, syn_yx = _associate_cached(keys, som_x, som_y, data.train, spec)
+    test_pairs = data.test
     # Every map label, direct or diverged, is a class of a label subset.
     n_classes = inference.class_count(
-        test_pairs.x.labels, test_pairs.y.labels,
-        *(s.labels for s in (subset_x, subset_y) if s is not None),
+        test_pairs.x.labels, test_pairs.y.labels, *(s.labels for s in data.subsets.values())
     )
     return SeedStages(
-        test_pairs, som_x, som_y, som_y_direct, subset_x, syn_xy, syn_yx, n_classes,
+        data.seed, test_pairs, som_x, som_y, som_y_direct, subset_x, syn_xy, syn_yx, n_classes,
         som_mod.distances(som_x, test_pairs.x.values),
         som_mod.distances(som_y, test_pairs.y.values),
     )
+
+
+def seed_stages(
+    spec: ExperimentSpec, visit: Callable = lambda stages: stages, cache: StageCache | None = None
+) -> list:
+    """``visit(stages)`` of each seed's SeedStages, in seed order, by run_plan;
+    a ``visit`` that keeps nothing of its stages holds one seed's at a time."""
+    return run_plan(spec, partial(build_stages, spec), visit, cache)
 
 
 def _unimodal_accuracy(stages: SeedStages, som: som_mod.SomGrid, modality: str) -> float:
@@ -614,21 +717,17 @@ def evaluate_seed(
     return SeedEval(syn_xy, syn_yx, som_y, uni_y_diverged, convergence)
 
 
-def run_seed(
-    spec: ExperimentSpec,
-    seed: int,
-    cache: StageCache | None = None,
-    artifact_dir: str | None = None,
+def _seed_result(
+    spec: ExperimentSpec, started: float, stages: SeedStages, artifact_dir: str | None
 ) -> SeedResult:
-    """Execute every stage for one seed; optionally dump artifact files."""
-    started = time.perf_counter()
-    stages = build_stages(spec, seed, cache)
+    """A built seed evaluated at the spec's keep fraction; optionally dump
+    artifact files.  ``started`` is when the seed's build began."""
     ev = evaluate_seed(spec, stages, spec.keep_fraction, [spec.convergence_config()])
     (conv,) = ev.convergence
     uni_x, uni_y_direct = unimodal_accuracies(stages)
+    seed = stages.seed
 
     if artifact_dir:
-        os.makedirs(artifact_dir, exist_ok=True)
         som_mod.save_som(stages.som_x, os.path.join(artifact_dir, f"som_x_{seed}.rsom"))
         som_mod.save_som(ev.som_y, os.path.join(artifact_dir, f"som_y_{seed}.rsom"))
         assoc.save_synapses(stages.syn_xy, os.path.join(artifact_dir, f"syn_xy_raw_{seed}.rlat"), "XY")
@@ -659,17 +758,22 @@ def run_pipeline(
     jobs: int = 1,
     artifact_dir: str | None = None,
 ) -> RunRecord:
-    """All seeds of a spec, on up to one worker process per seed when jobs > 1."""
-    if jobs < 1:
-        raise SpecError(f"jobs must be at least 1, got {jobs}")
+    """Every seed of a spec by run_plan, each evaluated at the spec's keep
+    fraction.  A seed's wall time spans its build and evaluation; the
+    record's, the whole run with the training of every map."""
+    # Every seed runs in this process; ``jobs`` stays because the benchmark passes jobs=1.
+    if jobs != 1:
+        raise SpecError(f"jobs must be 1, got {jobs}")
     started = time.perf_counter()
-    run = partial(run_seed, spec, cache=cache, artifact_dir=artifact_dir)
-    if jobs > 1 and len(spec.seeds) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(spec.seeds))) as pool:
-            results = list(pool.map(run, spec.seeds))
-    else:
-        results = [run(s) for s in spec.seeds]
-    results.sort(key=lambda r: r.seed)
+    if artifact_dir:
+        os.makedirs(artifact_dir, exist_ok=True)
+
+    def build(data, maps, keys):
+        return time.perf_counter(), build_stages(spec, data, maps, keys)
+
+    results = run_plan(
+        spec, build, lambda built: _seed_result(spec, *built, artifact_dir), cache
+    )
     return RunRecord(spec_hash(spec), results, time.perf_counter() - started)
 
 
@@ -703,8 +807,7 @@ def prune_sweep(
                 for ev in evals]
 
     if per_seed is None:
-        # Built as the argument, a seed's stages die once it is measured.
-        cells = [measure(build_stages(spec, s, cache)) for s in spec.seeds]
+        cells = seed_stages(spec, measure, cache)
     else:
         cells = [measure(stages) for stages in per_seed]
     rows = []
@@ -731,26 +834,15 @@ def alpha_sweep(
     if modality not in ("x", "y"):
         raise SpecError("modality must be x or y")
     _require_positive("alphas", alphas)
-    grid, fraction, train_offset, subset_offset = (
-        (spec.grid_x, spec.label_fraction_x, SEED_TRAIN_X, SEED_SUBSET_X)
-        if modality == "x"
-        else (spec.grid_y, spec.label_fraction_y, SEED_TRAIN_Y, SEED_SUBSET_Y)
-    )
-    cache = cache or StageCache.from_env()
-    per_seed = []
-    for seed in spec.seeds:
-        train_pairs, test_pairs = load_dataset(spec, seed)
-        train = getattr(train_pairs, modality)
-        subset = labeling.select_label_subset(train, fraction, seed * 1000 + subset_offset)
-        (grid_som,) = _train_cached(
-            cache, [(grid, train, seed * 1000 + train_offset)],
-            spec.schedule(), spec.grid_metric,
-        )
-        test = getattr(test_pairs, modality)
+
+    def build(data: SeedData, maps, keys):
+        (grid_som,) = maps
+        subset, test = data.subsets[modality], getattr(data.test, modality)
         # Only the labels change with alpha; the test BMUs are computed once.
         bmu = np.argmin(som_mod.distances(grid_som, test.values), axis=1)
-        n_classes = inference.class_count(test.labels, subset.labels)
-        per_seed.append((grid_som, subset, bmu, test.labels, n_classes))
+        return grid_som, subset, bmu, test.labels, inference.class_count(test.labels, subset.labels)
+
+    per_seed = run_plan(spec, build, cache=cache, modality=modality)
     rows = []
     for alpha in alphas:
         accs = [

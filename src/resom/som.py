@@ -10,14 +10,15 @@ Winner election during training runs on raw input distances (argmin); because
 exp(-d/width) is strictly decreasing this elects the same neuron as the
 activity argmax, a property the test suite pins down.
 
-Training has one loop, ``train_many``; ``train`` is its one-map case.  Maps
-of equal (width, height, dim, n_samples) stack into one (M, k, d) per-sample
-loop, which saves Python overhead per sample.  When there are two or more
-such stacks, for instance the x and y maps of different shapes, they run at
-once on a thread pool of up to one thread per CPU: a high-d loop spends its
-time in numpy kernels that release the GIL.  Every map keeps its own seeded
-permutation, and neither choice changes a bit: each row-wise sum over a
-contiguous d-row of a stack matches the per-row sum of a lone (k, d) map,
+Training has one loop, ``train_many``; ``train`` is its one-map case.  Small
+maps of equal (width, height, dim, n_samples) stack into one (M, k, d)
+per-sample loop, which saves Python overhead per sample; a map whose weights
+exceed STACK_MAX_BYTES runs in a loop of its own.  When there are two or
+more loops, for instance every seed's x and y maps at paper shape, they run
+at once on a thread pool of up to one thread per CPU: a high-d loop spends
+its time in numpy kernels that release the GIL.  Every map keeps its own
+seeded permutation, and neither choice changes a bit: each row-wise sum over
+a contiguous d-row of a stack matches the per-row sum of a lone (k, d) map,
 every other operation is elementwise, and a stack's loop reads and writes
 only its own arrays, so the thread it runs on cannot change its result.
 tests/test_training_oracle.py checks this against the original one-map loop.
@@ -53,6 +54,14 @@ GRID_METRICS = ("euclidean", "manhattan")
 PARALLEL_MIN_NKD = 30_000_000
 # Rows of each map's permuted samples gathered at a time during training.
 SAMPLE_BLOCK = 4096
+# A map whose weights take more bytes than this trains in a loop of its own.
+# 2-vCPU VM, ten equal maps over 500 rows for 2 epochs, one stacked loop
+# against one loop per map (on 1 CPU / on 2): 8x8 at 16-d (8 KB) 0.065 vs
+# 0.142 s / 0.059 vs 0.122 s, 10x10 at 100-d (78 KB) 0.39 vs 0.42 / 0.40 vs
+# 0.40 s, 10x10 at 150-d (117 KB) 0.65 vs 0.54 / 0.59 vs 0.49 s, 10x10 at
+# 300-d (234 KB) 1.30 vs 0.96 / 1.46 vs 0.69 s, 10x10 at 784-d (612 KB) 3.68
+# vs 3.44 / 3.91 vs 1.66 s.
+STACK_MAX_BYTES = 64 * 1024
 
 
 def cpu_count() -> int:
@@ -247,22 +256,35 @@ def train_many(
     """Train each ``soms[i]`` on ``datas[i]`` with its own ``seeds[i]``.
 
     Maps whose (width, height, dim, n_samples) agree run in one stacked
-    per-sample loop, and two or more such loops run on a thread pool.  Each
-    map keeps its own seeded permutation, so every result is bit-identical
-    to training it alone.
+    per-sample loop unless their weights exceed STACK_MAX_BYTES, and two or
+    more loops run on a thread pool.  Each distinct array of ``datas`` is
+    cast to float64 once, however many maps train on it.  Each map keeps
+    its own seeded permutation, so every result is bit-identical to training
+    it alone.
     """
     if not len(soms) == len(datas) == len(seeds):
         raise ValueError("need one dataset and one seed per map")
-    datas = [validate_training_data(som, data) for som, data in zip(soms, datas)]
-    groups: dict[tuple[int, int, int, int], list[int]] = {}
+    fit: dict[int, np.ndarray] = {}  # by id: ``datas`` holds each array meanwhile
+    for som, data in zip(soms, datas):
+        X = fit.get(id(data))
+        if X is None or X.shape[1] != som.dim:  # a second width raises here
+            fit[id(data)] = validate_training_data(som, data)
+    datas = [fit[id(data)] for data in datas]
+    groups: dict[object, list[int]] = {}
     for i, (som, X) in enumerate(zip(soms, datas)):
-        groups.setdefault((som.width, som.height, som.dim, X.shape[0]), []).append(i)
+        shape = (som.width, som.height, som.dim, X.shape[0])
+        groups.setdefault(i if som.weights.nbytes > STACK_MAX_BYTES else shape, []).append(i)
+    # The longest loops (maps x weights x samples) go to the pool first, so
+    # that its threads finish close together.
+    work = sorted(groups.values(), reverse=True,
+                  key=lambda members: len(members) * soms[members[0]].weights.size
+                  * datas[members[0]].shape[0])
     # Every large buffer is allocated here, in the calling thread: a pool
     # thread's allocations would stay in its own malloc arena.
     stacks = [
         (members, *_stack_loop([soms[i] for i in members], [datas[i] for i in members],
                                [seeds[i] for i in members], schedule, grid_metric))
-        for members in groups.values()
+        for members in work
     ]
     _run_all([loop for _, _, loop in stacks], min(len(stacks), cpu_count()))
     out: list[SomGrid] = [None] * len(soms)

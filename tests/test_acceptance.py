@@ -139,7 +139,7 @@ def test_synthetic_fallback_all_variants():
     """Every convergence variant at least matches the best unimodal map."""
     with criterion("Synthetic fallback"):
         spec = exp.ExperimentSpec(seeds=tuple(range(10)))
-        per_seed = [exp.build_stages(spec, s) for s in spec.seeds]
+        per_seed = exp.seed_stages(spec)
         max_uni = float(np.mean([max(exp.unimodal_accuracies(st)) for st in per_seed]))
         configs = inference.ALL_VARIANTS
         evals = [exp.evaluate_seed(spec, st, spec.keep_fraction, configs) for st in per_seed]
@@ -162,7 +162,7 @@ def test_divergence_labeling_parity():
         spec = exp.ExperimentSpec(
             seeds=tuple(range(10)), confused_x=(), confused_y=(), diverge_beta=0.5
         )
-        per_seed = [exp.build_stages(spec, s) for s in spec.seeds]
+        per_seed = exp.seed_stages(spec)
         # Map y labeled by divergence, from the same built stages.
         diverging = replace(spec, label_mode_y="diverge")
         direct, healthy, starved = [], [], []
@@ -246,7 +246,7 @@ def test_pipeline_determinism():
         digests = []
         for _ in range(2):
             with tempfile.TemporaryDirectory() as tmp:
-                exp.run_seed(spec, 0, exp.StageCache(None), artifact_dir=tmp)
+                exp.run_pipeline(spec, exp.StageCache(None), artifact_dir=tmp)
                 digest = {
                     name: hashlib.sha256((Path(tmp) / name).read_bytes()).hexdigest()
                     for name in sorted(os.listdir(tmp))

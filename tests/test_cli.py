@@ -629,10 +629,14 @@ def test_test_file_narrower_than_its_training_file_is_a_data_error(
 
 @pytest.mark.parametrize("jobs", [0, -1])
 def test_pipeline_needs_a_job(tmp_path, capsys, no_training, jobs):
+    # Every seed runs in one process; a ``--jobs`` value, valid or not, is an
+    # unknown option refused before anything trains or is written.
     spec = tmp_path / "spec.txt"
     spec.write_text(TINY_SPEC.replace("seeds = 0", "seeds = 0,1"))
-    assert run("pipeline", "--spec", spec, "--jobs", jobs, "--out", tmp_path / "r.csv") == 2
-    assert f"config error: jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_:
+        run("pipeline", "--spec", spec, "--jobs", jobs, "--out", tmp_path / "r.csv")
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -806,6 +810,19 @@ def test_output_path_that_cannot_be_written_exits_before_training(
     assert capsys.readouterr().err.endswith(f"{error}: '{out}'\n")
     assert training_calls == []
     assert list(tmp_path.glob("**/*.tmp")) == []
+
+
+def test_artifacts_that_cannot_be_created_exit_before_training(tmp_path, capsys, training_calls):
+    # The directory was made after a seed's stages were built: one seed
+    # trained, then the run exited 3.
+    spec = tmp_path / "spec.txt"
+    spec.write_text(TINY_SPEC.replace("seeds = 0", "seeds = 0,1"))
+    (tmp_path / "afile").write_text("")
+    assert run("pipeline", "--spec", spec, "--out", tmp_path / "r.csv",
+               "--artifacts", tmp_path / "afile" / "sub") == 3
+    assert "Not a directory" in capsys.readouterr().err
+    assert training_calls == []
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_a_failed_pipeline_keeps_the_earlier_record(workspace, tmp_path):

@@ -15,10 +15,10 @@ from resom.experiments import (
     SEED_SUBSET_X,
     SEED_SUBSET_Y,
     ExperimentSpec,
+    RunRecord,
     SpecError,
     StageCache,
     alpha_sweep,
-    build_stages,
     evaluate_seed,
     format_spec,
     load_dataset,
@@ -27,7 +27,7 @@ from resom.experiments import (
     prune_sweep,
     read_record_csv,
     run_pipeline,
-    run_seed,
+    seed_stages,
     spec_hash,
     unimodal_accuracies,
     write_metrics,
@@ -166,8 +166,8 @@ def files_spec(tmp_path, **overrides) -> ExperimentSpec:
 class TestPipeline:
     def test_seed_rerun_is_bit_identical(self, tmp_path):
         spec = ExperimentSpec(**TINY)
-        a = run_seed(spec, 0, StageCache(None), artifact_dir=str(tmp_path / "a"))
-        b = run_seed(spec, 0, StageCache(None), artifact_dir=str(tmp_path / "b"))
+        (a,) = run_pipeline(spec, StageCache(None), artifact_dir=str(tmp_path / "a")).results
+        (b,) = run_pipeline(spec, StageCache(None), artifact_dir=str(tmp_path / "b")).results
         assert (a.uni_x, a.uni_y, a.convergence) == (b.uni_x, b.uni_y, b.convergence)
         for name in ("som_x_0.rsom", "som_y_0.rsom", "syn_xy_0.rlat", "syn_yx_0.rlat"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
@@ -208,57 +208,115 @@ class TestPipeline:
 
     def test_diverge_label_mode(self):
         spec = ExperimentSpec(**{**TINY, "label_mode_y": "diverge", "label_fraction_y": 0.0})
-        result = run_seed(spec, 0)
+        (result,) = run_pipeline(spec).results
         assert result.uni_y_direct is None
         assert result.uni_y == result.uni_y_diverged
 
-    def test_parallel_jobs_match_serial(self, tmp_path, monkeypatch):
-        # With artifacts the seeds used to run one at a time, without the pool.
-        import resom.experiments as exp
+    @pytest.mark.parametrize("jobs", [0, -1, 2])
+    def test_run_pipeline_takes_one_job(self, monkeypatch, jobs):
+        def refuse(*args, **kwargs):
+            raise AssertionError("trained with a refused jobs value")
 
-        pools = []
+        monkeypatch.setattr(resom.som, "train_many", refuse)
+        with pytest.raises(SpecError, match=f"jobs must be 1, got {jobs}"):
+            run_pipeline(ExperimentSpec(**TINY), StageCache(None), jobs=jobs)
 
-        class CountingPool(exp.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(exp, "ProcessPoolExecutor", CountingPool)
-        spec = ExperimentSpec(**{**TINY, "seeds": (0, 1)})
-        serial = run_pipeline(spec, StageCache(None), jobs=1, artifact_dir=str(tmp_path / "a"))
-        assert pools == []
-        parallel = run_pipeline(spec, StageCache(None), jobs=2, artifact_dir=str(tmp_path / "b"))
-        assert pools == [2]
-        assert serial.content_hash() == parallel.content_hash()
-        names = sorted(path.name for path in (tmp_path / "a").iterdir())
-        assert len(names) == 12  # 2 maps and 4 synapse files per seed
-        assert names == sorted(path.name for path in (tmp_path / "b").iterdir())
-        for name in names:
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+def combined_rows(rows_per_seed: list[list[dict]]) -> list[dict]:
+    """A multi-seed sweep's rows, from one one-seed sweep per seed."""
+    out = []
+    for rows in zip(*rows_per_seed):
+        row = dict(rows[0])
+        for col in row:
+            if col.endswith("_std"):
+                row[col] = float(np.std([r[col[: -len("_std")] + "_mean"] for r in rows]))
+            elif col.endswith("_mean") or col == "synapses_xy_post":
+                row[col] = float(np.mean([r[col] for r in rows]))
+        out.append(row)
+    return out
 
-    def test_starts_one_worker_process_per_seed_at_most(self, monkeypatch):
-        # --jobs 64 over two seeds asked the pool for 64 processes.
-        import resom.experiments as exp
 
-        workers = []
+class TestRunPlan:
+    """run_pipeline and both sweeps go through run_plan: the data is read
+    once per run, and every seed's maps train in one train_many call."""
 
-        class InlinePool:  # records its size and starts no process
-            def __init__(self, max_workers):
-                workers.append(max_workers)
+    @pytest.fixture
+    def train_calls(self, monkeypatch):
+        calls = []
+        train_many = resom.som.train_many
+        monkeypatch.setattr(resom.som, "train_many",
+                            lambda *args: calls.append(len(args[0])) or train_many(*args))
+        return calls
 
-            def __enter__(self):
-                return self
+    def test_pipeline_trains_once_and_matches_one_seed_runs(self, train_calls):
+        spec = ExperimentSpec(**{**TINY, "seeds": (0, 1, 2)})
+        record = run_pipeline(spec, StageCache(None))
+        assert train_calls == [6]
+        singles = [run_pipeline(replace(spec, seeds=(s,)), StageCache(None)).results[0]
+                   for s in spec.seeds]
+        without_time = [replace(r, wall_time=0.0) for r in record.results]
+        assert without_time == [replace(r, wall_time=0.0) for r in singles]
+        assert RunRecord(spec_hash(spec), singles, 0.0).content_hash() == record.content_hash()
 
-            def __exit__(self, *exc):
-                return False
+    def test_prune_sweep_trains_once_and_matches_one_seed_runs(self, train_calls):
+        spec = ExperimentSpec(**{**TINY, "seeds": (0, 1, 2)})
+        fractions = (0.1, 1.0)
+        rows = prune_sweep(spec, fractions, StageCache(None))
+        assert train_calls == [6]
+        assert rows == combined_rows([
+            prune_sweep(replace(spec, seeds=(s,)), fractions, StageCache(None))
+            for s in spec.seeds
+        ])
 
-            map = staticmethod(map)
+    @pytest.mark.parametrize("modality", ["x", "y"])
+    def test_alpha_sweep_trains_once_and_matches_one_seed_runs(self, train_calls, modality):
+        spec = ExperimentSpec(**{**TINY, "seeds": (0, 1, 2)})
+        alphas = (0.5, 2.0)
+        rows = alpha_sweep(spec, alphas, modality, StageCache(None))
+        assert train_calls == [3]
+        assert rows == combined_rows([
+            alpha_sweep(replace(spec, seeds=(s,)), alphas, modality, StageCache(None))
+            for s in spec.seeds
+        ])
 
-        monkeypatch.setattr(exp, "ProcessPoolExecutor", InlinePool)
-        spec = ExperimentSpec(**{**TINY, "seeds": (0, 1)})
-        record = run_pipeline(spec, StageCache(None), jobs=64)
-        assert workers == [2]
-        assert record.content_hash() == run_pipeline(spec, StageCache(None)).content_hash()
+    @pytest.mark.parametrize("run", [
+        lambda spec: run_pipeline(spec, StageCache(None)),
+        lambda spec: prune_sweep(spec, (0.5,), StageCache(None)),
+        lambda spec: alpha_sweep(spec, (1.0,), "y", StageCache(None)),
+    ], ids=["pipeline", "prune-sweep", "alpha-sweep"])
+    def test_files_are_read_once_per_run(self, tmp_path, monkeypatch, run):
+        import resom.experiments as exp_mod
+
+        paths = []
+        load_features = exp_mod.load_features
+        monkeypatch.setattr(exp_mod, "load_features",
+                            lambda path, *args: paths.append(path) or load_features(path, *args))
+        run(files_spec(tmp_path, seeds=(0, 1, 2)))
+        assert sorted(paths) == sorted(str(tmp_path / f"{m}_{split}.rsm1")
+                                       for m in "xy" for split in ("train", "test"))
+
+    @pytest.mark.parametrize("directory, fingerprints", [(False, 0), (True, 2)],
+                             ids=["no-cache", "cache"])
+    def test_cache_keys_fingerprint_each_matrix_once(
+        self, tmp_path, monkeypatch, directory, fingerprints
+    ):
+        # Every training matrix was hashed once per map key and again for the
+        # association key, for every seed, with or without a cache directory.
+        import resom.experiments as exp_mod
+
+        calls = []
+        fingerprint = exp_mod.matrix_fingerprint
+        monkeypatch.setattr(exp_mod, "matrix_fingerprint",
+                            lambda m: calls.append(m) or fingerprint(m))
+        spec = files_spec(tmp_path, seeds=(0, 1, 2))
+        cache = StageCache(str(tmp_path / "cache") if directory else None)
+        record = run_pipeline(spec, cache)
+        assert len(calls) == fingerprints  # map x's and map y's training rows
+        assert len({id(m) for m in calls}) == fingerprints
+        if directory:
+            monkeypatch.undo()
+            assert run_pipeline(spec, cache).content_hash() == record.content_hash()
+            assert record.content_hash() == run_pipeline(spec, StageCache(None)).content_hash()
 
 
 class TestStageCache:
@@ -328,7 +386,7 @@ class TestSharedDistances:
     @pytest.mark.parametrize("mode", ["direct", "diverge"])
     def test_evaluate_seed_matches_evaluators_from_scratch(self, tmp_path, mode):
         spec = files_spec(tmp_path, label_mode_y=mode)
-        stages = build_stages(spec, 0, StageCache(None))
+        (stages,) = seed_stages(spec, cache=StageCache(None))
         test, n_classes = stages.test_pairs, stages.n_classes
         assert np.unique(test.pairing).size < test.n_samples  # pairs reuse y rows
         assert unimodal_accuracies(stages) == (
@@ -379,9 +437,9 @@ class TestSharedDistances:
             else (spec.label_fraction_y, SEED_SUBSET_Y)
         )
         per_seed = []
-        for seed in spec.seeds:
-            stages = build_stages(spec, seed, StageCache(None))
-            train_pairs, _ = load_dataset(spec, seed)
+        pairs = load_dataset(spec)
+        for seed, stages in zip(spec.seeds, seed_stages(spec, cache=StageCache(None))):
+            train_pairs, _ = pairs(seed)
             subset = labeling.select_label_subset(
                 getattr(train_pairs, modality), fraction, seed * 1000 + offset
             )
@@ -421,29 +479,31 @@ class TestSweeps:
         spec = ExperimentSpec(**{**TINY, "seeds": (0, 1, 2)})
         fractions = (0.1, 1.0)
         build, evaluate = exp_mod.build_stages, exp_mod.evaluate_seed
-        calls, built = [], []
+        calls, built, rows = [], [], []
 
-        def recording_build(spec, seed, cache=None):
+        def recording_build(spec, data, maps, keys):
             assert all(ref() is None for ref in built)  # earlier seeds are freed
-            stages = build(spec, seed, cache)
+            stages = build(spec, data, maps, keys)
             built.append(weakref.ref(stages))
-            calls.append(("build", seed))
+            rows.append(weakref.ref(data.train))
+            calls.append(("build", data.seed))
             return stages
 
         def recording_evaluate(spec, stages, keep, configs, diverge=False):
+            assert all(ref() is None for ref in rows)  # training rows die once built
             calls.append(("evaluate", keep))
             return evaluate(spec, stages, keep, configs, diverge)
 
         monkeypatch.setattr(exp_mod, "build_stages", recording_build)
         monkeypatch.setattr(exp_mod, "evaluate_seed", recording_evaluate)
-        rows = prune_sweep(spec, fractions, StageCache(None))
+        swept = prune_sweep(spec, fractions, StageCache(None))
         assert calls == [
             call for seed in spec.seeds
             for call in [("build", seed)] + [("evaluate", f) for f in fractions]
         ]
         monkeypatch.undo()
-        per_seed = [build_stages(spec, seed, StageCache(None)) for seed in spec.seeds]
-        assert prune_sweep(spec, fractions, per_seed=per_seed) == rows
+        per_seed = seed_stages(spec, cache=StageCache(None))
+        assert prune_sweep(spec, fractions, per_seed=per_seed) == swept
 
     @pytest.mark.parametrize("sweep, values", [
         (prune_sweep, (0.25, 0.0)), (prune_sweep, (float("nan"),)),
@@ -460,7 +520,7 @@ class TestSweeps:
             sweep(ExperimentSpec(**TINY), values, cache=StageCache(None))
 
     @pytest.mark.parametrize("sweep, fields", [
-        (lambda spec: build_stages(spec, 0, StageCache(None)), {"label_fraction_x": 0.0001}),
+        (lambda spec: seed_stages(spec, cache=StageCache(None)), {"label_fraction_x": 0.0001}),
         (lambda spec: alpha_sweep(spec, (1.0,), "y", StageCache(None)),
          {"label_mode_y": "diverge", "label_fraction_y": 0.0}),
     ], ids=["build-stages", "alpha-sweep-y"])
@@ -502,7 +562,7 @@ class TestFiles:
             epochs=2,
             seeds=(0,),
         )
-        train, test = load_dataset(spec, seed=0)
+        train, test = load_dataset(spec)(0)
         assert train.n_samples == 60 and test.n_samples == 60
         assert np.array_equal(train.x.labels, train.y.labels[train.pairing])
 
@@ -530,7 +590,7 @@ class TestFiles:
         keys = ("x_train", "x_test", "y_train", "y_test")
         spec.write_text("dataset = files\n" + "".join(f"{k} = {tmp_path}/nope.rsm1\n" for k in keys))
         with pytest.raises(FileNotFoundError, match="nope.rsm1"):
-            load_dataset(load_spec(spec), seed=0)
+            load_dataset(load_spec(spec))
         def refuse(*args, **kwargs):
             raise AssertionError("trained on a spec naming a missing file")
 

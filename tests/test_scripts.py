@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import resom.som
 from resom import experiments as exp
 from resom import grid as ig
 from resom.cli import main
@@ -34,6 +35,22 @@ def test_run_synthetic_writes_variants_and_sweep(tmp_path, monkeypatch):
     sweep = (tmp_path / "prune_sweep.csv").read_text().splitlines()
     assert len(variants) == 1 + 8
     assert len(sweep) == 1 + 6
+
+
+def test_run_synthetic_opens_its_outputs_before_training(tmp_path, monkeypatch, capsys):
+    # Both files were opened after every seed was built and evaluated.
+    def refuse(*args, **kwargs):
+        raise AssertionError("trained before opening the outputs")
+
+    monkeypatch.setattr(resom.som, "train_many", refuse)
+    (tmp_path / "convergence_variants.csv").write_text("an earlier run\n")
+    (tmp_path / "prune_sweep.csv").mkdir()
+    assert script_main("run_synthetic.py")(["--seeds", "2", "--out-dir", str(tmp_path)]) == 3
+    one_line_error(capsys, "data error: ", "Is a directory")
+    assert (tmp_path / "convergence_variants.csv").read_text() == "an earlier run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "convergence_variants.csv", "prune_sweep.csv"
+    ]
 
 
 def test_run_synthetic_refuses_zero_seeds_before_creating_out_dir(tmp_path, capsys):
@@ -71,12 +88,6 @@ def test_run_digits_on_empty_data_files_returns_3(tmp_path, capsys):
 def test_run_digits_refuses_zero_seeds(tmp_path, capsys):
     assert script_main("run_digits.py")(["--data-dir", str(tmp_path), "--seeds", "0"]) == 2
     one_line_error(capsys, "config error: ", "at least one seed required")
-
-
-def test_run_digits_refuses_zero_jobs(tmp_path, capsys):
-    # Refused before any data is read: the data directory is empty.
-    assert script_main("run_digits.py")(["--data-dir", str(tmp_path), "--jobs", "0"]) == 2
-    one_line_error(capsys, "config error: ", "jobs must be at least 1, got 0")
 
 
 def test_run_digits_prints_the_report_of_its_record(tmp_path, monkeypatch, capsys):

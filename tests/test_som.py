@@ -266,6 +266,37 @@ class TestTrain:
             tracemalloc.stop()
         assert peak < 0.25 * X.nbytes
 
+    @pytest.mark.parametrize("side, dim, loops", [(8, 16, [20]), (10, 784, [1, 1, 1, 1])],
+                             ids=["small-maps-stack", "large-maps-alone"])
+    def test_small_maps_stack_and_large_maps_train_alone(self, monkeypatch, side, dim, loops):
+        # Every equal-shape group shared one stack, which at 10x10/784 ran up
+        # to 2.4x slower than one loop per map.
+        rng = np.random.default_rng(14)
+        soms = [make_som(side, side, dim, seed=i) for i in range(len(loops) * loops[0])]
+        datas = [rng.random((40, dim)) for _ in soms]
+        stacks = []
+        train_stack = som_mod._train_stack
+        monkeypatch.setattr(som_mod, "_train_stack",
+                            lambda W, *args: stacks.append(len(W)) or train_stack(W, *args))
+        schedule = TrainSchedule(epochs=2)
+        trained = train_many(soms, datas, schedule, list(range(len(soms))))
+        assert stacks == loops
+        for i, (som, data, got) in enumerate(zip(soms, datas, trained)):
+            assert np.array_equal(got.weights, train(som, data, schedule, seed=i).weights)
+
+    def test_a_shared_array_is_cast_once(self):
+        # Each entry got its own float64 copy: ten seeds sharing a files
+        # spec's matrices held ten.
+        X = np.random.default_rng(15).random((40_000, 8), dtype=np.float32)
+        soms = [make_som(2, 2, 8, seed=i) for i in range(3)]
+        tracemalloc.start()
+        try:
+            train_many(soms, [X] * 3, TrainSchedule(epochs=1), [0, 1, 2])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * X.size * 8  # one float64 copy, not three
+
     def test_rejects_bad_input(self):
         s = make_som(2, 2, 3, seed=0)
         with pytest.raises(ValueError, match="empty"):
