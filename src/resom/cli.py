@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -52,8 +53,8 @@ def _load_synapses(path, direction: str, source: som_mod.SomGrid, target: som_mo
 
 
 def cmd_train(args) -> int:
-    spec = _spec(args)
-    width, height = exp.parse_grid(args.grid)
+    spec = replace(_spec(args), grid_x=exp.parse_grid(args.grid))
+    width, height = spec.grid_x
     with opened(args.out, "wb") as out:
         data = load_features(args.modality, args.labels)
         grid_som = som_mod.train(

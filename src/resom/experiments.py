@@ -170,8 +170,11 @@ class ExperimentSpec:
             if getattr(self, name) not in allowed:
                 raise SpecError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         for name in ("grid_x", "grid_y"):
-            if min(getattr(self, name)) < 1:
-                raise SpecError(f"{name} sides must be at least 1, got {getattr(self, name)}")
+            grid = getattr(self, name)
+            if min(grid) < 1:
+                raise SpecError(f"{name} sides must be at least 1, got {grid}")
+            if math.prod(grid) > assoc.RLAT_MAX_NEURONS:
+                raise SpecError(f"{name} has more than {assoc.RLAT_MAX_NEURONS} neurons, got {grid}")
         for name in ("alpha_x", "alpha_y", "diverge_beta", "keep_fraction"):
             if not getattr(self, name) > 0:
                 raise SpecError(f"{name} must be > 0, got {getattr(self, name)}")

@@ -22,8 +22,10 @@ a contiguous d-row of a stack matches the per-row sum of a lone (k, d) map,
 every other operation is elementwise, and a stack's loop reads and writes
 only its own arrays, so the thread it runs on cannot change its result.
 tests/test_training_oracle.py checks this against the original one-map loop.
-``training_epochs`` and ``neighborhood`` are the training rule that
-grid.ig_train shares; only its winner distances differ.
+Like bmu_stream, training casts the caller's rows to float64 one SAMPLE_BLOCK
+at a time (exact for float32), never the whole matrix.  ``training_epochs``
+and ``neighborhood`` are the training rule that grid.ig_train shares; only
+its winner distances differ.
 
 ``distances`` splits large jobs the same way: one contiguous row block per
 CPU, each block's cdist written into its rows of one result.  Each distance
@@ -52,8 +54,10 @@ GRID_METRICS = ("euclidean", "manhattan")
 # 4.0 vs 4.9 ms, 2 000x100 at 100-d (20M) 8.4 vs 8.0 ms, 500x100 at 784-d
 # (39M) 16.0 vs 11.3 ms, 10 000x100 at 784-d 313 vs 191 ms.
 PARALLEL_MIN_NKD = 30_000_000
-# Rows of each map's permuted samples gathered at a time during training.
-SAMPLE_BLOCK = 4096
+# Rows cast to float64 at a time, by training and bmu_stream.  A gather of
+# float64 rows makes a temporary as large as the block, so 2 048 rows keep
+# the two together at the size one block of 4 096 took.
+SAMPLE_BLOCK = 2048
 # A map whose weights take more bytes than this trains in a loop of its own.
 # 2-vCPU VM, ten equal maps over 500 rows for 2 epochs, one stacked loop
 # against one loop per map (on 1 CPU / on 2): 8x8 at 16-d (8 KB) 0.065 vs
@@ -235,8 +239,8 @@ def grid_squared_distances(width: int, height: int, grid_metric: str) -> np.ndar
 
 
 def validate_training_data(som: SomGrid, data: np.ndarray) -> np.ndarray:
-    """``data`` as a contiguous float64 matrix fit to train ``som``."""
-    X = np.ascontiguousarray(data, dtype=np.float64)
+    """``data`` as given, uncast, once its shape fits ``som`` and it is finite."""
+    X = np.asarray(data)
     if X.ndim != 2 or X.shape[1] != som.dim:
         raise ValueError(f"data shape {X.shape} does not match som dim {som.dim}")
     if X.shape[0] == 0:
@@ -257,19 +261,14 @@ def train_many(
 
     Maps whose (width, height, dim, n_samples) agree run in one stacked
     per-sample loop unless their weights exceed STACK_MAX_BYTES, and two or
-    more loops run on a thread pool.  Each distinct array of ``datas`` is
-    cast to float64 once, however many maps train on it.  Each map keeps
-    its own seeded permutation, so every result is bit-identical to training
-    it alone.
+    more loops run on a thread pool.  Each map reads its rows as given,
+    casting one sample block at a time, so maps that share an array share
+    it.  Each map keeps its own seeded permutation, so every result is
+    bit-identical to training it alone.
     """
     if not len(soms) == len(datas) == len(seeds):
         raise ValueError("need one dataset and one seed per map")
-    fit: dict[int, np.ndarray] = {}  # by id: ``datas`` holds each array meanwhile
-    for som, data in zip(soms, datas):
-        X = fit.get(id(data))
-        if X is None or X.shape[1] != som.dim:  # a second width raises here
-            fit[id(data)] = validate_training_data(som, data)
-    datas = [fit[id(data)] for data in datas]
+    datas = [validate_training_data(som, d) for som, d in zip(soms, datas)]
     groups: dict[object, list[int]] = {}
     for i, (som, X) in enumerate(zip(soms, datas)):
         shape = (som.width, som.height, som.dim, X.shape[0])
@@ -309,7 +308,7 @@ def _train_stack(W, datas, seeds, dsq, schedule, samples, diff, sq, dist, table)
     """Online training of the (M, k, d) weight stack ``W`` in place: per
     sample, every neuron of map m moves toward map m's input by
     lr(t) * h_sigma(t)(n, winner of map m).  Each epoch's permuted samples
-    are gathered into ``samples`` (M, block, d) one block at a time."""
+    are gathered and cast into ``samples`` (M, block, d) a block at a time."""
     n = datas[0].shape[0]
     block = samples.shape[1]
     for lr, sigma, perms in training_epochs(schedule, seeds, n):
@@ -317,11 +316,11 @@ def _train_stack(W, datas, seeds, dsq, schedule, samples, diff, sq, dist, table)
         for start in range(0, n, block):
             size = min(block, n - start)
             for X, perm, rows in zip(datas, perms, samples):
-                np.take(X, perm[start : start + size], axis=0, out=rows[:size], mode="clip")
+                rows[:size] = X[perm[start : start + size]]
             # Sample i of every map, stacked: (M, 1, d).
             for v in samples[:, :size, None, :].swapaxes(0, 1):
                 np.subtract(v, W, out=diff)
-                np.multiply(diff, diff, out=sq)
+                np.square(diff, out=sq)
                 np.add.reduce(sq, axis=2, out=dist)
                 np.sqrt(dist, out=dist)
                 np.multiply(table[dist.argmin(axis=1)], diff, out=diff)

@@ -349,6 +349,9 @@ INVALID_VALUES = {
     "grid-metric-bogus": ("grid_metric = bogus", "train", "--grid-metric", "bogus"),
     "assoc-epochs-0": ("assoc_epochs = 0", "associate", "--assoc-epochs", "0"),
     "grid-0x3": ("grid_x = 0x3", "train", "--grid", "0x3"),
+    # more neurons than RLAT indexes: a 32.3 GiB grid table, an _ArrayMemoryError
+    # traceback once the run was set up
+    "grid-257x256": ("grid_x = 257x256", "train", "--grid", "257x256"),
 }
 
 # Every file a stepwise command reads is missing: reading one exits 3.

@@ -82,6 +82,13 @@ class TestSpecFile:
         with pytest.raises(SpecError, match=f"{next(iter(grid))} sides must be at least 1"):
             ExperimentSpec(**{**TINY, **grid})
 
+    @pytest.mark.parametrize("name", ["grid_x", "grid_y"])
+    def test_grid_holds_at_most_what_rlat_indexes(self, name):
+        # 65 536 neurons, the most an RLAT file's u16 indices address
+        assert getattr(parse_spec(f"{name} = 256x256\n"), name) == (256, 256)
+        with pytest.raises(SpecError, match=f"{name} has more than 65536 neurons"):
+            ExperimentSpec(**{**TINY, name: (257, 256)})
+
     def test_confused_pairs_syntax(self):
         spec = parse_spec("confused_x = 0:1,2:3\nconfused_y =\n")
         assert spec.confused_x == ((0, 1), (2, 3))

@@ -280,6 +280,26 @@ class TestCellularTraining:
             tracemalloc.stop()
         assert peak < 0.25 * X.nbytes
 
+    def test_float32_rows_hold_no_float64_copy(self):
+        # A float64 copy of the whole matrix peaked at 2.0x the float32 rows.
+        X = np.random.default_rng(15).random((5_000, 784), dtype=np.float32)
+        som = make_som(2, 2, 784, seed=0)
+        tracemalloc.start()
+        try:
+            ig_train(som, X, TrainSchedule(epochs=1), seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * X.nbytes
+
+    def test_float32_rows_train_as_their_float64_cast(self):
+        X = np.random.default_rng(16).random((30, 5), dtype=np.float32)
+        som = make_som(4, 3, 5, seed=2)
+        schedule = TrainSchedule(epochs=3, sigma_start=2.0, sigma_end=0.2)
+        got = ig_train(som, X, schedule, seed=1)
+        assert np.array_equal(got.weights, ig_train(som, X.astype(np.float64), schedule, 1).weights)
+        assert np.array_equal(got.weights, train(som, X, schedule, 1, "manhattan").weights)
+
     def test_finiteness_check_holds_no_mask(self):
         # An n x d isfinite mask of the data was the whole peak, 0.125x the data.
         X = np.random.default_rng(14).random((20_000, 64))

@@ -266,6 +266,30 @@ class TestTrain:
             tracemalloc.stop()
         assert peak < 0.25 * X.nbytes
 
+    def test_float32_rows_hold_no_float64_copy(self):
+        # A float64 copy of the whole matrix peaked at 2.41x the float32 rows.
+        X = np.random.default_rng(13).random((20_000, 784), dtype=np.float32)
+        som = make_som(2, 2, 784, seed=0)
+        tracemalloc.start()
+        try:
+            train(som, X, TrainSchedule(epochs=1), seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * X.nbytes
+
+    @pytest.mark.parametrize("side, dim, maps", [(8, 16, 3), (10, 784, 1)],
+                             ids=["stacked-8x8-16", "lone-10x10-784"])
+    def test_float32_rows_train_as_their_float64_cast(self, monkeypatch, side, dim, maps):
+        # 60 rows in blocks of 7 end in a short block: both gather sizes run.
+        monkeypatch.setattr(som_mod, "SAMPLE_BLOCK", 7)
+        rows = list(np.random.default_rng(16).random((maps, 60, dim), dtype=np.float32))
+        soms = [make_som(side, side, dim, seed=i) for i in range(maps)]
+        schedule = TrainSchedule(epochs=2)
+        got = train_many(soms, rows, schedule, list(range(maps)))
+        want = train_many(soms, [r.astype(np.float64) for r in rows], schedule, list(range(maps)))
+        assert all(np.array_equal(g.weights, w.weights) for g, w in zip(got, want))
+
     @pytest.mark.parametrize("side, dim, loops", [(8, 16, [20]), (10, 784, [1, 1, 1, 1])],
                              ids=["small-maps-stack", "large-maps-alone"])
     def test_small_maps_stack_and_large_maps_train_alone(self, monkeypatch, side, dim, loops):
