@@ -107,10 +107,12 @@ def associate(
 ) -> tuple[LateralSynapses, LateralSynapses]:
     """Learn both synapse directions over one (or more) passes of the pairs.
 
-    Activities use the training kernel (width 1).  Returns (x->y, y->x).
+    Activities use the training kernel (width 1).  Map y's stream is
+    computed on its unpaired rows and gathered by the pairing, so no paired
+    copy of them is made.  Returns (x->y, y->x).
     """
     bx, ax = bmu_stream(som_x, pairs.x.values)
-    by, ay = bmu_stream(som_y, pairs.y_values)
+    by, ay = (stream[pairs.pairing] for stream in bmu_stream(som_y, pairs.y.values))
     syn_xy = learn_direction(som_x.n_neurons, som_y.n_neurons, bx, ax, by, ay, rule, eta, epochs)
     syn_yx = learn_direction(som_y.n_neurons, som_x.n_neurons, by, ay, bx, ax, rule, eta, epochs)
     return syn_xy, syn_yx

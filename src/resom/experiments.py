@@ -21,7 +21,6 @@ import io
 import math
 import os
 import time
-import weakref
 from dataclasses import dataclass, fields
 from functools import partial
 from typing import Callable, get_type_hints
@@ -323,6 +322,11 @@ class StageCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, key + ".bin")
 
+    def key(self, *parts) -> str | None:
+        """The key of a stage's input ``parts``.  Without a directory it is
+        None, which ``get`` reads as a miss, and nothing is hashed."""
+        return _digest(*parts) if self.directory else None
+
     def get(self, key: str) -> bytes | None:
         if not self.directory:
             return None
@@ -357,79 +361,54 @@ def matrix_fingerprint(m: FeatureMatrix) -> str:
     return _digest(m.values, m.labels if m.labels is not None else b"")
 
 
-class _Keys:
-    """The stage cache of one run and the keys of its stages.
-
-    Without a cache directory every key is None, which StageCache reads as a
-    miss, and nothing is hashed.  With one, a FeatureMatrix part of a key is
-    fingerprinted once per run, however many maps and seeds use it.
-    """
-
-    def __init__(self, cache: StageCache):
-        self.cache = cache
-        # id -> (weak reference, fingerprint); the reference tells a live
-        # matrix from a later one given the same id.
-        self._fingerprints: dict[int, tuple[weakref.ref, str]] = {}
-
-    def __call__(self, *parts) -> str | None:
-        if not self.cache.directory:
-            return None
-        return _digest(*(self._fingerprint(p) if isinstance(p, FeatureMatrix) else p
-                         for p in parts))
-
-    def _fingerprint(self, m: FeatureMatrix) -> str:
-        ref, digest = self._fingerprints.get(id(m), (None, ""))
-        if ref is None or ref() is not m:
-            digest = matrix_fingerprint(m)
-            self._fingerprints[id(m)] = weakref.ref(m), digest
-        return digest
-
-
 def _train_cached(
-    keys: _Keys,
-    maps: list[tuple[tuple[int, int], FeatureMatrix, int]],
+    cache: StageCache,
+    maps: list[tuple[tuple[int, int], FeatureMatrix, int, str | None]],
     schedule: som_mod.TrainSchedule,
     grid_metric: str,
 ) -> list[som_mod.SomGrid]:
-    """Train (or fetch) one map per ((width, height), data, seed) entry.
+    """Train (or fetch) one map per ((width, height), data, seed, data's
+    fingerprint) entry.
 
     The cache misses are trained by a single ``train_many`` call; every map
     comes back checkpoint-encoded.
     """
     map_keys = [
-        keys("som", width, height, data, schedule, seed, grid_metric)
-        for (width, height), data, seed in maps
+        cache.key("som", width, height, fingerprint, schedule, seed, grid_metric)
+        for (width, height), _, seed, fingerprint in maps
     ]
-    blobs = [keys.cache.get(key) for key in map_keys]
+    blobs = [cache.get(key) for key in map_keys]
     missing = [i for i, blob in enumerate(blobs) if blob is None]
     fresh = [maps[i] for i in missing]
     trained = som_mod.train_many(
-        [som_mod.make_som(*size, data.n_features, seed) for size, data, seed in fresh],
-        [data.values for _, data, _ in fresh],
+        [som_mod.make_som(*size, data.n_features, seed) for size, data, seed, _ in fresh],
+        [data.values for _, data, _, _ in fresh],
         schedule,
-        [seed for _, _, seed in fresh],
+        [seed for _, _, seed, _ in fresh],
         grid_metric,
     )
     for i, grid in zip(missing, trained):
         buf = io.BytesIO()
         som_mod.save_som(grid, buf)
         blobs[i] = buf.getvalue()
-        keys.cache.put(map_keys[i], blobs[i])
+        cache.put(map_keys[i], blobs[i])
     return [som_mod.load_som(io.BytesIO(blob)) for blob in blobs]
 
 
 def _associate_cached(
-    keys: _Keys,
+    cache: StageCache,
     som_x: som_mod.SomGrid,
     som_y: som_mod.SomGrid,
-    pairs: PairedDataset,
+    data: SeedData,
     spec: ExperimentSpec,
 ) -> tuple[assoc.LateralSynapses, assoc.LateralSynapses]:
-    key = keys(
-        "assoc", som_x.weights, som_y.weights, pairs.x, pairs.y, pairs.pairing,
-        spec.rule, spec.eta, spec.assoc_epochs,
+    """The synapses of ``data``'s training pairs, learned (or fetched)."""
+    pairs, fingerprints = data.train, data.fingerprints
+    key = cache.key(
+        "assoc", som_x.weights, som_y.weights, fingerprints.get("x"), fingerprints.get("y"),
+        pairs.pairing, spec.rule, spec.eta, spec.assoc_epochs,
     )
-    blob = keys.cache.get(key)
+    blob = cache.get(key)
     if blob is None:
         syn_xy, syn_yx = assoc.associate(
             som_x, som_y, pairs, spec.rule, spec.eta, spec.assoc_epochs
@@ -438,7 +417,7 @@ def _associate_cached(
         assoc.save_synapses(syn_xy, buf, "XY")
         assoc.save_synapses(syn_yx, buf, "YX")
         blob = buf.getvalue()
-        keys.cache.put(key, blob)
+        cache.put(key, blob)
     buf = io.BytesIO(blob)
     syn_xy, _ = assoc.load_synapses(buf)
     syn_yx, _ = assoc.load_synapses(buf)
@@ -550,6 +529,9 @@ class SeedData:
     train: PairedDataset
     test: PairedDataset
     subsets: dict[str, FeatureMatrix]  # by modality, "x" or "y"
+    # The cache-key fingerprints of the trained modalities' rows, by
+    # modality; empty without a cache directory.
+    fingerprints: dict[str, str]
 
 
 def _modality(spec: ExperimentSpec, modality: str) -> tuple[tuple[int, int], float, int, int]:
@@ -560,7 +542,7 @@ def _modality(spec: ExperimentSpec, modality: str) -> tuple[tuple[int, int], flo
 
 
 def _trained_seeds(
-    spec: ExperimentSpec, keys: _Keys, modality: str | None
+    spec: ExperimentSpec, cache: StageCache, modality: str | None
 ) -> list[tuple[SeedData, list[som_mod.SomGrid]]]:
     """Every seed's SeedData and trained maps, the last seed first; see run_plan."""
     if modality is None:
@@ -569,6 +551,9 @@ def _trained_seeds(
     else:
         trained = labeled = (modality,)
     pairs = load_dataset(spec)
+    # Fingerprints by matrix id: every seed's rows stay alive here, so no id
+    # is reused, and a matrix that several seeds share is hashed once.
+    known: dict[int, str] = {}
     seeds, entries = [], []
     for seed in spec.seeds:
         train, test = pairs(seed)
@@ -578,11 +563,18 @@ def _trained_seeds(
             subsets[m] = labeling.select_label_subset(
                 getattr(train, m), fraction, seed * 1000 + offset
             )
-        seeds.append(SeedData(seed, train, test, subsets))
+        fingerprints = {}
+        if cache.directory:
+            for m in trained:
+                rows = getattr(train, m)
+                if id(rows) not in known:
+                    known[id(rows)] = matrix_fingerprint(rows)
+                fingerprints[m] = known[id(rows)]
+        seeds.append(SeedData(seed, train, test, subsets, fingerprints))
         for m in trained:
             grid, _, offset, _ = _modality(spec, m)
-            entries.append((grid, getattr(train, m), seed * 1000 + offset))
-    maps = iter(_train_cached(keys, entries, spec.schedule(), spec.grid_metric))
+            entries.append((grid, getattr(train, m), seed * 1000 + offset, fingerprints.get(m)))
+    maps = iter(_train_cached(cache, entries, spec.schedule(), spec.grid_metric))
     return [(data, [next(maps) for _ in trained]) for data in seeds][::-1]
 
 
@@ -593,7 +585,7 @@ def run_plan(
     cache: StageCache | None = None,
     modality: str | None = None,
 ) -> list:
-    """``visit(build(data, maps, keys))`` of each seed, in seed order: the one
+    """``visit(build(data, maps, cache))`` of each seed, in seed order: the one
     run plan of the pipeline and the sweeps.
 
     1. ``load_dataset`` reads a files spec's data once per run.
@@ -603,15 +595,15 @@ def run_plan(
        or with ``modality`` ("x" or "y") that map alone.  Map x is labeled,
        and map y when label_fraction_y > 0 or it is ``modality``.
     4. ``build`` gets each seed's SeedData, its trained maps and the run's
-       cache keys, and ``visit`` what ``build`` returns.  A seed's rows die
+       stage cache, and ``visit`` what ``build`` returns.  A seed's rows die
        once its ``build`` returns, and its build once its ``visit`` returns,
        so what ``visit`` returns is all that is kept of a seed.
     """
-    keys = _Keys(cache or StageCache.from_env())
-    work = _trained_seeds(spec, keys, modality)
+    cache = cache or StageCache.from_env()
+    work = _trained_seeds(spec, cache, modality)
     results = []
     while work:
-        results.append(visit(build(*work.pop(), keys)))
+        results.append(visit(build(*work.pop(), cache)))
     return results
 
 
@@ -633,7 +625,7 @@ class SeedStages:
 
 
 def build_stages(
-    spec: ExperimentSpec, data: SeedData, maps: list[som_mod.SomGrid], keys: _Keys
+    spec: ExperimentSpec, data: SeedData, maps: list[som_mod.SomGrid], cache: StageCache
 ) -> SeedStages:
     """Label x (and y directly, given a y subset) of a seed's trained maps,
     associate, and measure the test rows' distances to both maps."""
@@ -641,7 +633,7 @@ def build_stages(
     subset_x, subset_y = data.subsets["x"], data.subsets.get("y")
     som_x = labeling.label_som(som_x, subset_x, spec.alpha_x)
     som_y_direct = None if subset_y is None else labeling.label_som(som_y, subset_y, spec.alpha_y)
-    syn_xy, syn_yx = _associate_cached(keys, som_x, som_y, data.train, spec)
+    syn_xy, syn_yx = _associate_cached(cache, som_x, som_y, data, spec)
     test_pairs = data.test
     # Every map label, direct or diverged, is a class of a label subset.
     n_classes = inference.class_count(
@@ -771,8 +763,8 @@ def run_pipeline(
     if artifact_dir:
         os.makedirs(artifact_dir, exist_ok=True)
 
-    def build(data, maps, keys):
-        return time.perf_counter(), build_stages(spec, data, maps, keys)
+    def build(data, maps, cache):
+        return time.perf_counter(), build_stages(spec, data, maps, cache)
 
     results = run_plan(
         spec, build, lambda built: _seed_result(spec, *built, artifact_dir), cache
@@ -838,7 +830,7 @@ def alpha_sweep(
         raise SpecError("modality must be x or y")
     _require_positive("alphas", alphas)
 
-    def build(data: SeedData, maps, keys):
+    def build(data: SeedData, maps, cache):
         (grid_som,) = maps
         subset, test = data.subsets[modality], getattr(data.test, modality)
         # Only the labels change with alpha; the test BMUs are computed once.

@@ -13,14 +13,15 @@ activity argmax, a property the test suite pins down.
 Training has one loop, ``train_many``; ``train`` is its one-map case.  Small
 maps of equal (width, height, dim, n_samples) stack into one (M, k, d)
 per-sample loop, which saves Python overhead per sample; a map whose weights
-exceed STACK_MAX_BYTES runs in a loop of its own.  When there are two or
-more loops, for instance every seed's x and y maps at paper shape, they run
-at once on a thread pool of up to one thread per CPU: a high-d loop spends
-its time in numpy kernels that release the GIL.  Every map keeps its own
-seeded permutation, and neither choice changes a bit: each row-wise sum over
-a contiguous d-row of a stack matches the per-row sum of a lone (k, d) map,
-every other operation is elementwise, and a stack's loop reads and writes
-only its own arrays, so the thread it runs on cannot change its result.
+exceed STACK_MAX_BYTES runs in a loop of its own.  The loops, for instance
+every seed's x and y maps at paper shape, run in batches of up to one loop
+per CPU, a batch of two or more on one thread per loop: a high-d loop spends
+its time in numpy kernels that release the GIL.  Only one batch's buffers
+are alive at a time.  Every map keeps its own seeded permutation, and
+neither choice changes a bit: each row-wise sum over a contiguous d-row of
+a stack matches the per-row sum of a lone (k, d) map, every other operation
+is elementwise, and a stack's loop reads and writes only its own arrays, so
+the thread it runs on cannot change its result.
 tests/test_training_oracle.py checks this against the original one-map loop.
 Like bmu_stream, training casts the caller's rows to float64 one SAMPLE_BLOCK
 at a time (exact for float32), never the whole matrix.  ``training_epochs``
@@ -76,16 +77,13 @@ def cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _run_all(calls, workers: int) -> None:
-    """Run each no-argument call, on a pool of ``workers`` threads when that
-    is 2 or more; no thread outlives the call."""
-    if workers < 2:
-        for call in calls:
-            call()
-        return
-    with ThreadPoolExecutor(workers) as pool:
-        for done in [pool.submit(call) for call in calls]:
-            done.result()
+def _run_all(calls) -> list:
+    """Each no-argument call's result, with one thread per call when there
+    are two or more; no thread outlives the call."""
+    if len(calls) < 2:
+        return [call() for call in calls]
+    with ThreadPoolExecutor(len(calls)) as pool:
+        return [done.result() for done in [pool.submit(call) for call in calls]]
 
 
 @dataclass
@@ -188,10 +186,8 @@ def distances(som: SomGrid, values: np.ndarray) -> np.ndarray:
     # One contiguous row block per CPU, each written in place.
     out = np.empty((n, som.n_neurons))
     bounds = [n * i // workers for i in range(workers + 1)]
-    _run_all(
-        [partial(cdist, v[a:b], som.weights, out=out[a:b]) for a, b in zip(bounds, bounds[1:])],
-        workers,
-    )
+    _run_all([partial(cdist, v[a:b], som.weights, out=out[a:b])
+              for a, b in zip(bounds, bounds[1:])])
     return out
 
 
@@ -260,10 +256,10 @@ def train_many(
     """Train each ``soms[i]`` on ``datas[i]`` with its own ``seeds[i]``.
 
     Maps whose (width, height, dim, n_samples) agree run in one stacked
-    per-sample loop unless their weights exceed STACK_MAX_BYTES, and two or
-    more loops run on a thread pool.  Each map reads its rows as given,
-    casting one sample block at a time, so maps that share an array share
-    it.  Each map keeps its own seeded permutation, so every result is
+    per-sample loop unless their weights exceed STACK_MAX_BYTES, and the
+    loops run in batches of up to one per CPU.  Each map reads its rows as
+    given, casting one sample block at a time, so maps that share an array
+    share it.  Each map keeps its own seeded permutation, so every result is
     bit-identical to training it alone.
     """
     if not len(soms) == len(datas) == len(seeds):
@@ -273,38 +269,42 @@ def train_many(
     for i, (som, X) in enumerate(zip(soms, datas)):
         shape = (som.width, som.height, som.dim, X.shape[0])
         groups.setdefault(i if som.weights.nbytes > STACK_MAX_BYTES else shape, []).append(i)
-    # The longest loops (maps x weights x samples) go to the pool first, so
-    # that its threads finish close together.
+    # The longest loops (maps x weights x samples) run first, at most one
+    # per CPU at a time, so that a batch's threads finish close together.
     work = sorted(groups.values(), reverse=True,
                   key=lambda members: len(members) * soms[members[0]].weights.size
                   * datas[members[0]].shape[0])
-    # Every large buffer is allocated here, in the calling thread: a pool
-    # thread's allocations would stay in its own malloc arena.
-    stacks = [
-        (members, *_stack_loop([soms[i] for i in members], [datas[i] for i in members],
-                               [seeds[i] for i in members], schedule, grid_metric))
-        for members in work
-    ]
-    _run_all([loop for _, _, loop in stacks], min(len(stacks), cpu_count()))
+    cpus = cpu_count()
     out: list[SomGrid] = [None] * len(soms)
-    for members, W, _ in stacks:
-        for row, i in enumerate(members):
-            out[i] = replace(soms[i], weights=W[row], labels=None)
+    for start in range(0, len(work), cpus):
+        batch = work[start : start + cpus]
+        # A batch's buffers are allocated here, in the calling thread (a pool
+        # thread's allocations would stay in its own malloc arena), once the
+        # last batch's loops, which hold theirs, are gone.
+        stacks = _run_all([
+            _stack_loop([soms[i] for i in members], [datas[i] for i in members],
+                        [seeds[i] for i in members], schedule, grid_metric)
+            for members in batch
+        ])
+        for members, W in zip(batch, stacks):
+            for row, i in enumerate(members):
+                out[i] = replace(soms[i], weights=W[row], labels=None)
     return out
 
 
 def _stack_loop(soms, datas, seeds, schedule, grid_metric):
-    """The (M, k, d) weight stack of ``soms`` and its training loop as a
-    no-argument call; every large array the loop writes is allocated here."""
+    """The training loop of the (M, k, d) weight stack of ``soms`` as a
+    no-argument call that returns the stack; every large array the loop
+    writes is allocated here."""
     W = np.stack([som.weights for som in soms])
     # dsq is symmetric, so row s is the winner's column: (k, k, 1).
     dsq = grid_squared_distances(soms[0].width, soms[0].height, grid_metric)[:, :, None]
     samples = np.empty((len(soms), min(datas[0].shape[0], SAMPLE_BLOCK), W.shape[2]))
     buffers = np.empty_like(W), np.empty_like(W), np.empty(W.shape[:2]), np.empty_like(dsq)
-    return W, partial(_train_stack, W, datas, seeds, dsq, schedule, samples, *buffers)
+    return partial(_train_stack, W, datas, seeds, dsq, schedule, samples, *buffers)
 
 
-def _train_stack(W, datas, seeds, dsq, schedule, samples, diff, sq, dist, table) -> None:
+def _train_stack(W, datas, seeds, dsq, schedule, samples, diff, sq, dist, table) -> np.ndarray:
     """Online training of the (M, k, d) weight stack ``W`` in place: per
     sample, every neuron of map m moves toward map m's input by
     lr(t) * h_sigma(t)(n, winner of map m).  Each epoch's permuted samples
@@ -325,6 +325,7 @@ def _train_stack(W, datas, seeds, dsq, schedule, samples, diff, sq, dist, table)
                 np.sqrt(dist, out=dist)
                 np.multiply(table[dist.argmin(axis=1)], diff, out=diff)
                 W += diff
+    return W
 
 
 def train(

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from resom.association import (
     roundtrip_synapses,
     save_synapses,
 )
-from resom.data import FeatureMatrix, PairedDataset
-from resom.som import SomGrid
+from resom.data import FeatureMatrix, PairedDataset, pair_by_class
+from resom.som import SomGrid, bmu_stream, make_som
 
 
 def stream(pairs):
@@ -103,6 +104,40 @@ class TestLearning:
         syn_xy, syn_yx = associate(som_x, som_y, pairs, rule="hebb", eta=1.0)
         assert np.array_equal(syn_xy.exists, syn_yx.exists.T)
         assert np.array_equal(syn_xy.weights, syn_yx.weights.T)
+
+    def test_map_y_stream_follows_the_pairing(self):
+        # 50 y rows for 80 x rows: every y row is paired, some more than once.
+        rng = np.random.default_rng(4)
+        som_x = SomGrid(2, 2, rng.random((4, 3)))
+        som_y = SomGrid(3, 2, rng.random((6, 5)))
+        x = FeatureMatrix(rng.random((80, 3)), rng.integers(0, 3, 80))
+        y = FeatureMatrix(rng.random((50, 5)), np.arange(50) % 3)
+        pairs = pair_by_class(x, y, 5)
+        bx, ax = bmu_stream(som_x, pairs.x.values)
+        by, ay = bmu_stream(som_y, pairs.y_values)
+        for rule in ("hebb", "oja"):
+            syn_xy, syn_yx = associate(som_x, som_y, pairs, rule=rule, eta=0.5)
+            for got, want in ((syn_xy, learn_direction(4, 6, bx, ax, by, ay, rule, 0.5)),
+                              (syn_yx, learn_direction(6, 4, by, ay, bx, ax, rule, 0.5))):
+                assert np.array_equal(got.weights, want.weights)
+                assert np.array_equal(got.exists, want.exists)
+
+    def test_holds_no_paired_copy_of_map_y_rows(self):
+        # Streaming pairs.y_values, a paired copy of map y's rows, peaked at
+        # 1.43x those rows.
+        rng = np.random.default_rng(6)
+        labels = rng.integers(0, 10, 20_000)
+        x = FeatureMatrix(rng.random((20_000, 16)), labels)
+        y = FeatureMatrix(rng.random((20_000, 507), dtype=np.float32), rng.permutation(labels))
+        pairs = pair_by_class(x, y, 7)
+        som_x, som_y = make_som(4, 4, 16, seed=0), make_som(16, 16, 507, seed=1)
+        tracemalloc.start()
+        try:
+            associate(som_x, som_y, pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * y.values.nbytes
 
     def test_extra_epochs_reuse_pair_order(self):
         s, a_s, t, a_t = stream([(0, 0, 0.5, 0.5)])

@@ -343,6 +343,17 @@ class TestStageCache:
         assert all(cache.get(blob.stem) is not None for blob in blobs)  # rewritten
         assert run_pipeline(spec, cache).content_hash() == first.content_hash()
 
+    def test_cache_keys_are_pinned(self, tmp_path):
+        # A changed key reads every blob an earlier run wrote as a miss and
+        # recomputes it, which a run that agrees with itself cannot show.
+        # The synapse key hashes trained weights, so it also moves with them.
+        run_pipeline(ExperimentSpec(**TINY), StageCache(str(tmp_path)))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "0b140e127b7edfe832945fbd76210c828a79325a20e235ed1e9e9f596f3aefba.bin",
+            "4268baa7fa7314f71f034eabd0cdfd9ba406b845ff034c361bf2b46555347caa.bin",
+            "c4cea1b784e841148837099dcaece2969145eaf0501a06cb73e9e4a0be2a42b6.bin",
+        ]
+
     @pytest.mark.parametrize("damage", ["empty", "short", "flipped", "unchecked"])
     def test_damaged_blob_is_a_miss(self, tmp_path, damage):
         cache = StageCache(str(tmp_path))

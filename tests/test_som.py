@@ -2,6 +2,7 @@ import io
 import math
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -307,6 +308,34 @@ class TestTrain:
         assert stacks == loops
         for i, (som, data, got) in enumerate(zip(soms, datas, trained)):
             assert np.array_equal(got.weights, train(som, data, schedule, seed=i).weights)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_one_batch_of_loop_buffers_is_alive_at_a_time(self, monkeypatch, cpus):
+        # Every loop's buffers were allocated before any loop ran: six lone
+        # maps held all six loops' buffers when the last loop started.
+        monkeypatch.setattr(som_mod, "cpu_count", lambda: cpus)
+        loops, alive = [], []
+        train_stack = som_mod._train_stack
+
+        def recording(W, *args):
+            loops.append([weakref.ref(a) for a in args if isinstance(a, np.ndarray)])
+            alive.append(sum(any(ref() is not None for ref in refs) for refs in loops))
+            return train_stack(W, *args)
+
+        monkeypatch.setattr(som_mod, "_train_stack", recording)
+        rng = np.random.default_rng(17)
+        soms = [make_som(8, 8, 200, seed=i) for i in range(6)]  # 100 KB each: one loop per map
+        datas = [rng.random((30, 200)) for _ in soms]
+        schedule = TrainSchedule(epochs=1)
+        trained = train_many(soms, datas, schedule, list(range(6)))
+        assert len(alive) == 6 and max(alive) <= cpus
+        monkeypatch.undo()
+        for i, (som, data, got) in enumerate(zip(soms, datas, trained)):
+            assert np.array_equal(got.weights, train(som, data, schedule, seed=i).weights)
+
+    def test_no_maps_train_to_no_maps(self):
+        # A rerun that finds every map in the stage cache trains none.
+        assert train_many([], [], self.schedule, []) == []
 
     def test_a_shared_array_is_cast_once(self):
         # Each entry got its own float64 copy: ten seeds sharing a files

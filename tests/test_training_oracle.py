@@ -2,8 +2,9 @@
 
 ``reference_train`` is the one-map online loop that ``som.train`` ran before
 maps were stacked: one permutation per epoch, one winner and one
-``lr * h`` column per sample.  ``train_many`` and the cellular ``ig_train``
-must reproduce it bit for bit.
+``lr * h`` column per sample.  It keeps its own decay schedule and grid
+distances, so a fault shared with ``resom.som`` cannot pass unseen.
+``train_many`` and the cellular ``ig_train`` must reproduce it bit for bit.
 """
 
 import threading
@@ -14,17 +15,34 @@ import pytest
 
 from resom import grid as ig
 from resom import som as som_mod
-from resom.som import TrainSchedule, decay, grid_squared_distances, make_som
+from resom.som import TrainSchedule, make_som
+
+
+def reference_decay(t, t_final, v_start, v_end):
+    """v_start at epoch 0, shrunk by the same factor each epoch toward v_end."""
+    return v_start * (v_end / v_start) ** (t / t_final)
+
+
+def reference_grid_distances(width, height, grid_metric):
+    """(k, k) squared grid distances, pair by pair; neuron n sits at row
+    n // width, column n % width."""
+    k = width * height
+    dsq = np.empty((k, k))
+    for a in range(k):
+        for b in range(k):
+            dr, dc = abs(a // width - b // width), abs(a % width - b % width)
+            dsq[a, b] = (dr + dc) ** 2 if grid_metric == "manhattan" else dr * dr + dc * dc
+    return dsq
 
 
 def reference_train(som, data, schedule, seed, grid_metric="euclidean"):
     X = np.ascontiguousarray(data, dtype=np.float64)
     W = som.weights.copy()
-    dsq = grid_squared_distances(som.width, som.height, grid_metric)
+    dsq = reference_grid_distances(som.width, som.height, grid_metric)
     rng = np.random.default_rng(seed)
     for t in range(schedule.epochs):
-        lr = decay(t, schedule.epochs, schedule.lr_start, schedule.lr_end)
-        sigma = decay(t, schedule.epochs, schedule.sigma_start, schedule.sigma_end)
+        lr = reference_decay(t, schedule.epochs, schedule.lr_start, schedule.lr_end)
+        sigma = reference_decay(t, schedule.epochs, schedule.sigma_start, schedule.sigma_end)
         denom = 2.0 * sigma * sigma
         for i in rng.permutation(X.shape[0]):
             v = X[i]
