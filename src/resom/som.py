@@ -31,6 +31,9 @@ its winner distances differ.
 ``distances`` splits large jobs the same way: one contiguous row block per
 CPU, each block's cdist written into its rows of one result.  Each distance
 depends on its input row alone, so the matrix equals one cdist's.
+
+``cdist`` is the one seam to scipy: it imports scipy at the first distance,
+on the calling thread, so ``import resom`` loads none of it.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .data import DataFormatError, nonfinite_rows, read_binary, write_binary
 
@@ -67,6 +69,12 @@ SAMPLE_BLOCK = 2048
 # 300-d (234 KB) 1.30 vs 0.96 / 1.46 vs 0.69 s, 10x10 at 784-d (612 KB) 3.68
 # vs 3.44 / 3.91 vs 1.66 s.
 STACK_MAX_BYTES = 64 * 1024
+
+
+def cdist(*args, **kwargs) -> np.ndarray:
+    """scipy.spatial.distance.cdist, imported on the first call."""
+    from scipy.spatial.distance import cdist
+    return cdist(*args, **kwargs)
 
 
 def cpu_count() -> int:
@@ -184,6 +192,7 @@ def distances(som: SomGrid, values: np.ndarray) -> np.ndarray:
     if workers < 2 or n * som.n_neurons * som.dim < PARALLEL_MIN_NKD:
         return cdist(v, som.weights)
     # One contiguous row block per CPU, each written in place.
+    import scipy.spatial.distance  # noqa: F401  (first import on this thread, not a pool's)
     out = np.empty((n, som.n_neurons))
     bounds = [n * i // workers for i in range(workers + 1)]
     _run_all([partial(cdist, v[a:b], som.weights, out=out[a:b])
