@@ -172,8 +172,10 @@ class ExperimentSpec:
             grid = getattr(self, name)
             if min(grid) < 1:
                 raise SpecError(f"{name} sides must be at least 1, got {grid}")
-            if math.prod(grid) > assoc.RLAT_MAX_NEURONS:
-                raise SpecError(f"{name} has more than {assoc.RLAT_MAX_NEURONS} neurons, got {grid}")
+            # Training's (k, k) tables bound a map well below what RLAT indexes.
+            if math.prod(grid) > som_mod.MAX_NEURONS:
+                raise SpecError(f"{name} has more than {som_mod.MAX_NEURONS} neurons, "
+                                f"whose training tables exceed 512 MiB, got {grid}")
         for name in ("alpha_x", "alpha_y", "diverge_beta", "keep_fraction"):
             if not getattr(self, name) > 0:
                 raise SpecError(f"{name} must be > 0, got {getattr(self, name)}")

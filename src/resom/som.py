@@ -28,9 +28,38 @@ at a time (exact for float32), never the whole matrix.  ``training_epochs``
 and ``neighborhood`` are the training rule that grid.ig_train shares; only
 its winner distances differ.
 
-``distances`` splits large jobs the same way: one contiguous row block per
-CPU, each block's cdist written into its rows of one result.  Each distance
-depends on its input row alone, so the matrix equals one cdist's.
+A lone map (a loop of one map) updates only the band of grid rows that its
+winner's neighbourhood reaches.  Once per epoch, after ``neighborhood`` fills
+the coefficient table, the reach R is read off the table: the largest row
+offset with a nonzero coefficient, from row 0 of the table (neuron 0 sees
+every (row, column) offset the grid has, and a coefficient depends on the
+offset alone).  The neurons within R rows of the winner's row are one
+contiguous slice, so the update is ``table[w, lo:hi] * diff[lo:hi]`` added to
+``W[lo:hi]``; the winner search still reads every neuron.  Under the default
+schedule (sigma 5 to 0.01) a 16x16 map's R is 15 for epochs 0-4, then 8, 4,
+2, 1 and 0: in epoch 9 only the winner's row moves.  Every neuron outside the
+band has a coefficient of exactly 0, so the full update would add
+0 * (v - w) to each of its weights w, and skipping that is bit-identical
+when three rules hold:
+
+* v - w is finite.  Non-finite inputs are refused (``validate_training_data``),
+  and so are non-finite initial weights (``train_many``).  A coefficient lies
+  in [0, lr] and ``TrainSchedule`` bounds lr by 1, so each update moves a
+  weight at most to its input, and weights stay within the range of the
+  inputs and initial weights up to rounding.  A loop holding a value of
+  magnitude above BAND_MAX_ABS takes the full update: v - w could overflow,
+  and 0 * inf is NaN.
+* w is not -0.0, since -0.0 + 0.0 is +0.0.  A weight sum is -0.0 only when
+  both terms are, so training never makes one; a loop whose initial weights
+  hold one takes the full update.
+* The table holds no NaN: ``TrainSchedule`` refuses a schedule whose last
+  sigma has 2 sigma^2 underflow to 0, where the table's diagonal is 0 / 0.
+
+Stacks keep the full update, since their maps' winners differ.
+
+``distances`` splits large jobs across the CPUs too: one contiguous row
+block per CPU, each block's cdist written into its rows of one result.  Each
+distance depends on its input row alone, so the matrix equals one cdist's.
 
 ``cdist`` is the one seam to scipy: it imports scipy at the first distance,
 on the calling thread, so ``import resom`` loads none of it.
@@ -69,6 +98,15 @@ SAMPLE_BLOCK = 2048
 # 300-d (234 KB) 1.30 vs 0.96 / 1.46 vs 0.69 s, 10x10 at 784-d (612 KB) 3.68
 # vs 3.44 / 3.91 vs 1.66 s.
 STACK_MAX_BYTES = 64 * 1024
+# A lone map whose initial weights or inputs reach beyond this magnitude takes
+# the full update (see the module docstring): below 2**1023, v - w of two
+# values in range cannot overflow, and 2**1020 leaves room for rounding.
+BAND_MAX_ABS = 2.0**1020
+# Each training loop holds two dense (k, k) float64 tables, the squared grid
+# distances and the epoch's coefficients.  ExperimentSpec refuses a grid of
+# more neurons than keep them within 512 MiB: 2 * k * k * 8 bytes, k <= 5 792.
+# Building the distances briefly holds four (k, k) arrays, 1 GiB at the bound.
+MAX_NEURONS = math.isqrt(512 * 1024 * 1024 // (2 * 8))
 
 
 def cdist(*args, **kwargs) -> np.ndarray:
@@ -107,10 +145,14 @@ class TrainSchedule:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("need at least one epoch")
-        if not (self.lr_start >= self.lr_end > 0):
-            raise ValueError("learning rate must satisfy start >= end > 0")
+        if not (1 >= self.lr_start >= self.lr_end > 0):
+            raise ValueError("learning rate must satisfy 1 >= start >= end > 0")
         if not (self.sigma_start >= self.sigma_end > 0):
             raise ValueError("sigma must satisfy start >= end > 0")
+        # The last epoch's sigma is the smallest; neighborhood divides by 2 sigma^2.
+        sigma = decay(self.epochs - 1, self.epochs, self.sigma_start, self.sigma_end)
+        if not 2.0 * sigma * sigma > 0:
+            raise ValueError(f"sigma decays to {sigma}, where 2 sigma^2 underflows to 0")
 
 
 @dataclass
@@ -273,6 +315,8 @@ def train_many(
     """
     if not len(soms) == len(datas) == len(seeds):
         raise ValueError("need one dataset and one seed per map")
+    if any(nonfinite_rows(som.weights).size for som in soms):
+        raise ValueError("initial weights contain non-finite values")
     datas = [validate_training_data(som, d) for som, d in zip(soms, datas)]
     groups: dict[object, list[int]] = {}
     for i, (som, X) in enumerate(zip(soms, datas)):
@@ -310,18 +354,45 @@ def _stack_loop(soms, datas, seeds, schedule, grid_metric):
     dsq = grid_squared_distances(soms[0].width, soms[0].height, grid_metric)[:, :, None]
     samples = np.empty((len(soms), min(datas[0].shape[0], SAMPLE_BLOCK), W.shape[2]))
     buffers = np.empty_like(W), np.empty_like(W), np.empty(W.shape[:2]), np.empty_like(dsq)
-    return partial(_train_stack, W, datas, seeds, dsq, schedule, samples, *buffers)
+    banded = len(soms) == 1 and _band_is_exact(W, datas[0])
+    return partial(_train_stack, W, datas, seeds, dsq, schedule, samples, *buffers,
+                   soms[0].width if banded else None)
 
 
-def _train_stack(W, datas, seeds, dsq, schedule, samples, diff, sq, dist, table) -> np.ndarray:
+def _band_is_exact(W: np.ndarray, X: np.ndarray) -> bool:
+    """Whether skipping the zero-coefficient neurons of weights ``W`` trained
+    on rows ``X`` is bit-identical to updating them (module docstring): no
+    -0.0 weight, and no value beyond BAND_MAX_ABS.  It makes no array the
+    size of ``W`` unless ``W`` holds a zero."""
+    if np.count_nonzero(W) < W.size and np.signbit(W[W == 0]).any():
+        return False
+    return max(float(W.max()), -float(W.min()), float(X.max()), -float(X.min())) <= BAND_MAX_ABS
+
+
+def _row_bands(table: np.ndarray, width: int) -> list[slice]:
+    """Per winner row r, the neurons of the rows within R of r, where R is
+    the largest row offset with a nonzero coefficient in ``table`` (k, k, 1);
+    neuron 0's row holds every offset."""
+    height = table.shape[0] // width
+    nonzero = np.flatnonzero(table[0])
+    reach = nonzero[-1] // width if nonzero.size else 0
+    return [slice(max(r - reach, 0) * width, min(r + reach + 1, height) * width)
+            for r in range(height)]
+
+
+def _train_stack(W, datas, seeds, dsq, schedule, samples, diff, sq, dist, table,
+                 width) -> np.ndarray:
     """Online training of the (M, k, d) weight stack ``W`` in place: per
     sample, every neuron of map m moves toward map m's input by
     lr(t) * h_sigma(t)(n, winner of map m).  Each epoch's permuted samples
-    are gathered and cast into ``samples`` (M, block, d) a block at a time."""
+    are gathered and cast into ``samples`` (M, block, d) a block at a time.
+    Given the grid ``width`` (not None for a lone map only), a sample
+    updates only the band of rows its winner's neighbourhood reaches."""
     n = datas[0].shape[0]
     block = samples.shape[1]
     for lr, sigma, perms in training_epochs(schedule, seeds, n):
         neighborhood(dsq, lr, sigma, out=table)
+        bands = None if width is None else _row_bands(table, width)
         for start in range(0, n, block):
             size = min(block, n - start)
             for X, perm, rows in zip(datas, perms, samples):
@@ -332,8 +403,16 @@ def _train_stack(W, datas, seeds, dsq, schedule, samples, diff, sq, dist, table)
                 np.square(diff, out=sq)
                 np.add.reduce(sq, axis=2, out=dist)
                 np.sqrt(dist, out=dist)
-                np.multiply(table[dist.argmin(axis=1)], diff, out=diff)
-                W += diff
+                winners = dist.argmin(axis=1)
+                if bands is None:
+                    np.multiply(table[winners], diff, out=diff)
+                    W += diff
+                else:
+                    w = winners[0]
+                    band = bands[w // width]
+                    step, weights = diff[0, band], W[0, band]
+                    np.multiply(table[w, band], step, out=step)
+                    weights += step
     return W
 
 

@@ -352,6 +352,11 @@ INVALID_VALUES = {
     # more neurons than RLAT indexes: a 32.3 GiB grid table, an _ArrayMemoryError
     # traceback once the run was set up
     "grid-257x256": ("grid_x = 257x256", "train", "--grid", "257x256"),
+    # the smallest grid whose two (k, k) float64 training tables exceed
+    # 512 MiB; 256x256 (2 x 32 GiB) ended in a MemoryError traceback, exit 1
+    "grid-5793x1": ("grid_x = 5793x1", "train", "--grid", "5793x1"),
+    # an update that overshoots its input, with no bound on the weights
+    "lr-start-2": ("lr_start = 2", "train", "--lr-start", "2"),
 }
 
 # Every file a stepwise command reads is missing: reading one exits 3.

@@ -83,11 +83,15 @@ class TestSpecFile:
             ExperimentSpec(**{**TINY, **grid})
 
     @pytest.mark.parametrize("name", ["grid_x", "grid_y"])
-    def test_grid_holds_at_most_what_rlat_indexes(self, name):
-        # 65 536 neurons, the most an RLAT file's u16 indices address
-        assert getattr(parse_spec(f"{name} = 256x256\n"), name) == (256, 256)
-        with pytest.raises(SpecError, match=f"{name} has more than 65536 neurons"):
-            ExperimentSpec(**{**TINY, name: (257, 256)})
+    def test_grid_holds_at_most_what_training_tables_afford(self, name):
+        # 5 792 neurons: two 5 792 x 5 792 float64 tables take 512 MiB less
+        # 64 KiB, and 5 793 neurons' take 512 MiB and 117 KiB.
+        assert getattr(parse_spec(f"{name} = 32x181\n"), name) == (32, 181)
+        with pytest.raises(SpecError, match=f"{name} has more than 5792 neurons"):
+            ExperimentSpec(**{**TINY, name: (5793, 1)})
+        # 256x256, which RLAT's u16 indices would address, needed 2 x 32 GiB.
+        with pytest.raises(SpecError, match=f"{name} has more than 5792 neurons"):
+            ExperimentSpec(**{**TINY, name: (256, 256)})
 
     def test_confused_pairs_syntax(self):
         spec = parse_spec("confused_x = 0:1,2:3\nconfused_y =\n")

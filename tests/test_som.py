@@ -182,6 +182,13 @@ class TestSchedule:
             TrainSchedule(lr_start=0.01, lr_end=1.0)
         with pytest.raises(ValueError):
             TrainSchedule(sigma_end=0.0)
+        # An update must not overshoot its input (see the band in som.py).
+        with pytest.raises(ValueError, match="1 >= start"):
+            TrainSchedule(lr_start=1.5)
+        # 2 sigma^2 underflowed to 0: coefficient 0 / 0 made each winner's weights NaN.
+        with pytest.raises(ValueError, match="underflows"):
+            TrainSchedule(epochs=2, sigma_start=1e-160, sigma_end=1e-170)
+        TrainSchedule(epochs=2, sigma_start=1e-160, sigma_end=1e-160)
 
 
 class TestTrain:
@@ -308,6 +315,16 @@ class TestTrain:
         assert stacks == loops
         for i, (som, data, got) in enumerate(zip(soms, datas, trained)):
             assert np.array_equal(got.weights, train(som, data, schedule, seed=i).weights)
+
+    @pytest.mark.parametrize("grid_metric", som_mod.GRID_METRICS)
+    def test_lone_map_band_equals_the_full_update(self, grid_metric):
+        # Alone, the 16-row map updates only the rows its neighbourhood
+        # reaches (one row at epoch 9); stacked twice, it takes the full update.
+        som = make_som(4, 16, 8, seed=3)
+        data = np.random.default_rng(18).random((60, 8))
+        (lone,) = train_many([som], [data], TrainSchedule(), [5], grid_metric)
+        stacked = train_many([som, som], [data, data], TrainSchedule(), [5, 5], grid_metric)
+        assert all(s.weights.tobytes() == lone.weights.tobytes() for s in stacked)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_one_batch_of_loop_buffers_is_alive_at_a_time(self, monkeypatch, cpus):

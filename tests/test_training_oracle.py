@@ -12,6 +12,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resom import grid as ig
 from resom import som as som_mod
@@ -54,6 +56,11 @@ def reference_train(som, data, schedule, seed, grid_metric="euclidean"):
     return replace(som, weights=W, labels=None)
 
 
+def same_bits(a, b):
+    """Equal bit for bit: array_equal calls -0.0 and 0.0 equal, NaN unequal."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def mixed_batch():
     """Two maps that stack, plus two that share nothing but the sample count
     or nothing at all: (width, height, dim, n, seed) per map."""
@@ -78,7 +85,7 @@ def test_train_matches_reference(grid_metric):
     for som, data, seed in zip(soms, datas, seeds):
         expected = reference_train(som, data, schedule, seed, grid_metric)
         got = som_mod.train(som, data, schedule, seed, grid_metric)
-        assert np.array_equal(got.weights, expected.weights)
+        assert same_bits(got.weights, expected.weights)
 
 
 @pytest.mark.parametrize("grid_metric", ["euclidean", "manhattan"])
@@ -91,7 +98,7 @@ def test_train_many_matches_reference_per_map(grid_metric):
         expected = reference_train(som, data, schedule, seed, grid_metric)
         assert (got.width, got.height) == (som.width, som.height)
         assert got.labels is None
-        assert np.array_equal(got.weights, expected.weights)
+        assert same_bits(got.weights, expected.weights)
     # inputs are left untouched
     assert np.array_equal(soms[0].weights, make_som(8, 8, 16, 11).weights)
 
@@ -102,7 +109,7 @@ def test_ig_train_matches_reference():
     data = rng.random((25, 6))
     schedule = TrainSchedule(epochs=3)
     expected = reference_train(som, data, schedule, 23, "manhattan")
-    assert np.array_equal(ig.ig_train(som, data, schedule, 23).weights, expected.weights)
+    assert same_bits(ig.ig_train(som, data, schedule, 23).weights, expected.weights)
 
 
 @pytest.mark.parametrize("block", [1, 7, 90])
@@ -112,7 +119,7 @@ def test_sample_blocks_do_not_change_training(monkeypatch, block):
     schedule = TrainSchedule(epochs=2)
     trained = som_mod.train_many(soms, datas, schedule, seeds)
     for som, data, seed, got in zip(soms, datas, seeds, trained):
-        assert np.array_equal(got.weights, reference_train(som, data, schedule, seed).weights)
+        assert same_bits(got.weights, reference_train(som, data, schedule, seed).weights)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -128,4 +135,68 @@ def test_stacks_train_on_a_pool_like_the_reference(monkeypatch, pool_sizes, cpus
     assert threading.active_count() == threads
     assert pool_sizes == ([2] if cpus == 2 else [])
     for som, data, seed, got in zip(soms, datas, seeds, trained):
-        assert np.array_equal(got.weights, reference_train(som, data, schedule, seed).weights)
+        assert same_bits(got.weights, reference_train(som, data, schedule, seed).weights)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    width=st.integers(1, 6), height=st.integers(1, 6), maps=st.integers(1, 3),
+    dim=st.integers(1, 5), n=st.integers(1, 25), block=st.integers(1, 30),
+    grid_metric=st.sampled_from(som_mod.GRID_METRICS),
+    dtype=st.sampled_from([np.float64, np.float32]), epochs=st.integers(1, 4),
+    # From 0.1 on, exp(-d^2 / 2 sigma^2) underflows to 0 within 4 rows, so
+    # a lone map updates only a band of its rows.
+    sigma_start=st.sampled_from([0.1, 1.0, 5.0]),
+    sigma_end=st.sampled_from([0.001, 0.01, 0.1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_train_many_matches_reference_property(
+    width, height, maps, dim, n, block, grid_metric, dtype, epochs, sigma_start, sigma_end, seed
+):
+    # Maps of one shape stack (maps > 1, the full update) or train alone (the band).
+    schedule = TrainSchedule(epochs=epochs, sigma_start=sigma_start, sigma_end=sigma_end)
+    rng = np.random.default_rng(seed)
+    seeds = [seed + i for i in range(maps)]
+    soms = [make_som(width, height, dim, s) for s in seeds]
+    datas = [rng.random((n, dim)).astype(dtype) for _ in seeds]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(som_mod, "SAMPLE_BLOCK", block)
+        trained = som_mod.train_many(soms, datas, schedule, seeds, grid_metric)
+    for som, data, s, got in zip(soms, datas, seeds, trained):
+        assert same_bits(got.weights, reference_train(som, data, schedule, s, grid_metric).weights)
+
+
+# A lone 1x8 map (one column of 8 rows) whose winner is neuron 7: under
+# sigma 0.1 its band is rows 4-7, and neuron 0's update has coefficient 0.
+BAND_SCHEDULE = TrainSchedule(epochs=1, lr_start=0.5, sigma_start=0.1, sigma_end=0.1)
+
+
+def column_map(first_weight, top=1.0):
+    weights = np.column_stack([np.linspace(0.0, top, 8), np.full(8, 0.5)])
+    weights[0, 0] = first_weight
+    return replace(make_som(1, 8, 2, seed=0), weights=weights)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_initial_weights_are_refused(value):
+    # 0 * inf is NaN, so skipping a zero-coefficient update needs finite weights.
+    with pytest.raises(ValueError, match="initial weights contain non-finite"):
+        som_mod.train_many([column_map(value)], [np.ones((3, 2))], BAND_SCHEDULE, [0])
+
+
+def test_negative_zero_weight_takes_the_full_update():
+    som, data = column_map(-0.0), np.tile([1.0, 0.5], (5, 1))
+    expected = reference_train(som, data, BAND_SCHEDULE, 0).weights
+    # -0.0 + 0 * (1 - -0.0) is +0.0: skipping neuron 0 would keep the -0.0.
+    assert expected[0, 0] == 0 and not np.signbit(expected[0, 0])
+    assert same_bits(som_mod.train(som, data, BAND_SCHEDULE, 0).weights, expected)
+
+
+def test_values_beyond_the_band_bound_take_the_full_update():
+    som, data = column_map(-1e308, top=1e308), np.tile([1e308, 0.5], (5, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = reference_train(som, data, BAND_SCHEDULE, 0).weights
+        got = som_mod.train(som, data, BAND_SCHEDULE, 0).weights
+    # 1e308 - -1e308 overflows, and 0 * inf is NaN: skipping would keep -1e308.
+    assert np.isnan(expected[0, 0])
+    assert same_bits(got, expected)
