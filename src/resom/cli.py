@@ -146,14 +146,14 @@ def cmd_converge(args) -> int:
         y = load_features(args.test_y, args.test_labels_y, som_y.dim)
         pairs = pair_by_class(x, y, args.pair_seed)
         n_classes = inference.class_count(x.labels, y.labels, som_x.labels, som_y.labels)
-        # Each map's test distances once; y's are gathered by the pairing, as in evaluate_seed.
+        # Each map's test distances once, as in evaluate_seed.
         dist_x = som_mod.distances(som_x, x.values)
         dist_y = som_mod.distances(som_y, y.values)
         result = inference.score_convergence(
-            som_x, som_y, syn_xy, syn_yx, dist_x, dist_y[pairs.pairing], x.labels, cfg, n_classes
+            som_x, som_y, syn_xy, syn_yx, pairs, dist_x, dist_y, cfg, n_classes
         )
-        uni_x = inference.score(som_x.labels[np.argmin(dist_x, axis=1)], x.labels, n_classes)
-        uni_y = inference.score(som_y.labels[np.argmin(dist_y, axis=1)], y.labels, n_classes)
+        uni_x = inference.unimodal_score(som_x, dist_x, x.labels, n_classes)
+        uni_y = inference.unimodal_score(som_y, dist_y, y.labels, n_classes)
         metrics = {
             "variant": cfg.name(),
             "accuracy": result.accuracy,
@@ -224,7 +224,7 @@ def cmd_prune_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     digest, rows = exp.read_record_csv(args.records)
-    conv, uni_x, uni_y = (np.array([r[c] for r in rows]) for c in ("convergence", "uni_x", "uni_y"))
+    conv, uni_x, uni_y = (np.array([r[c] for r in rows]) for c in exp.REPORT_COLUMNS)
     metrics = {
         "spec_hash": digest,
         "seeds": len(rows),

@@ -88,14 +88,8 @@ def parse_grid(text: str) -> tuple[int, int]:
 
 
 def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    out = []
-    for item in text.split(","):
-        a, b = item.split(":")
-        out.append((int(a), int(b)))
-    return tuple(out)
+    items = text.split(",") if text.strip() else []
+    return tuple((int(a), int(b)) for a, b in (item.split(":") for item in items))
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -656,19 +650,14 @@ def seed_stages(
     return run_plan(spec, partial(build_stages, spec), visit, cache)
 
 
-def _unimodal_accuracy(stages: SeedStages, som: som_mod.SomGrid, modality: str) -> float:
-    """Test accuracy of a labeling of som_x or som_y (modality "x" or "y")."""
-    dist = stages.dist_x if modality == "x" else stages.dist_y
-    true = getattr(stages.test_pairs, modality).labels
-    return inference.score(som.labels[np.argmin(dist, axis=1)], true, stages.n_classes).accuracy
-
-
 def unimodal_accuracies(stages: SeedStages) -> tuple[float, float | None]:
     """Test accuracy of map x and of the directly labeled map y (if any)."""
-    uni_x = _unimodal_accuracy(stages, stages.som_x, "x")
+    test, n = stages.test_pairs, stages.n_classes
+    uni_x = inference.unimodal_score(stages.som_x, stages.dist_x, test.x.labels, n).accuracy
     if stages.som_y_direct is None:
         return uni_x, None
-    return uni_x, _unimodal_accuracy(stages, stages.som_y_direct, "y")
+    uni_y = inference.unimodal_score(stages.som_y_direct, stages.dist_y, test.y.labels, n)
+    return uni_x, uni_y.accuracy
 
 
 @dataclass
@@ -701,13 +690,14 @@ def evaluate_seed(
             stages.som_x, stages.som_y, syn_xy, stages.subset_x,
             spec.diverge_beta, stages.n_classes,
         )
-        uni_y_diverged = _unimodal_accuracy(stages, diverged, "y")
+        uni_y_diverged = inference.unimodal_score(
+            diverged, stages.dist_y, stages.test_pairs.y.labels, stages.n_classes
+        ).accuracy
     som_y = diverged if spec.label_mode_y == "diverge" else stages.som_y_direct
-    test = stages.test_pairs
     convergence = [
         inference.score_convergence(
-            stages.som_x, som_y, syn_xy, syn_yx, stages.dist_x, stages.dist_y[test.pairing],
-            test.x.labels, cfg, stages.n_classes,
+            stages.som_x, som_y, syn_xy, syn_yx, stages.test_pairs, stages.dist_x,
+            stages.dist_y, cfg, stages.n_classes,
         )
         for cfg in configs
     ]
@@ -883,30 +873,39 @@ def read_record_csv(path) -> tuple[str, list[dict]]:
     """(spec hash, one dict per seed row) of a ``write_record_csv`` file, with
     the REPORT_COLUMNS parsed as floats and the other cells as text.
 
-    A file with no seed row, a row of the wrong width, a missing report
-    column or a cell in one that is not a number raises DataFormatError.
+    A file with no seed row, a missing report column, or a line that is not
+    UTF-8, has the wrong width or holds a report cell that is not a finite
+    number in [0, 1] (an accuracy) raises DataFormatError naming the line.
     """
-    with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        raise DataFormatError(f"{path}: line {line} is not UTF-8 text") from None
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     digest = ""
-    if lines and lines[0].startswith("# spec_hash="):
-        digest = lines.pop(0).split("=", 1)[1]
+    if lines and lines[0][1].startswith("# spec_hash="):
+        digest = lines.pop(0)[1].split("=", 1)[1]
     if len(lines) < 2:
         raise DataFormatError(f"{path}: record holds no seed rows")
-    cols = lines[0].split(",")
+    cols = lines[0][1].split(",")
     missing = [c for c in REPORT_COLUMNS if c not in cols]
     if missing:
         raise DataFormatError(f"{path}: record lacks columns {missing}")
     rows = []
-    for lineno, line in enumerate(lines[1:], 2):
+    for n, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != len(cols):
-            raise DataFormatError(f"{path}: row {lineno} has {len(cells)} cells, not {len(cols)}")
+            raise DataFormatError(f"{path}: line {n} has {len(cells)} cells, not {len(cols)}")
         row = dict(zip(cols, cells))
         for c in REPORT_COLUMNS:
             try:
                 row[c] = float(row[c])
             except ValueError:
-                raise DataFormatError(f"{path}: row {lineno} {c} is not a number") from None
+                row[c] = math.nan
+            if not 0 <= row[c] <= 1:  # so neither nan nor inf
+                raise DataFormatError(f"{path}: line {n} {c} is not a number in [0, 1]")
         rows.append(row)
     return digest, rows

@@ -20,12 +20,12 @@ support (the mean over a neuron's synapses) is one masked matrix product.
 
 Scoring has one result type, ``Score`` (accuracy, confusion, no-decision
 count), one rule for the number of classes, ``class_count``, and one
-function, ``score``, that scores predictions against true labels.
-``score_convergence`` classifies pairs from each map's test distances; the
-experiment layer computes a built seed's distances once and scores every
-keep fraction and labeling of map y from them, and ``resom converge`` reads
-its test files the same way.  ``evaluate_unimodal`` and
-``evaluate_convergence`` derive the distances from feature rows.
+function, ``score``, that scores predictions against true labels.  Both test
+scorers read a map's distances to its unpaired test rows: ``unimodal_score``
+predicts each row as its BMU's label, and ``score_convergence`` classifies a
+``PairedDataset``'s pairs, gathering map y's rows by the pairing.  So a built
+seed, and ``resom converge``, measure each map's distances once;
+``evaluate_unimodal`` and ``evaluate_convergence`` derive them from rows.
 """
 
 from __future__ import annotations
@@ -85,8 +85,7 @@ def minmax_rows(fields: np.ndarray) -> np.ndarray:
     """Min-max normalize each row via its BMU/WMU; constant rows become 0."""
     lo = fields.min(axis=1, keepdims=True)
     span = fields.max(axis=1, keepdims=True) - lo
-    out = np.where(span > 0, (fields - lo) / np.where(span > 0, span, 1.0), 0.0)
-    return out
+    return np.where(span > 0, (fields - lo) / np.where(span > 0, span, 1.0), 0.0)
 
 
 def synapse_max(
@@ -263,34 +262,35 @@ def score(pred: np.ndarray, true: np.ndarray, n_classes: int) -> Score:
     return Score(float(np.mean(pred == true)), confusion, int((~decided).sum()))
 
 
+def unimodal_score(som: SomGrid, dist: np.ndarray, true: np.ndarray, n_classes: int) -> Score:
+    """Predict each row of ``dist`` as its BMU's label (kernel width cancels out)."""
+    return score(som.labels[np.argmin(dist, axis=1)], true, n_classes)
+
+
 def score_convergence(
     som_x: SomGrid,
     som_y: SomGrid,
     syn_xy: LateralSynapses,
     syn_yx: LateralSynapses,
+    pairs: PairedDataset,
     dist_x: np.ndarray,
     dist_y: np.ndarray,
-    true: np.ndarray,
     cfg: ConvergenceConfig,
     n_classes: int,
 ) -> Score:
-    """Convergence on each map's test distances (row i of ``dist_x`` and
-    ``dist_y`` is pair i)."""
+    """Convergence over ``pairs`` from each map's distances to its test rows;
+    map y's rows are unpaired, and gathered here by the pairing."""
     ax = activities_from_distances(dist_x, cfg.kernel_width_x)
-    ay = activities_from_distances(dist_y, cfg.kernel_width_y)
-    # Drop the references, so a matrix gathered for this call (evaluate_seed's
-    # paired map y rows) is freed before the decision allocates its own.
-    del dist_x, dist_y
+    ay = activities_from_distances(dist_y[pairs.pairing], cfg.kernel_width_y)
     batch = converge_from_fields(som_x, som_y, syn_xy, syn_yx, ax, ay, cfg)
-    return score(batch.labels, true, n_classes)
+    return score(batch.labels, pairs.x.labels, n_classes)
 
 
 def evaluate_unimodal(som: SomGrid, matrix: FeatureMatrix, n_classes: int) -> Score:
     """Each row is predicted as its BMU's label (kernel width cancels out)."""
     if som.labels is None:
         raise ValueError("map must be labeled")
-    bmu = np.argmin(distances(som, matrix.values), axis=1)
-    return score(som.labels[bmu], matrix.labels, n_classes)
+    return unimodal_score(som, distances(som, matrix.values), matrix.labels, n_classes)
 
 
 def evaluate_convergence(
@@ -304,8 +304,8 @@ def evaluate_convergence(
 ) -> Score:
     """Accuracy over a paired test set."""
     return score_convergence(
-        som_x, som_y, syn_xy, syn_yx, distances(som_x, pairs.x.values),
-        distances(som_y, pairs.y_values), pairs.x.labels, cfg, n_classes,
+        som_x, som_y, syn_xy, syn_yx, pairs, distances(som_x, pairs.x.values),
+        distances(som_y, pairs.y.values), cfg, n_classes,
     )
 
 

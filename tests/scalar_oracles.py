@@ -9,7 +9,8 @@ library computes the same quantities in batches
 ``labeling.class_means``, the ``grid`` wave loop); the tests check
 those against these oracles.  ``converge_classify`` is no oracle: it is
 the one-sample form of ``inference.converge_from_fields`` that the
-convergence tests state their expected winners with.
+convergence tests state their expected winners with, and ``same_bits`` is
+the bit-for-bit array comparison the training tests use.
 """
 
 from dataclasses import dataclass
@@ -20,6 +21,11 @@ from resom.association import LateralSynapses
 from resom.grid import WaveResult, propagation_steps
 from resom.inference import ConvergenceConfig, converge_from_fields
 from resom.som import SomGrid, activities_batch
+
+
+def same_bits(a, b):
+    """Equal bit for bit: array_equal calls -0.0 and 0.0 equal, NaN unequal."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @dataclass

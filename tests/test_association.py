@@ -4,6 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from resom.association import (
     LateralSynapses,
@@ -19,6 +22,7 @@ from resom.association import (
 )
 from resom.data import FeatureMatrix, PairedDataset, pair_by_class
 from resom.som import SomGrid, bmu_stream, make_som
+from scalar_oracles import same_bits
 
 
 def stream(pairs):
@@ -248,6 +252,21 @@ class TestPrune:
                 assert np.array_equal(got.exists, want.exists)
                 assert np.array_equal(got.weights, want.weights)
                 assert np.array_equal(np.signbit(got.weights), np.signbit(want.weights))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(),
+           fraction=st.sampled_from([0.01, 0.2, 0.5, 1.0, 3.0]) | st.floats(0.01, 3.0))
+    def test_matches_per_source_loop_property(self, data, fraction):
+        n_source, n_target = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+        values = st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.25, 1.0, 3.0])
+        syn = LateralSynapses(
+            n_source, n_target,
+            data.draw(hnp.arrays(np.float64, (n_source, n_target), elements=values)),
+            data.draw(hnp.arrays(bool, (n_source, n_target))),
+        )
+        got, want = prune(syn, fraction), reference_prune(syn, fraction)
+        assert np.array_equal(got.exists, want.exists)
+        assert same_bits(got.weights, want.weights)
 
     @pytest.mark.parametrize("fraction", [float("nan"), float("inf"), -0.5])
     def test_quota_refuses_non_finite_and_non_positive_fractions(self, fraction):

@@ -671,6 +671,33 @@ def test_report_refuses_a_malformed_record(tmp_path, capsys, text):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("column, cell", [
+    ("convergence", "nan"), ("uni_x", "inf"), ("uni_y", "-0.25"), ("convergence", "1.5"),
+])
+def test_report_refuses_a_cell_that_is_not_an_accuracy(tmp_path, capsys, column, cell):
+    # A nan convergence and an inf uni_x exited 0 and printed
+    # convergence_mean=nan and unimodal_x_mean=inf.
+    path = tmp_path / "record.csv"
+    bad_row = ",".join({**REPORT_CELLS, column: cell}.values()) + "\n"
+    path.write_text("# spec_hash=ab\n" + record_text(REPORT_CELLS) + bad_row)
+    assert run("report", "--records", path) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"data error: {path}: line 4 {column} is not a number in [0, 1]\n"
+
+
+def test_report_refuses_a_record_that_is_not_utf8(tmp_path, capsys):
+    # Exited 2 with "config error: 'utf-8' codec can't decode byte 0xff ...",
+    # naming neither the file nor the line.
+    path = tmp_path / "record.csv"
+    text = "# spec_hash=ab\n" + record_text(REPORT_CELLS)
+    path.write_bytes(text.encode() + b"1,0.\xff,0.6,0.7\n")
+    assert run("report", "--records", path) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"data error: {path}: line 4 is not UTF-8 text\n"
+
+
 @pytest.mark.parametrize("command", ["train", "label", "pipeline", "report"])
 def test_directory_path_is_a_data_error(tmp_path, capsys, command):
     # Printed an IsADirectoryError traceback and exited 1.

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from resom.association import LateralSynapses
 from resom.data import FeatureMatrix, PairedDataset
@@ -16,10 +19,11 @@ from resom.inference import (
     gain_matrix,
     minmax_rows,
     score,
+    score_convergence,
     synapse_max,
 )
 from resom.labeling import label_som
-from resom.som import SomGrid, activities_batch
+from resom.som import SomGrid, activities_batch, distances
 from scalar_oracles import activation_field, converge_classify
 
 
@@ -419,3 +423,124 @@ class TestEvaluation:
         )
         assert res.n_no_decision == 3
         assert res.accuracy == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Properties: the batched operators against their scalar loops
+# ---------------------------------------------------------------------------
+
+# Few values, so activities, supports and the two maps' candidates tie.
+QUARTERS = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+WEIGHTS = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+# Negative weights come from RLAT files and from Oja with eta > 1.
+SIGNED_WEIGHTS = st.sampled_from([-1.5, -0.0, 0.0, 0.5, 1.0, 2.0])
+
+
+def drawn_synapses(draw, n_source, n_target, weights=WEIGHTS):
+    exists = draw(hnp.arrays(bool, (n_source, n_target)))
+    w = draw(hnp.arrays(np.float64, (n_source, n_target), elements=weights))
+    return LateralSynapses(n_source, n_target, np.where(exists, w, 0.0), exists)
+
+
+def drawn_map(draw, k, dim):
+    """A k x 1 labeled map whose weights come from QUARTERS."""
+    weights = draw(hnp.arrays(np.float64, (k, dim), elements=QUARTERS))
+    return SomGrid(k, 1, weights, draw(hnp.arrays(np.int64, k, elements=st.integers(0, 2))))
+
+
+def scalar_diverge_labels(som_x, syn_xy, subset, kernel_width, n_classes):
+    """diverge_label one sample and one neuron at a time, from the afferent
+    fields of the one distance kernel: each sample's divergent field over its
+    peak (if positive), summed per class in sample order and averaged; a
+    neuron takes the first class of the largest mean."""
+    sums = [[0.0] * n_classes for _ in range(syn_xy.n_target)]
+    counts = [0] * n_classes
+    for field, c in zip(activities_batch(som_x, subset.values, kernel_width), subset.labels):
+        induced = [divergent_activity(syn_xy, field, t) for t in range(syn_xy.n_target)]
+        peak = max(induced)
+        for t, value in enumerate(induced):
+            sums[t][c] += value / peak if peak > 0 else value
+        counts[c] += 1
+    labels = []
+    for per_class in sums:
+        means = [total / max(count, 1) for total, count in zip(per_class, counts)]
+        labels.append(means.index(max(means)))
+    return labels
+
+
+class TestPropertiesAgainstScalarLoops:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_converge_from_fields_matches_naive_converge(self, data):
+        kx, ky, n = (data.draw(st.integers(1, 4)) for _ in range(3))
+        som_x, som_y = drawn_map(data.draw, kx, 1), drawn_map(data.draw, ky, 1)
+        syn_xy, syn_yx = drawn_synapses(data.draw, kx, ky), drawn_synapses(data.draw, ky, kx)
+        ax = data.draw(hnp.arrays(np.float64, (n, kx), elements=QUARTERS))
+        ay = data.draw(hnp.arrays(np.float64, (n, ky), elements=QUARTERS))
+        for cfg in ALL_VARIANTS:
+            batch = converge_from_fields(som_x, som_y, syn_xy, syn_yx, ax, ay, cfg)
+            for i in range(n):
+                want = naive_converge(
+                    som_x.labels, som_y.labels, ax[i].tolist(), ay[i].tolist(),
+                    syn_xy, syn_yx, cfg,
+                )
+                got = (batch.map_ids[i], batch.neurons[i], batch.labels[i])
+                assert got == (want or ("", -1, -1)), cfg
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_synapse_max_matches_its_scalar_loop(self, data):
+        n_source, n_target, n = (data.draw(st.integers(1, 5)) for _ in range(3))
+        syn = drawn_synapses(data.draw, n_source, n_target, SIGNED_WEIGHTS)
+        fields = data.draw(hnp.arrays(np.float64, (n, n_source), elements=QUARTERS))
+        at = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, n_target - 1)))
+        full = synapse_max(syn.weights, syn.exists, fields)
+        at_only = synapse_max(syn.weights, syn.exists, fields, at)
+        for i in range(n):
+            assert at_only[i] == divergent_activity(syn, fields[i], at[i])
+            for t in range(n_target):
+                assert full[i, t] == divergent_activity(syn, fields[i], t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), kernel_width=st.sampled_from([0.5, 1.0]))
+    def test_diverge_label_matches_its_scalar_loop(self, data, kernel_width):
+        kx, ky = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(1, 8))
+        som_x, som_y = drawn_map(data.draw, kx, 2), drawn_map(data.draw, ky, 2)
+        syn_xy = drawn_synapses(data.draw, kx, ky)
+        subset = FeatureMatrix(
+            data.draw(hnp.arrays(np.float64, (n, 2), elements=QUARTERS)),
+            data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, 2))),
+        )
+        got = diverge_label(som_x, som_y, syn_xy, subset, kernel_width, n_classes=3)
+        assert got.labels.tolist() == scalar_diverge_labels(som_x, syn_xy, subset, kernel_width, 3)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_score_convergence_gathers_map_y_by_the_pairing(self, data):
+        # More x rows than y rows, so the pairing reuses y rows.
+        n_y = data.draw(st.integers(1, 4))
+        pairing = data.draw(hnp.arrays(np.int64, n_y + data.draw(st.integers(1, 5)),
+                                       elements=st.integers(0, n_y - 1)))
+        y_labels = data.draw(hnp.arrays(np.int64, n_y, elements=st.integers(0, 2)))
+        pairs = PairedDataset(
+            FeatureMatrix(data.draw(hnp.arrays(np.float64, (pairing.size, 2), elements=QUARTERS)),
+                          y_labels[pairing]),
+            FeatureMatrix(data.draw(hnp.arrays(np.float64, (n_y, 2), elements=QUARTERS)), y_labels),
+            pairing,
+        )
+        kx, ky = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        som_x, som_y = drawn_map(data.draw, kx, 2), drawn_map(data.draw, ky, 2)
+        syn_xy, syn_yx = drawn_synapses(data.draw, kx, ky), drawn_synapses(data.draw, ky, kx)
+        dist_x, dist_y = distances(som_x, pairs.x.values), distances(som_y, pairs.y.values)
+        for cfg in ALL_VARIANTS:
+            batch = classify_batch(som_x, som_y, syn_xy, syn_yx, pairs.x.values,
+                                   pairs.y.values[pairing], cfg)
+            want = score(batch.labels, pairs.x.labels, 3)
+            for got in (
+                score_convergence(som_x, som_y, syn_xy, syn_yx, pairs, dist_x, dist_y, cfg, 3),
+                evaluate_convergence(som_x, som_y, syn_xy, syn_yx, pairs, cfg, 3),
+            ):
+                assert got.accuracy == want.accuracy, cfg
+                assert got.n_no_decision == want.n_no_decision, cfg
+                assert np.array_equal(got.confusion, want.confusion), cfg

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from resom import grid as ig
 from resom import som as som_mod
 from resom.som import TrainSchedule, make_som
+from scalar_oracles import same_bits
 
 
 def reference_decay(t, t_final, v_start, v_end):
@@ -54,11 +55,6 @@ def reference_train(som, data, schedule, seed, grid_metric="euclidean"):
             h = np.exp(-dsq[:, s] / denom)
             W += (lr * h)[:, None] * diff
     return replace(som, weights=W, labels=None)
-
-
-def same_bits(a, b):
-    """Equal bit for bit: array_equal calls -0.0 and 0.0 equal, NaN unequal."""
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def mixed_batch():
