@@ -17,7 +17,7 @@ from math import ceil, inf
 
 import numpy as np
 
-from .data import DataFormatError, PairedDataset, read_binary, write_binary
+from .data import DataFormatError, PairedDataset, encoded, read_binary, write_binary
 from .som import SomGrid, bmu_stream
 
 RLAT_MAGIC = b"RLAT"
@@ -183,7 +183,4 @@ def load_synapses(path_or_file) -> tuple[LateralSynapses, str]:
 
 def roundtrip_synapses(syn: LateralSynapses) -> LateralSynapses:
     """Pass synapses through the file encoding (weights rounded to f32)."""
-    buf = io.BytesIO()
-    save_synapses(syn, buf)
-    buf.seek(0)
-    return load_synapses(buf)[0]
+    return load_synapses(io.BytesIO(encoded(save_synapses, syn)))[0]

@@ -158,6 +158,13 @@ def write_binary(path_or_file, magic: bytes, header: str, fields, arrays) -> Non
             f.write(np.ascontiguousarray(a, dtype=dtype).tobytes())
 
 
+def encoded(save, value) -> bytes:
+    """The bytes ``save(value, file)`` writes: a stage's one encoding."""
+    buf = io.BytesIO()
+    save(value, buf)
+    return buf.getvalue()
+
+
 def read_binary(path_or_file, magic: bytes, header: str, layout) -> tuple[tuple, list]:
     """``(header fields, arrays)`` of a file ``write_binary`` wrote.  After the
     magic and the ``struct`` header, ``layout(*fields)`` lists the arrays as
@@ -208,9 +215,9 @@ def load_idx(path_or_file, labels_path=None) -> FeatureMatrix:
     if labels_path is not None:
         labels = load_idx_labels(labels_path)
         if labels.shape[0] != count:
-            raise DataFormatError(
-                f"image/label count mismatch: {count} images, {labels.shape[0]} labels"
-            )
+            images = getattr(path_or_file, "name", path_or_file)
+            raise DataFormatError(f"{images}: image/label count mismatch: {count} images, "
+                                  f"{labels.shape[0]} labels in {labels_path}")
     return FeatureMatrix(values, labels)
 
 
@@ -240,11 +247,16 @@ def nonfinite_rows(values: np.ndarray) -> np.ndarray:
 
 
 def load_features(path, labels_path=None, n_features=None) -> FeatureMatrix:
-    """Load a feature file, sniffing RSM1 vs IDX by magic.  Rows of another
-    width than ``n_features`` (when given), then a non-finite value, are a
-    DataFormatError naming the file (and the first row holding one)."""
+    """Load a feature file, sniffing RSM1 vs IDX by magic.  A labels file
+    given with an RSM1 file, which holds its own labels, is a ValueError.
+    Rows of another width than ``n_features`` (when given), then a non-finite
+    value, are a DataFormatError naming the file (and the first row holding
+    one)."""
     with open(path, "rb") as f:
         rsm1 = f.read(len(RSM1_MAGIC)) == RSM1_MAGIC
+        if rsm1 and labels_path is not None:
+            raise ValueError(f"{path} is an RSM1 file, which holds its own labels; "
+                             f"the labels file {labels_path} would be ignored")
         f.seek(0)
         data = load_rsm1(f) if rsm1 else load_idx(f, labels_path)
     if n_features is not None and data.n_features != n_features:

@@ -9,9 +9,9 @@ subsets, learns the lateral synapses and computes the test rows' distances
 to both maps, once per seed; evaluate_seed prunes the synapses at a keep
 fraction, labels map y as the spec says and classifies the test pairs from
 those distances, so no keep fraction or labeling of map y recomputes them.
-Every stage output passes through its binary file encoding (float32
-weights), so a cached stage and a freshly computed one feed bit-identical
-state downstream.
+Every cached stage, the trained maps and the synapses, passes through its
+binary file encoding (float32 weights) in ``StageCache.stages``, so a cached
+stage and a freshly computed one feed bit-identical state downstream.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .data import (
     DataFormatError,
     FeatureMatrix,
     PairedDataset,
+    encoded,
     load_features,
     normalize_minmax,
     opened,
@@ -57,6 +58,9 @@ _NORMALIZERS = {
     "minmax": normalize_minmax,
     "zscore-minmax": standardize_then_minmax,
 }
+
+# The feature files of a files dataset; each may name a labels file too.
+_DATA_FILES = ("x_train", "x_test", "y_train", "y_test")
 
 # The values each choice field of ExperimentSpec accepts.
 _FIELD_CHOICES = {
@@ -184,9 +188,17 @@ class ExperimentSpec:
         if min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
             raise SpecError(f"seeds must be distinct and non-negative, got {self.seeds}")
         if self.dataset == "files":
-            for key in ("x_train", "x_test", "y_train", "y_test"):
+            for key in _DATA_FILES:
                 if not getattr(self, key):
                     raise SpecError(f"files dataset requires {key}")
+        else:  # nothing of a synthetic run reads these
+            for key in _DATA_FILES + tuple(key + "_labels" for key in _DATA_FILES):
+                if getattr(self, key):
+                    raise SpecError(f"synthetic dataset reads no {key}; set dataset = files")
+            for key in ("normalize_x", "normalize_y"):
+                if getattr(self, key) != "none":
+                    raise SpecError(f"synthetic dataset takes {key} = none, "
+                                    f"got {getattr(self, key)!r}")
         if self.label_mode_y == "direct" and self.label_fraction_y <= 0:
             raise SpecError("direct labeling of map y needs label_fraction_y > 0")
         try:
@@ -341,6 +353,18 @@ class StageCache:
             f.write(hashlib.sha256(blob).digest())
             f.write(blob)
 
+    def stages(self, keys: list, compute: Callable, save: Callable) -> list[io.BytesIO]:
+        """Each key's stage as a file to decode.  ``compute(missing)`` returns
+        the values of the keys that missed, called once and only if one did;
+        each is stored as ``encoded(save, value)``, so a fresh stage and a
+        stored one are decoded from the same bytes."""
+        blobs = [self.get(key) for key in keys]
+        missing = [i for i, blob in enumerate(blobs) if blob is None]
+        for i, value in zip(missing, compute(missing) if missing else (), strict=True):
+            blobs[i] = encoded(save, value)
+            self.put(keys[i], blobs[i])
+        return [io.BytesIO(blob) for blob in blobs]
+
 
 def _digest(*parts) -> str:
     h = hashlib.sha256()
@@ -364,31 +388,23 @@ def _train_cached(
     grid_metric: str,
 ) -> list[som_mod.SomGrid]:
     """Train (or fetch) one map per ((width, height), data, seed, data's
-    fingerprint) entry.
-
-    The cache misses are trained by a single ``train_many`` call; every map
-    comes back checkpoint-encoded.
-    """
-    map_keys = [
+    fingerprint) entry; the cache misses train in one ``train_many`` call."""
+    keys = [
         cache.key("som", width, height, fingerprint, schedule, seed, grid_metric)
         for (width, height), _, seed, fingerprint in maps
     ]
-    blobs = [cache.get(key) for key in map_keys]
-    missing = [i for i, blob in enumerate(blobs) if blob is None]
-    fresh = [maps[i] for i in missing]
-    trained = som_mod.train_many(
-        [som_mod.make_som(*size, data.n_features, seed) for size, data, seed, _ in fresh],
-        [data.values for _, data, _, _ in fresh],
-        schedule,
-        [seed for _, _, seed, _ in fresh],
-        grid_metric,
-    )
-    for i, grid in zip(missing, trained):
-        buf = io.BytesIO()
-        som_mod.save_som(grid, buf)
-        blobs[i] = buf.getvalue()
-        cache.put(map_keys[i], blobs[i])
-    return [som_mod.load_som(io.BytesIO(blob)) for blob in blobs]
+
+    def train(missing):
+        fresh = [maps[i] for i in missing]
+        return som_mod.train_many(
+            [som_mod.make_som(*size, data.n_features, seed) for size, data, seed, _ in fresh],
+            [data.values for _, data, _, _ in fresh],
+            schedule,
+            [seed for _, _, seed, _ in fresh],
+            grid_metric,
+        )
+
+    return [som_mod.load_som(f) for f in cache.stages(keys, train, som_mod.save_som)]
 
 
 def _associate_cached(
@@ -404,20 +420,14 @@ def _associate_cached(
         "assoc", som_x.weights, som_y.weights, fingerprints.get("x"), fingerprints.get("y"),
         pairs.pairing, spec.rule, spec.eta, spec.assoc_epochs,
     )
-    blob = cache.get(key)
-    if blob is None:
-        syn_xy, syn_yx = assoc.associate(
-            som_x, som_y, pairs, spec.rule, spec.eta, spec.assoc_epochs
-        )
-        buf = io.BytesIO()
-        assoc.save_synapses(syn_xy, buf, "XY")
-        assoc.save_synapses(syn_yx, buf, "YX")
-        blob = buf.getvalue()
-        cache.put(key, blob)
-    buf = io.BytesIO(blob)
-    syn_xy, _ = assoc.load_synapses(buf)
-    syn_yx, _ = assoc.load_synapses(buf)
-    return syn_xy, syn_yx
+
+    def save(synapses, f):
+        assoc.save_synapses(synapses[0], f, "XY")
+        assoc.save_synapses(synapses[1], f, "YX")
+
+    (f,) = cache.stages([key], lambda _: [assoc.associate(
+        som_x, som_y, pairs, spec.rule, spec.eta, spec.assoc_epochs)], save)
+    return assoc.load_synapses(f)[0], assoc.load_synapses(f)[0]  # XY, then YX
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +620,7 @@ class SeedStages:
     seed: int
     test_pairs: PairedDataset
     som_x: som_mod.SomGrid  # labeled
-    som_y: som_mod.SomGrid  # unlabeled
-    som_y_direct: som_mod.SomGrid | None  # labeled from the y subset, if any
+    som_y: som_mod.SomGrid  # labeled from the y subset if one was drawn, else unlabeled
     subset_x: FeatureMatrix
     syn_xy: assoc.LateralSynapses  # unpruned
     syn_yx: assoc.LateralSynapses
@@ -628,7 +637,7 @@ def build_stages(
     som_x, som_y = maps
     subset_x, subset_y = data.subsets["x"], data.subsets.get("y")
     som_x = labeling.label_som(som_x, subset_x, spec.alpha_x)
-    som_y_direct = None if subset_y is None else labeling.label_som(som_y, subset_y, spec.alpha_y)
+    som_y = som_y if subset_y is None else labeling.label_som(som_y, subset_y, spec.alpha_y)
     syn_xy, syn_yx = _associate_cached(cache, som_x, som_y, data, spec)
     test_pairs = data.test
     # Every map label, direct or diverged, is a class of a label subset.
@@ -636,7 +645,7 @@ def build_stages(
         test_pairs.x.labels, test_pairs.y.labels, *(s.labels for s in data.subsets.values())
     )
     return SeedStages(
-        data.seed, test_pairs, som_x, som_y, som_y_direct, subset_x, syn_xy, syn_yx, n_classes,
+        data.seed, test_pairs, som_x, som_y, subset_x, syn_xy, syn_yx, n_classes,
         som_mod.distances(som_x, test_pairs.x.values),
         som_mod.distances(som_y, test_pairs.y.values),
     )
@@ -654,9 +663,9 @@ def unimodal_accuracies(stages: SeedStages) -> tuple[float, float | None]:
     """Test accuracy of map x and of the directly labeled map y (if any)."""
     test, n = stages.test_pairs, stages.n_classes
     uni_x = inference.unimodal_score(stages.som_x, stages.dist_x, test.x.labels, n).accuracy
-    if stages.som_y_direct is None:
+    if stages.som_y.labels is None:
         return uni_x, None
-    uni_y = inference.unimodal_score(stages.som_y_direct, stages.dist_y, test.y.labels, n)
+    uni_y = inference.unimodal_score(stages.som_y, stages.dist_y, test.y.labels, n)
     return uni_x, uni_y.accuracy
 
 
@@ -693,7 +702,7 @@ def evaluate_seed(
         uni_y_diverged = inference.unimodal_score(
             diverged, stages.dist_y, stages.test_pairs.y.labels, stages.n_classes
         ).accuracy
-    som_y = diverged if spec.label_mode_y == "diverge" else stages.som_y_direct
+    som_y = diverged if spec.label_mode_y == "diverge" else stages.som_y
     convergence = [
         inference.score_convergence(
             stages.som_x, som_y, syn_xy, syn_yx, stages.test_pairs, stages.dist_x,
@@ -826,7 +835,7 @@ def alpha_sweep(
         (grid_som,) = maps
         subset, test = data.subsets[modality], getattr(data.test, modality)
         # Only the labels change with alpha; the test BMUs are computed once.
-        bmu = np.argmin(som_mod.distances(grid_som, test.values), axis=1)
+        bmu, _ = som_mod.bmu_stream(grid_som, test.values)
         return grid_som, subset, bmu, test.labels, inference.class_count(test.labels, subset.labels)
 
     per_seed = run_plan(spec, build, cache=cache, modality=modality)

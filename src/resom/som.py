@@ -76,7 +76,7 @@ from functools import partial
 
 import numpy as np
 
-from .data import DataFormatError, nonfinite_rows, read_binary, write_binary
+from .data import DataFormatError, encoded, nonfinite_rows, read_binary, write_binary
 
 RSOM_MAGIC = b"RSOM"
 GRID_METRICS = ("euclidean", "manhattan")
@@ -460,7 +460,4 @@ def load_som(path_or_file) -> SomGrid:
 def roundtrip_som(som: SomGrid) -> SomGrid:
     """Pass a grid through the checkpoint encoding (weights rounded to f32),
     as the pipeline does with every trained map, cached or fresh."""
-    buf = io.BytesIO()
-    save_som(som, buf)
-    buf.seek(0)
-    return load_som(buf)
+    return load_som(io.BytesIO(encoded(save_som, som)))

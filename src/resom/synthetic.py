@@ -42,6 +42,8 @@ class SyntheticSpec:
             flat = [c for p in pairs for c in p]
             if len(flat) != len(set(flat)):
                 raise ValueError("a class may appear in at most one pair per modality")
+        if not self.noise >= 0:
+            raise ValueError(f"noise must be >= 0, got {self.noise}")
         if not 0.0 <= self.confusion_overlap <= 1.0:
             raise ValueError("confusion_overlap must lie in [0, 1]")
 

@@ -454,6 +454,19 @@ class TestNonFiniteInputs:
         assert run(command, "--spec", spec, "--out", tmp_path / "r.csv") == 2
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("line", [
+        "x_train = missing.rsm1", "y_test_labels = missing.idx", "normalize_x = minmax",
+    ])
+    def test_synthetic_spec_naming_data_is_refused(self, tmp_path, capsys, no_training, line):
+        # Trained on generated data, printed "convergence accuracy 50.21" and
+        # exited 0; the missing files show that none is read.
+        spec = tmp_path / "spec.txt"
+        spec.write_text(TINY_SPEC + line + "\n")
+        assert run("pipeline", "--spec", spec, "--out", tmp_path / "r.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: synthetic dataset") and line.split(" =")[0] in err
+        assert not (tmp_path / "r.csv").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_label_alpha_flag(self, workspace, tmp_path, value):
         assert run(
@@ -616,6 +629,49 @@ def test_labeled_data_without_a_class_is_a_data_error(workspace, tmp_path, capsy
     assert run(command, *argv, "--out", t / "out") == 3
     assert "no row has class 0 (labels run from 0 to 3)" in capsys.readouterr().err
     assert not (t / "out").exists()
+
+
+def save_idx(directory, n_images, n_labels):
+    """IDX files of ``n_images`` blank 2x3 images and ``n_labels`` labels 0."""
+    images, labels = directory / "images.idx", directory / "labels.idx"
+    images.write_bytes(b"\x00\x00\x08\x03" + struct.pack(">III", n_images, 2, 3)
+                       + bytes(6 * n_images))
+    labels.write_bytes(b"\x00\x00\x08\x01" + struct.pack(">I", n_labels) + bytes(n_labels))
+    return images, labels
+
+
+def labeled_data_argv(command, workspace, tmp_path, data, labels):
+    """``command``'s arguments to label map x's training ``data`` by ``labels``."""
+    if command == "label":
+        return ["label", "--som", labeled_map(tmp_path / "x.rsom"), "--data", data,
+                "--labels", labels, "--out", tmp_path / "out"]
+    w = workspace
+    spec = files_spec(tmp_path / "spec.txt", data, w / "y_train.rsm1", w / "x_test.rsm1",
+                      w / "y_test.rsm1")
+    spec.write_text(spec.read_text() + f"x_train_labels = {labels}\n")
+    return ["pipeline", "--spec", spec, "--out", tmp_path / "out"]
+
+
+@pytest.mark.parametrize("command", ["label", "pipeline"])
+def test_labels_file_for_an_rsm1_file_is_a_config_error(
+    workspace, tmp_path, capsys, no_training, command
+):
+    # The labels file was never opened: the RSM1 file's own labels were used.
+    data, labels = workspace / "x_train.rsm1", tmp_path / "junk"
+    assert run(*labeled_data_argv(command, workspace, tmp_path, data, labels)) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {data} is an RSM1 file" in err and str(labels) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["label", "pipeline"])
+def test_idx_count_mismatch_names_both_files(workspace, tmp_path, capsys, no_training, command):
+    # Said "image/label count mismatch: 5 images, 4 labels", naming no file.
+    images, labels = save_idx(tmp_path, 5, 4)
+    assert run(*labeled_data_argv(command, workspace, tmp_path, images, labels)) == 3
+    assert (f"data error: {images}: image/label count mismatch: 5 images, 4 labels in {labels}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("narrow", ["x_test", "y_test"])

@@ -102,13 +102,25 @@ class TestSpecFile:
         with pytest.raises(SpecError, match="x_train"):
             parse_spec("dataset = files\n")
 
+    @pytest.mark.parametrize("line", [
+        f"{name}{suffix} = data.rsm1" for name in ("x_train", "x_test", "y_train", "y_test")
+        for suffix in ("", "_labels")
+    ] + ["normalize_x = minmax", "normalize_y = zscore-minmax"])
+    def test_synthetic_dataset_refuses_file_keys(self, line):
+        # Trained on generated data and exited 0, the files and normalizer unread.
+        key = line.split(" =")[0]
+        with pytest.raises(SpecError, match=f"synthetic dataset .* {key}"):
+            parse_spec(line + "\n")
+
     @pytest.mark.parametrize("fields, message", [
         ({"classes": 3}, "bad confused pair"),  # the default pairs name classes 4 and 5
         ({**TINY, "test_per_class": 0}, "test_per_class must be at least 1"),
         ({**TINY, "train_per_class": 0}, "train_per_class must be at least 1"),
         ({**TINY, "classes": 0}, "n_classes must be at least 1"),
         ({**TINY, "dim_y": 0}, "dim_y must be at least 1"),
-    ], ids=["classes-3", "test-per-class-0", "train-per-class-0", "classes-0", "dim-y-0"])
+        ({**TINY, "noise": -0.5}, "noise must be >= 0"),
+    ], ids=["classes-3", "test-per-class-0", "train-per-class-0", "classes-0", "dim-y-0",
+            "noise-negative"])
     def test_synthetic_fields_are_checked_in_code(self, fields, message):
         # Used to be found only when the data was generated, or never: an
         # empty test split gave NaN accuracies.
@@ -118,6 +130,13 @@ class TestSpecFile:
     def test_direct_labeling_needs_fraction(self):
         with pytest.raises(SpecError, match="label_fraction_y"):
             ExperimentSpec(label_mode_y="direct", label_fraction_y=0.0)
+
+    def test_defaults_agree_with_the_configs_they_build(self):
+        # Each default is written twice, in ExperimentSpec and in the config.
+        spec = ExperimentSpec()
+        assert spec.schedule() == resom.som.TrainSchedule()
+        assert spec.synthetic_spec() == SyntheticSpec()
+        assert spec.convergence_config() == inference.ConvergenceConfig()
 
 
 class TestSynthetic:
@@ -205,6 +224,20 @@ class TestPipeline:
         warm = time.perf_counter() - t0
         assert second.content_hash() == first.content_hash()
         assert warm < cold / 2
+
+    def test_warm_cache_trains_and_associates_nothing(self, tmp_path, monkeypatch):
+        spec = ExperimentSpec(**{**TINY, "seeds": (0, 1)})
+        cache = StageCache(str(tmp_path))
+        first = run_pipeline(spec, cache)
+        calls = []
+        train_many, associate = resom.som.train_many, assoc.associate
+        monkeypatch.setattr(resom.som, "train_many",
+                            lambda soms, *args: calls.append(("train", len(soms)))
+                            or train_many(soms, *args))
+        monkeypatch.setattr(assoc, "associate",
+                            lambda *args: calls.append(("associate",)) or associate(*args))
+        assert run_pipeline(spec, cache).content_hash() == first.content_hash()
+        assert calls == []
 
     def test_partly_cached_seed_matches_uncached(self, tmp_path):
         # alpha_sweep caches map x only; the pipeline then fetches x and
@@ -331,6 +364,26 @@ class TestRunPlan:
 
 
 class TestStageCache:
+    @pytest.mark.parametrize("directory", [True, False], ids=["directory", "no-directory"])
+    def test_stages_computes_the_misses_once(self, tmp_path, directory):
+        cache = StageCache(str(tmp_path) if directory else None)
+        cache.put("b", b"STORED")
+        calls = []
+
+        def compute(missing):
+            calls.append(missing)
+            return [b"fresh %d" % i for i in missing]
+
+        def stages():  # each stage's file; ``save`` encodes a value by upper()
+            save = lambda value, f: f.write(value.upper())
+            return [f.read() for f in cache.stages(["a", "b", "c"], compute, save)]
+
+        want = [b"FRESH 0", b"STORED" if directory else b"FRESH 1", b"FRESH 2"]
+        assert stages() == want
+        assert stages() == want
+        # A warm cache computes nothing; without a directory every key misses.
+        assert calls == ([[0, 2]] if directory else [[0, 1, 2]] * 2)
+
     def test_truncated_blobs_are_recomputed(self, tmp_path):
         spec = ExperimentSpec(**TINY)
         spec_path = tmp_path / "spec.txt"
@@ -413,7 +466,7 @@ class TestSharedDistances:
         assert np.unique(test.pairing).size < test.n_samples  # pairs reuse y rows
         assert unimodal_accuracies(stages) == (
             inference.evaluate_unimodal(stages.som_x, test.x, n_classes).accuracy,
-            inference.evaluate_unimodal(stages.som_y_direct, test.y, n_classes).accuracy,
+            inference.evaluate_unimodal(stages.som_y, test.y, n_classes).accuracy,
         )
         configs = [replace(cfg, kernel_width_x=width, kernel_width_y=width)
                    for cfg in inference.ALL_VARIANTS for width in (1.0, 10.0)]
@@ -425,7 +478,7 @@ class TestSharedDistances:
             stages.som_x, stages.som_y, syn_xy, stages.subset_x, spec.diverge_beta, n_classes
         )
         assert ev.uni_y_diverged == inference.evaluate_unimodal(diverged, test.y, n_classes).accuracy
-        som_y = diverged if mode == "diverge" else stages.som_y_direct
+        som_y = diverged if mode == "diverge" else stages.som_y
         assert np.array_equal(ev.som_y.labels, som_y.labels)
         for cfg, got in zip(configs, ev.convergence, strict=True):
             want = inference.evaluate_convergence(
@@ -448,6 +501,22 @@ class TestSharedDistances:
         prune_sweep(spec, (0.05, 0.1, 0.25, 1.0), StageCache(None))
         neurons = sorted(k for rows, k in calls if rows == n_test)
         assert neurons == [16, 16, 25, 25]  # x and y, two seeds
+
+    @pytest.mark.parametrize("modality", ["x", "y"])
+    def test_alpha_sweep_measures_test_rows_one_block_at_a_time(self, monkeypatch, modality):
+        # Took one (n_test, k) distance matrix per seed: the BMUs come from
+        # bmu_stream now.  The block holds a label subset (24 rows), not the
+        # 100 test rows.
+        spec = ExperimentSpec(**{**TINY, "seeds": (0, 1)})
+        rows = alpha_sweep(spec, (0.5, 1.0), modality, StageCache(None))
+        calls = []
+        distances = resom.som.distances
+        monkeypatch.setattr(resom.som, "SAMPLE_BLOCK", 32)
+        monkeypatch.setattr(resom.som, "distances",
+                            lambda grid, values: calls.append(len(values))
+                            or distances(grid, values))
+        assert alpha_sweep(spec, (0.5, 1.0), modality, StageCache(None)) == rows
+        assert calls and max(calls) <= 32
 
     @pytest.mark.parametrize("modality", ["x", "y"])
     def test_alpha_sweep_matches_evaluate_unimodal_per_alpha(self, modality):
