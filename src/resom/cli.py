@@ -18,7 +18,7 @@ from . import experiments as exp
 from . import grid as ig
 from . import inference, labeling
 from . import som as som_mod
-from .data import DataFormatError, load_features, opened, pair_by_class
+from .data import DataFormatError, class_count, load_features, opened, pair_by_class
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -145,7 +145,7 @@ def cmd_converge(args) -> int:
         x = load_features(args.test_x, args.test_labels_x, som_x.dim)
         y = load_features(args.test_y, args.test_labels_y, som_y.dim)
         pairs = pair_by_class(x, y, args.pair_seed)
-        n_classes = inference.class_count(x.labels, y.labels, som_x.labels, som_y.labels)
+        n_classes = class_count(x.labels, y.labels, som_x.labels, som_y.labels)
         # Each map's test distances once, as in evaluate_seed.
         dist_x = som_mod.distances(som_x, x.values)
         dist_y = som_mod.distances(som_y, y.values)

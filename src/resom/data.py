@@ -93,6 +93,19 @@ class PairedDataset:
         return self.y.values[self.pairing]
 
 
+def class_count(*labels: np.ndarray) -> int:
+    """The confusion's row count: 1 + the largest class any of ``labels``
+    names.  Callers pass the test rows' labels and the map labels (or the
+    label subsets they come from), so a class of one modality alone counts.
+    A count above the number of labels leaves classes that no label names,
+    the mark of a stray label: a DataFormatError, before any confusion."""
+    count = max(int(a.max()) + 1 for a in labels if a.size)
+    n_labels = sum(a.size for a in labels)
+    if count > n_labels:
+        raise DataFormatError(f"labels name class {count - 1}: {count} classes, {n_labels} labels")
+    return count
+
+
 def opened(path_or_file, mode: str, newline=None):
     """A context manager over ``path_or_file``: an open file (or None) is used
     as is and left open; a path is opened in ``mode``.  To write, the block

@@ -33,6 +33,7 @@ from .data import (
     DataFormatError,
     FeatureMatrix,
     PairedDataset,
+    class_count,
     encoded,
     load_features,
     normalize_minmax,
@@ -59,12 +60,16 @@ _NORMALIZERS = {
     "zscore-minmax": standardize_then_minmax,
 }
 
-# The feature files of a files dataset; each may name a labels file too.
-_DATA_FILES = ("x_train", "x_test", "y_train", "y_test")
+_DATASET_KEYS = {  # the spec keys only one dataset reads; a files spec needs the first four
+    "synthetic": ("classes", "dim_x", "dim_y", "train_per_class", "test_per_class", "noise",
+                  "min_separation", "confusion_overlap", "confused_x", "confused_y"),
+    "files": ("x_train", "x_test", "y_train", "y_test", "x_train_labels", "x_test_labels",
+              "y_train_labels", "y_test_labels", "normalize_x", "normalize_y"),
+}
 
 # The values each choice field of ExperimentSpec accepts.
 _FIELD_CHOICES = {
-    "dataset": ("synthetic", "files"),
+    "dataset": tuple(_DATASET_KEYS),
     "normalize_x": tuple(_NORMALIZERS),
     "normalize_y": tuple(_NORMALIZERS),
     "grid_metric": som_mod.GRID_METRICS,
@@ -187,25 +192,20 @@ class ExperimentSpec:
             raise SpecError("at least one seed required")
         if min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
             raise SpecError(f"seeds must be distinct and non-negative, got {self.seeds}")
+        for dataset, keys in _DATASET_KEYS.items():
+            unread = [key for key in keys if getattr(self, key) != _DEFAULTS[key]]
+            if dataset != self.dataset and unread:  # set off its default, and never read
+                raise SpecError(f"{self.dataset} dataset reads no {unread[0]}")
         if self.dataset == "files":
-            for key in _DATA_FILES:
+            for key in _DATASET_KEYS["files"][:4]:  # the feature files
                 if not getattr(self, key):
                     raise SpecError(f"files dataset requires {key}")
-        else:  # nothing of a synthetic run reads these
-            for key in _DATA_FILES + tuple(key + "_labels" for key in _DATA_FILES):
-                if getattr(self, key):
-                    raise SpecError(f"synthetic dataset reads no {key}; set dataset = files")
-            for key in ("normalize_x", "normalize_y"):
-                if getattr(self, key) != "none":
-                    raise SpecError(f"synthetic dataset takes {key} = none, "
-                                    f"got {getattr(self, key)!r}")
         if self.label_mode_y == "direct" and self.label_fraction_y <= 0:
             raise SpecError("direct labeling of map y needs label_fraction_y > 0")
         try:
             self.schedule()
             self.convergence_config()
-            if self.dataset == "synthetic":
-                self.synthetic_spec()
+            self.synthetic_spec()
         except ValueError as e:
             raise SpecError(str(e)) from e
 
@@ -259,6 +259,7 @@ _FIELD_CODECS = {
 _FLOAT_FIELDS = tuple(
     name for name, typ in get_type_hints(ExperimentSpec).items() if typ is float
 )
+_DEFAULTS = {field.name: field.default for field in fields(ExperimentSpec)}
 
 
 def format_spec(spec: ExperimentSpec) -> str:
@@ -538,6 +539,9 @@ class SeedData:
     # The cache-key fingerprints of the trained modalities' rows, by
     # modality; empty without a cache directory.
     fingerprints: dict[str, str]
+    # Confusion rows: every map label, direct or diverged, is a class of a
+    # label subset, so the test labels and the subsets name every class.
+    n_classes: int
 
 
 def _modality(spec: ExperimentSpec, modality: str) -> tuple[tuple[int, int], float, int, int]:
@@ -576,7 +580,8 @@ def _trained_seeds(
                 if id(rows) not in known:
                     known[id(rows)] = matrix_fingerprint(rows)
                 fingerprints[m] = known[id(rows)]
-        seeds.append(SeedData(seed, train, test, subsets, fingerprints))
+        n_classes = class_count(test.x.labels, test.y.labels, *(s.labels for s in subsets.values()))
+        seeds.append(SeedData(seed, train, test, subsets, fingerprints, n_classes))
         for m in trained:
             grid, _, offset, _ = _modality(spec, m)
             entries.append((grid, getattr(train, m), seed * 1000 + offset, fingerprints.get(m)))
@@ -640,12 +645,8 @@ def build_stages(
     som_y = som_y if subset_y is None else labeling.label_som(som_y, subset_y, spec.alpha_y)
     syn_xy, syn_yx = _associate_cached(cache, som_x, som_y, data, spec)
     test_pairs = data.test
-    # Every map label, direct or diverged, is a class of a label subset.
-    n_classes = inference.class_count(
-        test_pairs.x.labels, test_pairs.y.labels, *(s.labels for s in data.subsets.values())
-    )
     return SeedStages(
-        data.seed, test_pairs, som_x, som_y, subset_x, syn_xy, syn_yx, n_classes,
+        data.seed, test_pairs, som_x, som_y, subset_x, syn_xy, syn_yx, data.n_classes,
         som_mod.distances(som_x, test_pairs.x.values),
         som_mod.distances(som_y, test_pairs.y.values),
     )
@@ -836,7 +837,7 @@ def alpha_sweep(
         subset, test = data.subsets[modality], getattr(data.test, modality)
         # Only the labels change with alpha; the test BMUs are computed once.
         bmu, _ = som_mod.bmu_stream(grid_som, test.values)
-        return grid_som, subset, bmu, test.labels, inference.class_count(test.labels, subset.labels)
+        return grid_som, subset, bmu, test.labels, data.n_classes
 
     per_seed = run_plan(spec, build, cache=cache, modality=modality)
     rows = []

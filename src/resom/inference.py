@@ -19,8 +19,8 @@ leaving the two competing afferent activities raw.  The sum variant's
 support (the mean over a neuron's synapses) is one masked matrix product.
 
 Scoring has one result type, ``Score`` (accuracy, confusion, no-decision
-count), one rule for the number of classes, ``class_count``, and one
-function, ``score``, that scores predictions against true labels.  Both test
+count), and one function, ``score``, that scores predictions against true
+labels; the number of classes is ``data.class_count``'s.  Both test
 scorers read a map's distances to its unpaired test rows: ``unimodal_score``
 predicts each row as its BMU's label, and ``score_convergence`` classifies a
 ``PairedDataset``'s pairs, gathering map y's rows by the pairing.  So a built
@@ -245,13 +245,6 @@ class Score:
     accuracy: float
     confusion: np.ndarray  # (n_classes, n_classes) counts, rows = true class
     n_no_decision: int
-
-
-def class_count(*labels: np.ndarray) -> int:
-    """The confusion's row count: 1 + the largest class any of ``labels``
-    names.  Callers pass the test rows' labels and the map labels (or the
-    label subsets they come from), so a class of one modality alone counts."""
-    return max(int(a.max()) + 1 for a in labels if a.size)
 
 
 def score(pred: np.ndarray, true: np.ndarray, n_classes: int) -> Score:

@@ -226,6 +226,26 @@ class TestConverge:
         counts = np.loadtxt(confusion, delimiter=",")
         assert counts.shape == (6, 6) and counts.sum() == 12
 
+    def test_stray_test_label_is_refused_before_any_distance(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("measured distances for a stray label's confusion")
+
+        monkeypatch.setattr(resom.som, "distances", refuse)
+        for name in ("xy", "yx"):
+            save_synapses(LateralSynapses.empty(4, 4), tmp_path / f"{name}.rlat", name.upper())
+        assert run(
+            "converge", "--som-x", labeled_map(tmp_path / "x.rsom"),
+            "--som-y", labeled_map(tmp_path / "y.rsom", seed=1),
+            "--syn-xy", tmp_path / "xy.rlat", "--syn-yx", tmp_path / "yx.rlat",
+            "--test-x", workspace / "x_test.rsm1",
+            "--test-y", save_stray_label(workspace / "y_test.rsm1", tmp_path / "y.rsm1"),
+            "--metrics", tmp_path / "m.txt",
+        ) == 3
+        assert "data error: labels name class 40000: 40001 classes" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
+
     def test_measures_each_maps_test_distances_once(self, chain, tmp_path, monkeypatch):
         calls = []
         cdist = resom.som.cdist
@@ -467,6 +487,15 @@ class TestNonFiniteInputs:
         assert err.startswith("config error: synthetic dataset") and line.split(" =")[0] in err
         assert not (tmp_path / "r.csv").exists()
 
+    def test_files_spec_naming_generator_keys_is_refused(self, tmp_path, capsys, no_training):
+        # Trained on the files and exited 0, noise unread; the missing files
+        # show that none is read.
+        spec = files_spec(tmp_path / "spec.txt", *[tmp_path / "missing.rsm1"] * 4)
+        spec.write_text(spec.read_text() + "noise = 0.5\n")
+        assert run("pipeline", "--spec", spec, "--out", tmp_path / "r.csv") == 2
+        assert capsys.readouterr().err == "config error: files dataset reads no noise\n"
+        assert not (tmp_path / "r.csv").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_label_alpha_flag(self, workspace, tmp_path, value):
         assert run(
@@ -566,6 +595,26 @@ def test_class_missing_from_y_is_a_data_error(workspace, tmp_path, capsys, no_tr
     )
     assert run("pipeline", "--spec", spec, "--out", tmp_path / "r.csv") == 3
     assert "class 2 present in x but absent in y" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def save_stray_label(source, path, row=3, label=40000):
+    """``source``'s rows with one label set to a class no other row names."""
+    m = load_features(source)
+    labels = m.labels.copy()
+    labels[row] = label
+    save_rsm1(FeatureMatrix(m.values, labels), path)
+    return path
+
+
+def test_stray_label_is_a_data_error_before_training(workspace, tmp_path, capsys, no_training):
+    # Both maps trained, then the confusion of 40 001 classes asked for
+    # 11.9 GiB and the run died with a traceback, exit 1.
+    w = workspace
+    spec = files_spec(tmp_path / "spec.txt", w / "x_train.rsm1", w / "y_train.rsm1",
+                      w / "x_test.rsm1", save_stray_label(w / "y_test.rsm1", tmp_path / "y.rsm1"))
+    assert run("pipeline", "--spec", spec, "--out", tmp_path / "r.csv") == 3
+    assert "data error: labels name class 40000: 40001 classes" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
 
 

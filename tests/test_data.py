@@ -12,6 +12,7 @@ from resom.association import LateralSynapses, load_synapses, save_synapses
 from resom.data import (
     DataFormatError,
     FeatureMatrix,
+    class_count,
     load_features,
     load_idx,
     load_idx_labels,
@@ -412,6 +413,22 @@ class TestNormalization:
         twice, _ = normalize_minmax(once, once)
         np.testing.assert_allclose(once.values, twice.values, atol=1e-12)
         assert once.values.min() >= 0.0 and once.values.max() <= 1.0
+
+
+class TestClassCount:
+    def test_one_plus_the_largest_class_any_array_names(self):
+        # A class of one array alone counts; an empty array names none.
+        empty = np.zeros(0, dtype=np.int64)
+        assert class_count(np.array([0, 1, 1]), empty, np.array([3])) == 4
+        assert class_count(np.full(6, 5)) == 6  # six labels may name six classes
+
+    def test_more_classes_than_labels_is_a_stray_label(self):
+        # 1 + 40 000 rows of confusion: 11.9 GiB, asked for after training.
+        with pytest.raises(DataFormatError,
+                           match="labels name class 40000: 40001 classes, 3 labels"):
+            class_count(np.array([0, 1]), np.array([40000]))
+        with pytest.raises(DataFormatError, match="labels name class 6: 7 classes, 6 labels"):
+            class_count(np.full(6, 6))
 
 
 class TestPairing:

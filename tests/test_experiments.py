@@ -12,6 +12,7 @@ from resom import association as assoc, inference, labeling
 from resom.cli import main
 from resom.data import FeatureMatrix, save_rsm1
 from resom.experiments import (
+    _DATASET_KEYS,
     SEED_SUBSET_X,
     SEED_SUBSET_Y,
     ExperimentSpec,
@@ -34,6 +35,19 @@ from resom.experiments import (
     write_record_csv,
 )
 from resom.synthetic import SyntheticSpec, make_paired_dataset
+
+# A spec text of each dataset that sets none of the other's keys.
+DATASET_SPECS = {
+    "synthetic": "",
+    "files": "dataset = files\n"
+    + "".join(f"{key} = {key}.rsm1\n" for key in _DATASET_KEYS["files"][:4]),
+}
+# A value off the default for each key only one dataset reads; a path otherwise.
+OFF_DEFAULT = {
+    "normalize_x": "minmax", "normalize_y": "zscore-minmax", "classes": "7", "dim_x": "3",
+    "dim_y": "3", "train_per_class": "10", "test_per_class": "10", "noise": "0.5",
+    "min_separation": "0.2", "confusion_overlap": "0.5", "confused_x": "0:1", "confused_y": "",
+}
 
 TINY = dict(
     classes=4,
@@ -102,15 +116,26 @@ class TestSpecFile:
         with pytest.raises(SpecError, match="x_train"):
             parse_spec("dataset = files\n")
 
+    def test_files_spec_format_parse_roundtrip(self):
+        # format_spec writes every key, the generator's at their defaults.
+        spec = parse_spec(DATASET_SPECS["files"] + "normalize_y = minmax\ngrid_x = 3x5\n")
+        again = parse_spec(format_spec(spec))
+        assert again == spec
+        assert spec_hash(again) == spec_hash(spec)
+
     @pytest.mark.parametrize("line", [
-        f"{name}{suffix} = data.rsm1" for name in ("x_train", "x_test", "y_train", "y_test")
-        for suffix in ("", "_labels")
-    ] + ["normalize_x = minmax", "normalize_y = zscore-minmax"])
+        f"{key} = {OFF_DEFAULT.get(key, 'data.rsm1')}"
+        for keys in _DATASET_KEYS.values() for key in keys
+    ])
     def test_synthetic_dataset_refuses_file_keys(self, line):
-        # Trained on generated data and exited 0, the files and normalizer unread.
+        # Each dataset refuses a key only the other reads: a synthetic spec
+        # trained on generated data and exited 0, the files and normalizer
+        # unread, and a files spec took noise = -0.5 and ignored it.
         key = line.split(" =")[0]
-        with pytest.raises(SpecError, match=f"synthetic dataset .* {key}"):
-            parse_spec(line + "\n")
+        for dataset, text in DATASET_SPECS.items():
+            if key not in _DATASET_KEYS[dataset]:
+                with pytest.raises(SpecError, match=f"^{dataset} dataset reads no {key}$"):
+                    parse_spec(text + line + "\n")
 
     @pytest.mark.parametrize("fields, message", [
         ({"classes": 3}, "bad confused pair"),  # the default pairs name classes 4 and 5
