@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--labels", help="IDX label file when --modality is IDX images")
     t.add_argument("--grid", required=True, help="map size, e.g. 10x10")
     t.add_argument("--seed", type=int, default=0)
-    _spec_flags(t, "epochs", "lr_start", "lr_end", "sigma_start", "sigma_end", "grid_metric")
+    _spec_flags(t, *exp._SCHEDULE_KEYS.values(), "grid_metric")
     t.add_argument("--out", required=True)
     t.set_defaults(func=cmd_train)
 
@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--test-labels-x")
     c.add_argument("--test-labels-y")
     c.add_argument("--pair-seed", type=int, default=0)
-    _spec_flags(c, "update", "activities", "neurons", "beta_x", "beta_y", "disconnected")
+    _spec_flags(c, *exp._CONVERGENCE_KEYS.values())
     c.add_argument("--metrics", help="key=value metrics file (stdout if omitted)")
     c.add_argument("--confusion-csv")
     c.add_argument("--gain-csv")

@@ -262,9 +262,9 @@ def nonfinite_rows(values: np.ndarray) -> np.ndarray:
 def load_features(path, labels_path=None, n_features=None) -> FeatureMatrix:
     """Load a feature file, sniffing RSM1 vs IDX by magic.  A labels file
     given with an RSM1 file, which holds its own labels, is a ValueError.
-    Rows of another width than ``n_features`` (when given), then a non-finite
-    value, are a DataFormatError naming the file (and the first row holding
-    one)."""
+    A file of no rows or no features, rows of another width than
+    ``n_features`` (when given), then a non-finite value, are a
+    DataFormatError naming the file (and the first row holding one)."""
     with open(path, "rb") as f:
         rsm1 = f.read(len(RSM1_MAGIC)) == RSM1_MAGIC
         if rsm1 and labels_path is not None:
@@ -272,6 +272,8 @@ def load_features(path, labels_path=None, n_features=None) -> FeatureMatrix:
                              f"the labels file {labels_path} would be ignored")
         f.seek(0)
         data = load_rsm1(f) if rsm1 else load_idx(f, labels_path)
+    if not data.n_samples or not data.n_features:
+        raise DataFormatError(f"{path}: holds {data.n_samples} rows of {data.n_features} features")
     if n_features is not None and data.n_features != n_features:
         raise DataFormatError(
             f"{path}: rows have {data.n_features} features, the map takes {n_features}"

@@ -60,9 +60,20 @@ _NORMALIZERS = {
     "zscore-minmax": standardize_then_minmax,
 }
 
+
+def _spec_keys(config: type, **renamed: str) -> dict[str, str]:
+    """Each field of ``config`` and the ExperimentSpec field it is built from:
+    the field of the same name, unless ``renamed`` names another."""
+    return {f.name: renamed.get(f.name, f.name) for f in fields(config)}
+
+
+_SCHEDULE_KEYS = _spec_keys(som_mod.TrainSchedule)
+_CONVERGENCE_KEYS = _spec_keys(inference.ConvergenceConfig,
+                               kernel_width_x="beta_x", kernel_width_y="beta_y")
+_SYNTHETIC_KEYS = _spec_keys(synthetic.SyntheticSpec, n_classes="classes")
+
 _DATASET_KEYS = {  # the spec keys only one dataset reads; a files spec needs the first four
-    "synthetic": ("classes", "dim_x", "dim_y", "train_per_class", "test_per_class", "noise",
-                  "min_separation", "confusion_overlap", "confused_x", "confused_y"),
+    "synthetic": tuple(_SYNTHETIC_KEYS.values()),
     "files": ("x_train", "x_test", "y_train", "y_test", "x_train_labels", "x_test_labels",
               "y_train_labels", "y_test_labels", "normalize_x", "normalize_y"),
 }
@@ -75,10 +86,7 @@ _FIELD_CHOICES = {
     "grid_metric": som_mod.GRID_METRICS,
     "label_mode_y": ("direct", "diverge"),
     "rule": assoc.RULES,
-    "update": inference.UPDATES,
-    "activities": inference.ACTIVITY_MODES,
-    "neurons": inference.NEURON_MODES,
-    "disconnected": inference.DISCONNECTED_MODES,
+    **inference.CHOICES,
 }
 
 
@@ -202,6 +210,8 @@ class ExperimentSpec:
                     raise SpecError(f"files dataset requires {key}")
         if self.label_mode_y == "direct" and self.label_fraction_y <= 0:
             raise SpecError("direct labeling of map y needs label_fraction_y > 0")
+        if self.label_fraction_y <= 0 and self.alpha_y != _DEFAULTS["alpha_y"]:
+            raise SpecError("alpha_y labels map y directly, which needs label_fraction_y > 0")
         try:
             self.schedule()
             self.convergence_config()
@@ -209,34 +219,17 @@ class ExperimentSpec:
         except ValueError as e:
             raise SpecError(str(e)) from e
 
+    def _config(self, config: type, keys: dict[str, str]):
+        return config(**{name: getattr(self, key) for name, key in keys.items()})
+
     def schedule(self) -> som_mod.TrainSchedule:
-        return som_mod.TrainSchedule(
-            self.epochs, self.lr_start, self.lr_end, self.sigma_start, self.sigma_end
-        )
+        return self._config(som_mod.TrainSchedule, _SCHEDULE_KEYS)
 
     def convergence_config(self) -> inference.ConvergenceConfig:
-        return inference.ConvergenceConfig(
-            update=self.update,
-            activities=self.activities,
-            neurons=self.neurons,
-            kernel_width_x=self.beta_x,
-            kernel_width_y=self.beta_y,
-            disconnected=self.disconnected,
-        )
+        return self._config(inference.ConvergenceConfig, _CONVERGENCE_KEYS)
 
     def synthetic_spec(self) -> synthetic.SyntheticSpec:
-        return synthetic.SyntheticSpec(
-            n_classes=self.classes,
-            dim_x=self.dim_x,
-            dim_y=self.dim_y,
-            train_per_class=self.train_per_class,
-            test_per_class=self.test_per_class,
-            noise=self.noise,
-            min_separation=self.min_separation,
-            confusion_overlap=self.confusion_overlap,
-            confused_x=self.confused_x,
-            confused_y=self.confused_y,
-        )
+        return self._config(synthetic.SyntheticSpec, _SYNTHETIC_KEYS)
 
 
 # (format, parse) per field type.  format_spec's text is the spec_hash input,

@@ -41,10 +41,13 @@ from .data import FeatureMatrix, PairedDataset
 from .labeling import class_means
 from .som import SomGrid, activities_batch, activities_from_distances, distances
 
-UPDATES = ("max", "sum")
-ACTIVITY_MODES = ("raw", "norm")
-NEURON_MODES = ("all", "bmu")
-DISCONNECTED_MODES = ("zero", "keep")
+# The values each choice field of ConvergenceConfig accepts.
+CHOICES = {
+    "update": ("max", "sum"),
+    "activities": ("raw", "norm"),
+    "neurons": ("all", "bmu"),
+    "disconnected": ("zero", "keep"),
+}
 
 
 @dataclass(frozen=True)
@@ -57,14 +60,9 @@ class ConvergenceConfig:
     disconnected: str = "zero"
 
     def __post_init__(self):
-        if self.update not in UPDATES:
-            raise ValueError(f"update must be one of {UPDATES}")
-        if self.activities not in ACTIVITY_MODES:
-            raise ValueError(f"activities must be one of {ACTIVITY_MODES}")
-        if self.neurons not in NEURON_MODES:
-            raise ValueError(f"neurons must be one of {NEURON_MODES}")
-        if self.disconnected not in DISCONNECTED_MODES:
-            raise ValueError(f"disconnected must be one of {DISCONNECTED_MODES}")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         if not (0 < self.kernel_width_x < math.inf and 0 < self.kernel_width_y < math.inf):
             raise ValueError("kernel widths must be positive and finite")
 
@@ -76,7 +74,7 @@ class ConvergenceConfig:
 ALL_VARIANTS = tuple(
     ConvergenceConfig(update, activities, neurons)
     for update, activities, neurons in itertools.product(
-        UPDATES, ACTIVITY_MODES, NEURON_MODES
+        CHOICES["update"], CHOICES["activities"], CHOICES["neurons"]
     )
 )
 

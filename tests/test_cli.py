@@ -1,3 +1,4 @@
+import argparse
 import io
 import struct
 
@@ -6,7 +7,7 @@ import pytest
 
 import resom.som
 from resom.association import LateralSynapses, load_synapses, save_synapses
-from resom.cli import main
+from resom.cli import build_parser, main
 from resom.data import FeatureMatrix, load_features, pair_by_class, save_rsm1
 from resom.experiments import write_metrics
 from resom.inference import (
@@ -496,6 +497,17 @@ class TestNonFiniteInputs:
         assert capsys.readouterr().err == "config error: files dataset reads no noise\n"
         assert not (tmp_path / "r.csv").exists()
 
+    def test_alpha_y_without_a_y_subset_is_refused(self, tmp_path, capsys, no_training):
+        # Trained and exited 0 with alpha_y unread, since no command labels map
+        # y directly without a y subset; the missing files show that none is read.
+        spec = files_spec(tmp_path / "spec.txt", *[tmp_path / "missing.rsm1"] * 4)
+        spec.write_text(spec.read_text()
+                        + "label_fraction_y = 0\nlabel_mode_y = diverge\nalpha_y = 5\n")
+        assert run("pipeline", "--spec", spec, "--out", tmp_path / "r.csv") == 2
+        assert capsys.readouterr().err == ("config error: alpha_y labels map y directly, "
+                                           "which needs label_fraction_y > 0\n")
+        assert not (tmp_path / "r.csv").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_label_alpha_flag(self, workspace, tmp_path, value):
         assert run(
@@ -626,6 +638,29 @@ def files_spec(path, x_train, y_train, x_test, y_test):
     return path
 
 
+def bad_file_argv(command, workspace, tmp_path):
+    """``command``'s arguments reading ``tmp_path/bad.rsm1`` as its first
+    feature file and writing ``tmp_path/out``."""
+    w, t = workspace, tmp_path
+    data = t / "bad.rsm1"
+    for name in ("xy", "yx"):
+        save_synapses(LateralSynapses.empty(4, 4), t / f"{name}.rlat", name.upper())
+    maps = ["--som-x", labeled_map(t / "x.rsom"), "--som-y", labeled_map(t / "y.rsom", seed=1)]
+    spec = ["--spec", files_spec(t / "spec.txt", data, w / "y_train.rsm1", w / "x_test.rsm1",
+                                 w / "y_test.rsm1"), "--out", t / "out"]
+    return {
+        "train": ["--modality", data, "--grid", "2x2", "--out", t / "out"],
+        "label": ["--som", t / "x.rsom", "--data", data, "--out", t / "out"],
+        "associate": [*maps, "--pairs-x", data, "--pairs-y", w / "y_train.rsm1",
+                      "--out-xy", t / "out", "--out-yx", t / "out"],
+        "diverge-label": [*maps, "--syn-xy", t / "xy.rlat", "--data-x", data,
+                          "--out", t / "out"],
+        "converge": [*maps, "--syn-xy", t / "xy.rlat", "--syn-yx", t / "yx.rlat",
+                     "--test-x", data, "--test-y", w / "y_test.rsm1", "--metrics", t / "out"],
+        "pipeline": spec, "prune-sweep": spec, "alpha-sweep": spec,
+    }[command]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
     "command", ["train", "label", "associate", "diverge-label", "converge", "pipeline"]
@@ -633,31 +668,30 @@ def files_spec(path, x_train, y_train, x_test, y_test):
 def test_non_finite_feature_is_a_data_error(workspace, tmp_path, capsys, no_training,
                                             command, bad):
     # `label` wrote a labeled map and exited 0; `train` exited 2 as a "config error".
-    w, t = workspace, tmp_path
-    x = load_features(w / "x_train.rsm1")
+    x = load_features(workspace / "x_train.rsm1")
     values = x.values.copy()
     values[7, 2] = bad
-    save_rsm1(FeatureMatrix(values, x.labels), t / "bad.rsm1")
-    for name in ("xy", "yx"):
-        save_synapses(LateralSynapses.empty(4, 4), t / f"{name}.rlat", name.upper())
-    maps = ["--som-x", labeled_map(t / "x.rsom"), "--som-y", labeled_map(t / "y.rsom", seed=1)]
-    argv = {
-        "train": ["--modality", t / "bad.rsm1", "--grid", "2x2", "--out", t / "out"],
-        "label": ["--som", t / "x.rsom", "--data", t / "bad.rsm1", "--out", t / "out"],
-        "associate": [*maps, "--pairs-x", t / "bad.rsm1", "--pairs-y", w / "y_train.rsm1",
-                      "--out-xy", t / "out", "--out-yx", t / "out"],
-        "diverge-label": [*maps, "--syn-xy", t / "xy.rlat", "--data-x", t / "bad.rsm1",
-                          "--out", t / "out"],
-        "converge": [*maps, "--syn-xy", t / "xy.rlat", "--syn-yx", t / "yx.rlat",
-                     "--test-x", t / "bad.rsm1", "--test-y", w / "y_test.rsm1",
-                     "--metrics", t / "out"],
-        "pipeline": ["--spec", files_spec(t / "spec.txt", t / "bad.rsm1", w / "y_train.rsm1",
-                                          w / "x_test.rsm1", w / "y_test.rsm1"),
-                     "--out", t / "out"],
-    }[command]
-    assert run(command, *argv) == 3
+    save_rsm1(FeatureMatrix(values, x.labels), tmp_path / "bad.rsm1")
+    assert run(command, *bad_file_argv(command, workspace, tmp_path)) == 3
     assert "bad.rsm1: row 7 holds a non-finite value" in capsys.readouterr().err
-    assert not (t / "out").exists()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("rows, features", [(0, 6), (40, 0)], ids=["no-rows", "no-features"])
+@pytest.mark.parametrize("command", ["train", "label", "associate", "diverge-label", "converge",
+                                     "pipeline", "prune-sweep", "alpha-sweep"])
+def test_empty_or_featureless_file_is_a_data_error(workspace, tmp_path, capsys, no_training,
+                                                   command, rows, features):
+    # `train` exited 2 with "empty dataset" on no rows and with numpy's "zero-size
+    # array to reduction operation maximum" on no features; `label` exited 2 with
+    # "fraction 0.01 selects no samples from 0"; the others said "no rows to
+    # pair", naming no file, or blamed a well-formed file for its width.
+    labels = np.arange(rows) % 4
+    save_rsm1(FeatureMatrix(np.zeros((rows, features)), labels), tmp_path / "bad.rsm1")
+    assert run(command, *bad_file_argv(command, workspace, tmp_path)) == 3
+    assert (f"data error: {tmp_path / 'bad.rsm1'}: holds {rows} rows of {features} features"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["label", "pipeline"])
@@ -751,6 +785,33 @@ def test_pipeline_needs_a_job(tmp_path, capsys, no_training, jobs):
     assert exit_.value.code == 2
     assert "unrecognized arguments: --jobs" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+
+# Each stepwise subcommand's option strings, in --help order.  Some come
+# from config fields (train's from TrainSchedule, converge's from
+# ConvergenceConfig), so a renamed, reordered or new field shows here.
+STEPWISE_OPTIONS = {
+    "train": ["--modality", "--labels", "--grid", "--seed", "--epochs", "--lr-start",
+              "--lr-end", "--sigma-start", "--sigma-end", "--grid-metric", "--out"],
+    "label": ["--som", "--data", "--labels", "--subset-frac", "--alpha", "--seed", "--out"],
+    "associate": ["--som-x", "--som-y", "--pairs-x", "--pairs-y", "--labels-x", "--labels-y",
+                  "--pair-seed", "--rule", "--eta", "--assoc-epochs", "--keep", "--out-xy",
+                  "--out-yx"],
+    "diverge-label": ["--som-x", "--som-y", "--syn-xy", "--data-x", "--labels-x", "--seed",
+                      "--subset-frac", "--beta", "--out"],
+    "converge": ["--som-x", "--som-y", "--syn-xy", "--syn-yx", "--test-x", "--test-y",
+                 "--test-labels-x", "--test-labels-y", "--pair-seed", "--update",
+                 "--activities", "--neurons", "--beta-x", "--beta-y", "--disconnected",
+                 "--metrics", "--confusion-csv", "--gain-csv"],
+}
+
+
+@pytest.mark.parametrize("command", STEPWISE_OPTIONS)
+def test_stepwise_flags_are_pinned(command):
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    options = [s for action in commands.choices[command]._actions for s in action.option_strings]
+    assert options == ["-h", "--help", *STEPWISE_OPTIONS[command]]
 
 
 REPORT_CELLS = {"seed": "0", "uni_x": "0.5", "uni_y": "0.6", "convergence": "0.7"}

@@ -156,6 +156,15 @@ class TestSpecFile:
         with pytest.raises(SpecError, match="label_fraction_y"):
             ExperimentSpec(label_mode_y="direct", label_fraction_y=0.0)
 
+    def test_alpha_y_needs_direct_labeling_of_map_y(self):
+        # Accepted and never read: without a y subset no command labels map y directly.
+        unlabeled = dict(label_mode_y="diverge", label_fraction_y=0.0)
+        with pytest.raises(SpecError, match="^alpha_y labels map y directly, which needs "
+                                            "label_fraction_y > 0$"):
+            ExperimentSpec(**unlabeled, alpha_y=5.0)
+        assert ExperimentSpec(**unlabeled).alpha_y == 1.0
+        assert ExperimentSpec(label_mode_y="diverge", alpha_y=5.0).alpha_y == 5.0
+
     def test_defaults_agree_with_the_configs_they_build(self):
         # Each default is written twice, in ExperimentSpec and in the config.
         spec = ExperimentSpec()
