@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -33,9 +32,11 @@ class VerificationError(RuntimeError):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _spec(args) -> exp.ExperimentSpec:
-    """The spec the parameter flags describe, checked before any file is read."""
-    return exp.ExperimentSpec(**{k: v for k, v in vars(args).items() if k in exp._FIELD_CODECS})
+def _spec(args, **replaced) -> exp.ExperimentSpec:
+    """The spec the parameter flags describe, checked before any file is read;
+    the fields in ``replaced`` take its values instead."""
+    flags = {k: v for k, v in vars(args).items() if k in exp._FIELD_CODECS}
+    return exp.ExperimentSpec(**{**flags, **replaced})
 
 
 def _load_synapses(path, direction: str, source: som_mod.SomGrid, target: som_mod.SomGrid):
@@ -53,7 +54,7 @@ def _load_synapses(path, direction: str, source: som_mod.SomGrid, target: som_mo
 
 
 def cmd_train(args) -> int:
-    spec = replace(_spec(args), grid_x=exp.parse_grid(args.grid))
+    spec = _spec(args, grid_x=exp.parse_grid(args.grid))
     width, height = spec.grid_x
     with opened(args.out, "wb") as out:
         data = load_features(args.modality, args.labels)
@@ -90,7 +91,11 @@ def cmd_alpha_sweep(args) -> int:
 
 
 def cmd_associate(args) -> int:
-    spec = _spec(args)
+    # eta scales the synapses this command writes under either rule, while a
+    # spec refuses it under hebb, where no pipeline result moves: the flags
+    # are checked with eta at its default, and eta is checked as Oja's.
+    spec = _spec(args, eta=exp._DEFAULTS["eta"])
+    eta = _spec(args, rule="oja").eta
     with opened(args.out_xy, "wb") as out_xy, opened(args.out_yx, "wb") as out_yx:
         som_x = som_mod.load_som(args.som_x)
         som_y = som_mod.load_som(args.som_y)
@@ -98,7 +103,7 @@ def cmd_associate(args) -> int:
         y = load_features(args.pairs_y, args.labels_y, som_y.dim)
         pairs = pair_by_class(x, y, args.pair_seed)
         syn_xy, syn_yx = assoc.associate(
-            som_x, som_y, pairs, spec.rule, spec.eta, spec.assoc_epochs
+            som_x, som_y, pairs, spec.rule, eta, spec.assoc_epochs
         )
         pre = (syn_xy.n_synapses, syn_yx.n_synapses)
         # A keep fraction of 1 or more keeps every synapse.

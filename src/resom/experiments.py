@@ -212,6 +212,10 @@ class ExperimentSpec:
             raise SpecError("direct labeling of map y needs label_fraction_y > 0")
         if self.label_fraction_y <= 0 and self.alpha_y != _DEFAULTS["alpha_y"]:
             raise SpecError("alpha_y labels map y directly, which needs label_fraction_y > 0")
+        if self.rule == "hebb" and self.eta != _DEFAULTS["eta"]:
+            # Hebbian synapses are eta times their eta = 1 values, up to
+            # rounding, and a common factor moves no pruning, winner or label.
+            raise SpecError("eta scales every Hebbian synapse alike, so it needs rule = oja")
         try:
             self.schedule()
             self.convergence_config()

@@ -34,8 +34,8 @@ the coefficient table, the reach R is read off the table: the largest row
 offset with a nonzero coefficient, from row 0 of the table (neuron 0 sees
 every (row, column) offset the grid has, and a coefficient depends on the
 offset alone).  The neurons within R rows of the winner's row are one
-contiguous slice, so the update is ``table[w, lo:hi] * diff[lo:hi]`` added to
-``W[lo:hi]``; the winner search still reads every neuron.  Under the default
+contiguous slice, so the update is ``table[w, lo:hi] * (v - W[lo:hi])`` added
+to ``W[lo:hi]``, and v - w is computed on the band alone.  Under the default
 schedule (sigma 5 to 0.01) a 16x16 map's R is 15 for epochs 0-4, then 8, 4,
 2, 1 and 0: in epoch 9 only the winner's row moves.  Every neuron outside the
 band has a coefficient of exactly 0, so the full update would add
@@ -47,15 +47,56 @@ when three rules hold:
   in [0, lr] and ``TrainSchedule`` bounds lr by 1, so each update moves a
   weight at most to its input, and weights stay within the range of the
   inputs and initial weights up to rounding.  A loop holding a value of
-  magnitude above BAND_MAX_ABS takes the full update: v - w could overflow,
-  and 0 * inf is NaN.
+  magnitude above BAND_MAX_ABS takes the full update and the full winner
+  search: below it neither v - w nor any squared norm, product or distance
+  of the winner filter below can overflow (0 * inf is NaN).
 * w is not -0.0, since -0.0 + 0.0 is +0.0.  A weight sum is -0.0 only when
   both terms are, so training never makes one; a loop whose initial weights
   hold one takes the full update.
 * The table holds no NaN: ``TrainSchedule`` refuses a schedule whose last
   sigma has 2 sigma^2 underflow to 0, where the table's diagonal is 0 / 0.
 
-Stacks keep the full update, since their maps' winners differ.
+A lone map also finds its winner through a filter.  ||v - w||^2 is
+||w||^2 - 2 w.v + ||v||^2, so one BLAS product g = W @ v ranks the neurons by
+f = N - 2 g, where N holds each neuron's ||w||^2.  The candidates are the
+neurons with f <= min f + tau.  A lone candidate is the winner; otherwise
+the full search's distance (subtract, square, row sum, sqrt) of the
+candidates alone elects the first minimum in index order.  That is the
+neuron the full argmin elects, so BLAS never sets a value, and neither its
+summation order nor its thread count can change a bit.  N is recomputed
+(square, row sum) at the start of each sample block, with each row's
+||v||^2; after each step the band's N becomes
+N + c (c (f + ||v||^2) - (N + f)), the closed form of
+(1-c)^2 ||w||^2 + 2 c (1-c) w.v + c^2 ||v||^2, where c is the coefficient.
+
+tau is an error bound.  With u = 2^-53 and gamma_n = n u / (1 - n u) (Higham,
+Accuracy and Stability of Numerical Algorithms, 2002), let Q bound every
+||w||^2 and ||v||^2 of the block: the recomputed max N and max ||v||^2 times
+1 + (2d + 12 b + 4) u for a block of b rows, and at least 2^-900.  (The
+update moves w toward v by c <= 1, and its rounding adds at most
+10.1 u Q to a norm per step.)  Then, for a dimension d:
+
+* N is off by at most gamma_d Q after the recompute, and each closed-form
+  step adds at most (2d + 64) u Q: 1.5 gamma_d Q from the errors of w.v and
+  ||v||^2, 31 u Q from f's rounding and the formula's six operations, and
+  10.1 u Q from the rounding of the update.  The error it carries is
+  scaled by (1-c)^2 <= 1.
+* f is then off by at most e = delta + 2 gamma_d Q + 4 u Q (delta the
+  error of N), and computing min f + tau rounds it by at most 4 u Q.
+* The computed squared distance S of the exact check is D (1 + theta),
+  |theta| <= gamma_{d+2}, with D <= 4 Q; and sqrt maps S_a < S_b to equal
+  distances only if S_b <= S_a (1 + gamma_4), since sqrt is correctly
+  rounded.
+* So a neuron whose f exceeds min f + tau has a larger distance than the
+  neuron of min f, and cannot be elected, when tau >= 2 e + 4 u Q +
+  (8 gamma_{d+2} + 5 gamma_4) Q, which is 14.14 d + 48.36 + s (4d + 128)
+  units of u Q after s closed-form steps.  tau is rounded up to
+  (15 d + 64 + s (4d + 128)) u Q, below 5e-10 Q at d = 507 and
+  b = 2048.  The floor 2^-900 on Q covers the absolute error of every
+  underflow in these sums (2^-1075 each).
+
+Stacks keep the full update and the full search, since their maps' winners
+differ.
 
 ``distances`` splits large jobs across the CPUs too: one contiguous row
 block per CPU, each block's cdist written into its rows of one result.  Each
@@ -99,9 +140,13 @@ SAMPLE_BLOCK = 2048
 # vs 3.44 / 3.91 vs 1.66 s.
 STACK_MAX_BYTES = 64 * 1024
 # A lone map whose initial weights or inputs reach beyond this magnitude takes
-# the full update (see the module docstring): below 2**1023, v - w of two
-# values in range cannot overflow, and 2**1020 leaves room for rounding.
-BAND_MAX_ABS = 2.0**1020
+# the full update and the full winner search (see the module docstring).
+# Below it, a d-dim squared norm, product or distance is at most 4 d 2**800,
+# and the filter's largest sum about 16 d 2**800: finite for any d below
+# 2**200.
+BAND_MAX_ABS = 2.0**400
+# The unit roundoff u of float64, in the winner filter's error bound.
+UNIT_ROUNDOFF = 2.0**-53
 # Each training loop holds two dense (k, k) float64 tables, the squared grid
 # distances and the epoch's coefficients.  ExperimentSpec refuses a grid of
 # more neurons than keep them within 512 MiB: 2 * k * k * 8 bytes, k <= 5 792.
@@ -361,9 +406,10 @@ def _stack_loop(soms, datas, seeds, schedule, grid_metric):
 
 def _band_is_exact(W: np.ndarray, X: np.ndarray) -> bool:
     """Whether skipping the zero-coefficient neurons of weights ``W`` trained
-    on rows ``X`` is bit-identical to updating them (module docstring): no
-    -0.0 weight, and no value beyond BAND_MAX_ABS.  It makes no array the
-    size of ``W`` unless ``W`` holds a zero."""
+    on rows ``X``, and finding the winner through the filter, are
+    bit-identical to the full update and search (module docstring): no -0.0
+    weight, and no value beyond BAND_MAX_ABS.  It makes no array the size of
+    ``W`` unless ``W`` holds a zero."""
     if np.count_nonzero(W) < W.size and np.signbit(W[W == 0]).any():
         return False
     return max(float(W.max()), -float(W.min()), float(X.max()), -float(X.min())) <= BAND_MAX_ABS
@@ -386,8 +432,9 @@ def _train_stack(W, datas, seeds, dsq, schedule, samples, diff, sq, dist, table,
     sample, every neuron of map m moves toward map m's input by
     lr(t) * h_sigma(t)(n, winner of map m).  Each epoch's permuted samples
     are gathered and cast into ``samples`` (M, block, d) a block at a time.
-    Given the grid ``width`` (not None for a lone map only), a sample
-    updates only the band of rows its winner's neighbourhood reaches."""
+    Given the grid ``width`` (not None for a lone map only), a sample's
+    winner comes from the filter, and it updates only the band of rows its
+    winner's neighbourhood reaches."""
     n = datas[0].shape[0]
     block = samples.shape[1]
     for lr, sigma, perms in training_epochs(schedule, seeds, n):
@@ -397,6 +444,10 @@ def _train_stack(W, datas, seeds, dsq, schedule, samples, diff, sq, dist, table,
             size = min(block, n - start)
             for X, perm, rows in zip(datas, perms, samples):
                 rows[:size] = X[perm[start : start + size]]
+            if bands is not None:
+                _train_lone_block(W[0], samples[0, :size], table, bands, width,
+                                  diff[0], sq[0], dist[0])
+                continue
             # Sample i of every map, stacked: (M, 1, d).
             for v in samples[:, :size, None, :].swapaxes(0, 1):
                 np.subtract(v, W, out=diff)
@@ -404,16 +455,46 @@ def _train_stack(W, datas, seeds, dsq, schedule, samples, diff, sq, dist, table,
                 np.add.reduce(sq, axis=2, out=dist)
                 np.sqrt(dist, out=dist)
                 winners = dist.argmin(axis=1)
-                if bands is None:
-                    np.multiply(table[winners], diff, out=diff)
-                    W += diff
-                else:
-                    w = winners[0]
-                    band = bands[w // width]
-                    step, weights = diff[0, band], W[0, band]
-                    np.multiply(table[w, band], step, out=step)
-                    weights += step
+                np.multiply(table[winners], diff, out=diff)
+                W += diff
     return W
+
+
+def _train_lone_block(W, rows, table, bands, width, diff, sq, f):
+    """Train the (k, d) weights ``W`` of a lone map in place on ``rows``, one
+    sample block, through the winner filter and the band (module
+    docstring); ``diff`` and ``sq`` are (k, d) buffers, ``f`` a k-vector."""
+    d = W.shape[1]
+    norms = np.add.reduce(np.square(W, out=sq), axis=1)
+    row_norms = np.einsum("ij,ij->i", rows, rows)
+    q = max(float(norms.max()), float(row_norms.max()), 2.0**-900)
+    q *= 1 + (2 * d + 12 * len(rows) + 4) * UNIT_ROUNDOFF
+    # tau after s closed-form steps is tau_0 + s tau_step (module docstring).
+    tau_0 = (15 * d + 64) * UNIT_ROUNDOFF * q
+    tau_step = (4 * d + 128) * UNIT_ROUNDOFF * q
+    for s, (v, v_norm) in enumerate(zip(rows, row_norms)):
+        np.dot(W, v, out=f)
+        f *= -2.0
+        f += norms
+        near = np.flatnonzero(f <= f.min() + (tau_0 + s * tau_step))
+        w = near[0] if near.size == 1 else _nearest(v, W, near, diff, sq)
+        band = bands[w // width]
+        c = table[w, band]
+        step, weights = diff[band], W[band]
+        np.subtract(v, weights, out=step)
+        np.multiply(c, step, out=step)
+        weights += step
+        c, f_band = c[:, 0], f[band]  # the band's norms, in closed form
+        norms[band] += c * (c * (f_band + v_norm) - (norms[band] + f_band))
+
+
+def _nearest(v, W, near, diff, sq) -> int:
+    """The first of the ascending neuron indices ``near`` whose distance to
+    ``v``, computed as the full search computes it, is the least."""
+    step, sums = diff[: near.size], sq[: near.size]
+    np.subtract(v, W[near], out=step)
+    np.square(step, out=sums)
+    return near[np.sqrt(np.add.reduce(sums, axis=1)).argmin()]
 
 
 def train(

@@ -127,6 +127,22 @@ class TestWorkflow:
         assert "'YX', expected 'XY'" in capsys.readouterr().err
         assert not (tmp_path / "out.rsom").exists()
 
+    def test_associate_eta_scales_hebbian_synapses(self, chain, tmp_path):
+        # A spec refuses eta under hebb, but this command writes the synapses
+        # eta scales.
+        w = chain
+        assert run(
+            "associate", "--som-x", w / "som_x_labeled.rsom", "--som-y", w / "som_y.rsom",
+            "--pairs-x", w / "x_train.rsm1", "--pairs-y", w / "y_train.rsm1",
+            "--rule", "hebb", "--eta", 2, "--keep", 0.5,
+            "--out-xy", tmp_path / "xy.rlat", "--out-yx", tmp_path / "yx.rlat",
+        ) == 0
+        for name in ("xy", "yx"):
+            (one, _), (two, _) = (load_synapses(d / f"{name}.rlat") for d in (w, tmp_path))
+            assert np.array_equal(two.exists, one.exists)
+            assert np.allclose(two.weights, 2 * one.weights, rtol=1e-6, atol=0)
+            assert two.weights.max() > one.weights.max() > 0
+
     def test_ig_verify_and_trace(self, tmp_path):
         trace = tmp_path / "trace.csv"
         assert run("ig-verify", "--grid", "6x4", "--trials", 50, "--trace", trace) == 0
@@ -506,6 +522,16 @@ class TestNonFiniteInputs:
         assert run("pipeline", "--spec", spec, "--out", tmp_path / "r.csv") == 2
         assert capsys.readouterr().err == ("config error: alpha_y labels map y directly, "
                                            "which needs label_fraction_y > 0\n")
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_eta_under_hebb_is_refused(self, tmp_path, capsys, no_training):
+        # Trained and exited 0 with every result as at eta = 1; the missing
+        # files show that none is read.
+        spec = files_spec(tmp_path / "spec.txt", *[tmp_path / "missing.rsm1"] * 4)
+        spec.write_text(spec.read_text() + "rule = hebb\neta = 2\n")
+        assert run("pipeline", "--spec", spec, "--out", tmp_path / "r.csv") == 2
+        assert capsys.readouterr().err == ("config error: eta scales every Hebbian synapse "
+                                           "alike, so it needs rule = oja\n")
         assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -196,3 +196,103 @@ def test_values_beyond_the_band_bound_take_the_full_update():
     # 1e308 - -1e308 overflows, and 0 * inf is NaN: skipping would keep -1e308.
     assert np.isnan(expected[0, 0])
     assert same_bits(got, expected)
+
+
+def test_values_whose_squares_overflow_take_the_full_search(monkeypatch):
+    # Within 2**1020, but a squared norm or product of 1e200 overflows: the
+    # filter's f would be inf - inf, so the loop keeps the full search.
+    som, data = column_map(0.0, top=1e200), np.tile([1e200, 0.5], (5, 1))
+    filtered = []
+    monkeypatch.setattr(som_mod, "_train_lone_block", lambda *args: filtered.append(args))
+    with np.errstate(over="ignore"):
+        assert np.isinf(som.weights[-1] @ data[0])
+        expected = reference_train(som, data, BAND_SCHEDULE, 0).weights
+        got = som_mod.train(som, data, BAND_SCHEDULE, 0).weights
+    assert not filtered
+    assert same_bits(got, expected)
+
+
+# Weight and input levels, exact in float32: ties in distance are common.
+LEVELS = np.array([0.0, 0.25, 0.5, 1.0, 3.0])
+
+
+def tied_map(rng, width, height, dim, duplicates, nudged, ulps):
+    """A map of weights from LEVELS, with ``duplicates`` neurons copied onto
+    others and ``nudged`` neurons copied with one weight ``ulps`` ulps off."""
+    k = width * height
+    weights = LEVELS[rng.integers(len(LEVELS), size=(k, dim))]
+    for _ in range(duplicates):
+        weights[rng.integers(k)] = weights[rng.integers(k)]
+    for _ in range(nudged):
+        a, b, j = rng.integers(k), rng.integers(k), rng.integers(dim)
+        weights[b] = weights[a]
+        weights[b, j] += ulps * np.spacing(weights[b, j])
+    return replace(make_som(width, height, dim, seed=0), weights=weights)
+
+
+def train_recording_candidates(som, data, schedule, seed, grid_metric, block):
+    """``som_mod.train`` with SAMPLE_BLOCK set to ``block``, and the size of
+    every candidate set checked exactly."""
+    sizes = []
+
+    def nearest(v, W, near, *buffers):
+        sizes.append(near.size)
+        return nearest_of_som(v, W, near, *buffers)
+
+    nearest_of_som = som_mod._nearest
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(som_mod, "SAMPLE_BLOCK", block)
+        patch.setattr(som_mod, "_nearest", nearest)
+        got = som_mod.train(som, data, schedule, seed, grid_metric)
+    return got.weights, sizes
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    width=st.integers(1, 5), height=st.integers(1, 5), dim=st.integers(1, 6),
+    n=st.integers(1, 30), block=st.integers(1, 8), duplicates=st.integers(0, 4),
+    nudged=st.integers(0, 3), ulps=st.integers(1, 4), equal_rows=st.integers(0, 5),
+    grid_metric=st.sampled_from(som_mod.GRID_METRICS),
+    dtype=st.sampled_from([np.float64, np.float32]), epochs=st.integers(1, 3),
+    sigma_start=st.sampled_from([0.1, 1.0, 5.0]), seed=st.integers(0, 2**32 - 1),
+)
+def test_lone_map_with_ties_matches_reference_property(
+    width, height, dim, n, block, duplicates, nudged, ulps, equal_rows, grid_metric, dtype,
+    epochs, sigma_start, seed,
+):
+    # A small block makes every few samples recompute the norms, and the
+    # closed-form refresh run between recomputes.
+    rng = np.random.default_rng(seed)
+    som = tied_map(rng, width, height, dim, duplicates, nudged, ulps)
+    data = LEVELS[rng.integers(len(LEVELS), size=(n, dim))]
+    for i in rng.integers(n, size=equal_rows):  # samples equal to weight rows
+        data[i] = som.weights[rng.integers(width * height)]
+    data = data.astype(dtype)
+    schedule = TrainSchedule(epochs=epochs, sigma_start=sigma_start, sigma_end=0.01)
+    got, _ = train_recording_candidates(som, data, schedule, seed, grid_metric, block)
+    assert same_bits(got, reference_train(som, data, schedule, seed, grid_metric).weights)
+
+
+def ulps_apart():
+    # Squared distances to the origin 1 + (1 + i ulp)^2: a few ulps apart,
+    # and some equal once sqrt rounds them.
+    one = np.array([1.0, 1.0])
+    weights = np.stack([one + [0, i * np.spacing(1.0)] for i in (3, 1, 2, 0, 1)])
+    return weights, np.zeros((4, 2))
+
+
+@pytest.mark.parametrize("weights, data", [
+    # every neuron duplicated
+    (np.tile([0.25, 0.5], (5, 1)), np.tile([1.0, 0.0], (4, 1))),
+    # samples equal to a duplicated weight row
+    (np.array([[0.0, 1.0], [3.0, 3.0], [0.0, 1.0], [1.0, 0.0], [3.0, 3.0]]),
+     np.array([[3.0, 3.0], [0.0, 1.0], [3.0, 3.0], [0.0, 1.0]], dtype=np.float32)),
+    ulps_apart(),
+], ids=["duplicates", "equal-sample", "ulps-apart"])
+def test_tied_candidates_are_checked_exactly(weights, data):
+    # A 1x5 map under sigma 0.1 moves only its winner, so ties outlive a step.
+    som = replace(make_som(1, 5, 2, seed=0), weights=weights)
+    schedule = TrainSchedule(epochs=2, lr_start=0.5, sigma_start=0.1, sigma_end=0.1)
+    got, sizes = train_recording_candidates(som, data, schedule, 4, "euclidean", 3)
+    assert sizes and max(sizes) > 1
+    assert same_bits(got, reference_train(som, data, schedule, 4).weights)
