@@ -92,8 +92,9 @@ def cmd_alpha_sweep(args) -> int:
 
 def cmd_associate(args) -> int:
     # eta scales the synapses this command writes under either rule, while a
-    # spec refuses it under hebb, where no pipeline result moves: the flags
-    # are checked with eta at its default, and eta is checked as Oja's.
+    # spec refuses it under hebb with disconnected = zero, where no pipeline
+    # result moves, and this command reads no disconnected: the flags are
+    # checked with eta at its default, and eta is checked as Oja's.
     spec = _spec(args, eta=exp._DEFAULTS["eta"])
     eta = _spec(args, rule="oja").eta
     with opened(args.out_xy, "wb") as out_xy, opened(args.out_yx, "wb") as out_yx:

@@ -212,10 +212,12 @@ class ExperimentSpec:
             raise SpecError("direct labeling of map y needs label_fraction_y > 0")
         if self.label_fraction_y <= 0 and self.alpha_y != _DEFAULTS["alpha_y"]:
             raise SpecError("alpha_y labels map y directly, which needs label_fraction_y > 0")
-        if self.rule == "hebb" and self.eta != _DEFAULTS["eta"]:
+        if self.rule == "hebb" and self.disconnected == "zero" and self.eta != _DEFAULTS["eta"]:
             # Hebbian synapses are eta times their eta = 1 values, up to
-            # rounding, and a common factor moves no pruning, winner or label.
-            raise SpecError("eta scales every Hebbian synapse alike, so it needs rule = oja")
+            # rounding, and a common factor moves no decision; under keep it
+            # moves them against a disconnected neuron's fixed support of 1.
+            raise SpecError("eta scales every Hebbian synapse alike, so it needs "
+                            "rule = oja or disconnected = keep")
         try:
             self.schedule()
             self.convergence_config()
@@ -268,7 +270,7 @@ def format_spec(spec: ExperimentSpec) -> str:
 
 
 def parse_spec(text: str) -> ExperimentSpec:
-    kwargs = {}
+    kwargs, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -278,6 +280,9 @@ def parse_spec(text: str) -> ExperimentSpec:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _FIELD_CODECS:
             raise SpecError(f"line {lineno}: unknown key {key!r}")
+        if key in lines:
+            raise SpecError(f"line {lineno}: {key} is set again, first on line {lines[key]}")
+        lines[key] = lineno
         try:
             kwargs[key] = _FIELD_CODECS[key][1](value)
         except SpecError:

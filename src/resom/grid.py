@@ -17,12 +17,12 @@ cells' own, one ``np.maximum`` over shifted slices per neighbour: the
 pairwise merge of the per-cell reference in the tests
 (``winner_wave_cellwise``), which it must match in every field.
 
-Cellular training is ``som.train``'s rule, epochs and coefficients
-included, with one change: a cell's grid distance to the winner is its wave
-adoption step.  It is written row-wise (row n of each array is cell n's, and
-nothing crosses rows), so it is bit-identical to ``som.train`` under the
-Manhattan metric: row-wise square sums match per-row sums and every other
-operation is elementwise.
+Cellular training is ``som.train``'s rule, epochs, coefficients and
+per-sample distance (``som.sample_distances``) included, with one change: a
+cell's grid distance to the winner is its wave adoption step.  It is written
+row-wise (row n of each array is cell n's, and nothing crosses rows), so it
+is bit-identical to ``som.train`` under the Manhattan metric: the kernel's
+row sums are the training loop's and every other operation is elementwise.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .som import SomGrid, TrainSchedule, neighborhood, training_epochs, validate_training_data
+from .som import (SomGrid, TrainSchedule, activities_from_distances, neighborhood,
+                  sample_distances, training_epochs, validate_training_data)
 
 
 def propagation_steps(rows: int, cols: int) -> int:
@@ -197,16 +198,17 @@ def ig_train(som: SomGrid, data: np.ndarray, schedule: TrainSchedule, seed: int)
     """
     X = validate_training_data(som, data)
     W = som.weights.copy()
+    diff, sq, dist = np.empty_like(W), np.empty_like(W), np.empty(len(W))
     # A wave reports hop counts 0..t_p only: tabulate their coefficients.
     dsq = np.arange(propagation_steps(som.height, som.width) + 1.0) ** 2
     for lr, sigma, (order,) in training_epochs(schedule, [seed], X.shape[0]):
         h = neighborhood(dsq, lr, sigma)
         for i in order:
-            diff = X[i] - W
-            acts = np.exp(-np.sqrt(np.sum(diff * diff, axis=1)))
+            sample_distances(X[i], W, diff, sq, dist)
+            acts = activities_from_distances(dist, 1.0)
             for _, adopt in _wave(acts.reshape(som.height, som.width)):
                 pass
-            W += h[adopt.ravel()][:, None] * diff
+            W += np.multiply(h[adopt.ravel()][:, None], diff, out=diff)
     return replace(som, weights=W, labels=None)
 
 

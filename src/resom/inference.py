@@ -25,7 +25,7 @@ scorers read a map's distances to its unpaired test rows: ``unimodal_score``
 predicts each row as its BMU's label, and ``score_convergence`` classifies a
 ``PairedDataset``'s pairs, gathering map y's rows by the pairing.  So a built
 seed, and ``resom converge``, measure each map's distances once;
-``evaluate_unimodal`` and ``evaluate_convergence`` derive them from rows.
+``evaluate_unimodal`` derives them from rows.
 """
 
 from __future__ import annotations
@@ -282,22 +282,6 @@ def evaluate_unimodal(som: SomGrid, matrix: FeatureMatrix, n_classes: int) -> Sc
     if som.labels is None:
         raise ValueError("map must be labeled")
     return unimodal_score(som, distances(som, matrix.values), matrix.labels, n_classes)
-
-
-def evaluate_convergence(
-    som_x: SomGrid,
-    som_y: SomGrid,
-    syn_xy: LateralSynapses,
-    syn_yx: LateralSynapses,
-    pairs: PairedDataset,
-    cfg: ConvergenceConfig,
-    n_classes: int,
-) -> Score:
-    """Accuracy over a paired test set."""
-    return score_convergence(
-        som_x, som_y, syn_xy, syn_yx, pairs, distances(som_x, pairs.x.values),
-        distances(som_y, pairs.y.values), cfg, n_classes,
-    )
 
 
 def gain_matrix(conv_confusion: np.ndarray, uni_confusion: np.ndarray) -> np.ndarray:

@@ -17,16 +17,19 @@ exceed STACK_MAX_BYTES runs in a loop of its own.  The loops, for instance
 every seed's x and y maps at paper shape, run in batches of up to one loop
 per CPU, a batch of two or more on one thread per loop: a high-d loop spends
 its time in numpy kernels that release the GIL.  Only one batch's buffers
-are alive at a time.  Every map keeps its own seeded permutation, and
-neither choice changes a bit: each row-wise sum over a contiguous d-row of
-a stack matches the per-row sum of a lone (k, d) map, every other operation
-is elementwise, and a stack's loop reads and writes only its own arrays, so
-the thread it runs on cannot change its result.
+are alive at a time; a lone map's hold one (k, d) array, for v - w, and a
+stack's two, for v - w and its squares.  Every map keeps its own seeded
+permutation, and neither choice changes a bit: each row-wise sum over a
+contiguous d-row of a stack matches the per-row sum of a lone (k, d) map,
+every other operation is elementwise, and a stack's loop reads and writes
+only its own arrays, so the thread it runs on cannot change its result.
 tests/test_training_oracle.py checks this against the original one-map loop.
 Like bmu_stream, training casts the caller's rows to float64 one SAMPLE_BLOCK
-at a time (exact for float32), never the whole matrix.  ``training_epochs``
-and ``neighborhood`` are the training rule that grid.ig_train shares; only
-its winner distances differ.
+at a time (exact for float32), never the whole matrix.  ``training_epochs``,
+``neighborhood`` and ``sample_distances``, the one per-sample distance of
+the stacked loop and the filter's exact check (subtract, square, row sum,
+sqrt), are the training rule that grid.ig_train shares; only its grid
+distances to the winner differ.
 
 A lone map (a loop of one map) updates only the band of grid rows that its
 winner's neighbourhood reaches.  Once per epoch, after ``neighborhood`` fills
@@ -60,12 +63,12 @@ A lone map also finds its winner through a filter.  ||v - w||^2 is
 ||w||^2 - 2 w.v + ||v||^2, so one BLAS product g = W @ v ranks the neurons by
 f = N - 2 g, where N holds each neuron's ||w||^2.  The candidates are the
 neurons with f <= min f + tau.  A lone candidate is the winner; otherwise
-the full search's distance (subtract, square, row sum, sqrt) of the
-candidates alone elects the first minimum in index order.  That is the
-neuron the full argmin elects, so BLAS never sets a value, and neither its
-summation order nor its thread count can change a bit.  N is recomputed
-(square, row sum) at the start of each sample block, with each row's
-||v||^2; after each step the band's N becomes
+the full search's ``sample_distances`` of the candidates alone elects the
+first minimum in index order.  That is the neuron the full argmin elects, so
+BLAS never sets a value, and neither its summation order nor its thread
+count can change a bit.  N is recomputed by ``np.einsum`` at the start of
+each sample block, as each row's ||v||^2 is (the bound below holds for any
+order of the sums); after each step the band's N becomes
 N + c (c (f + ||v||^2) - (N + f)), the closed form of
 (1-c)^2 ||w||^2 + 2 c (1-c) w.v + c^2 ||v||^2, where c is the coefficient.
 
@@ -311,9 +314,19 @@ def bmu_stream(som: SomGrid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray
     for start in range(0, v.shape[0], SAMPLE_BLOCK):
         d = distances(som, v[start : start + SAMPLE_BLOCK])
         b = np.argmin(d, axis=1)
-        idx[start : start + d.shape[0]] = b
-        val[start : start + d.shape[0]] = np.exp(-d[np.arange(d.shape[0]), b])
+        idx[start : start + len(b)] = b
+        val[start : start + len(b)] = activities_from_distances(d[np.arange(len(b)), b], 1.0)
     return idx, val
+
+
+def sample_distances(v, W, diff=None, sq=None, dist=None) -> tuple[np.ndarray, np.ndarray]:
+    """(v - W, distances): the one per-sample distance of training.  v - W
+    is written into ``diff`` (the update reuses it), then squared into
+    ``sq``, summed along the last axis into ``dist`` and square-rooted in
+    place; a None buffer is a fresh array."""
+    diff = np.subtract(v, W, out=diff)
+    dist = np.add.reduce(np.square(diff, out=sq), axis=-1, out=dist)
+    return diff, np.sqrt(dist, out=dist)
 
 
 def grid_squared_distances(width: int, height: int, grid_metric: str) -> np.ndarray:
@@ -398,8 +411,9 @@ def _stack_loop(soms, datas, seeds, schedule, grid_metric):
     # dsq is symmetric, so row s is the winner's column: (k, k, 1).
     dsq = grid_squared_distances(soms[0].width, soms[0].height, grid_metric)[:, :, None]
     samples = np.empty((len(soms), min(datas[0].shape[0], SAMPLE_BLOCK), W.shape[2]))
-    buffers = np.empty_like(W), np.empty_like(W), np.empty(W.shape[:2]), np.empty_like(dsq)
     banded = len(soms) == 1 and _band_is_exact(W, datas[0])
+    sq = None if banded else np.empty_like(W)  # the winner filter squares no (k, d) array
+    buffers = np.empty_like(W), sq, np.empty(W.shape[:2]), np.empty_like(dsq)
     return partial(_train_stack, W, datas, seeds, dsq, schedule, samples, *buffers,
                    soms[0].width if banded else None)
 
@@ -446,26 +460,22 @@ def _train_stack(W, datas, seeds, dsq, schedule, samples, diff, sq, dist, table,
                 rows[:size] = X[perm[start : start + size]]
             if bands is not None:
                 _train_lone_block(W[0], samples[0, :size], table, bands, width,
-                                  diff[0], sq[0], dist[0])
+                                  diff[0], dist[0])
                 continue
             # Sample i of every map, stacked: (M, 1, d).
             for v in samples[:, :size, None, :].swapaxes(0, 1):
-                np.subtract(v, W, out=diff)
-                np.square(diff, out=sq)
-                np.add.reduce(sq, axis=2, out=dist)
-                np.sqrt(dist, out=dist)
-                winners = dist.argmin(axis=1)
+                winners = sample_distances(v, W, diff, sq, dist)[1].argmin(axis=1)
                 np.multiply(table[winners], diff, out=diff)
                 W += diff
     return W
 
 
-def _train_lone_block(W, rows, table, bands, width, diff, sq, f):
+def _train_lone_block(W, rows, table, bands, width, diff, f):
     """Train the (k, d) weights ``W`` of a lone map in place on ``rows``, one
     sample block, through the winner filter and the band (module
-    docstring); ``diff`` and ``sq`` are (k, d) buffers, ``f`` a k-vector."""
+    docstring); ``diff`` is a (k, d) buffer, ``f`` a k-vector."""
     d = W.shape[1]
-    norms = np.add.reduce(np.square(W, out=sq), axis=1)
+    norms = np.einsum("ij,ij->i", W, W)
     row_norms = np.einsum("ij,ij->i", rows, rows)
     q = max(float(norms.max()), float(row_norms.max()), 2.0**-900)
     q *= 1 + (2 * d + 12 * len(rows) + 4) * UNIT_ROUNDOFF
@@ -477,7 +487,7 @@ def _train_lone_block(W, rows, table, bands, width, diff, sq, f):
         f *= -2.0
         f += norms
         near = np.flatnonzero(f <= f.min() + (tau_0 + s * tau_step))
-        w = near[0] if near.size == 1 else _nearest(v, W, near, diff, sq)
+        w = near[0] if near.size == 1 else _nearest(v, W, near)
         band = bands[w // width]
         c = table[w, band]
         step, weights = diff[band], W[band]
@@ -488,13 +498,10 @@ def _train_lone_block(W, rows, table, bands, width, diff, sq, f):
         norms[band] += c * (c * (f_band + v_norm) - (norms[band] + f_band))
 
 
-def _nearest(v, W, near, diff, sq) -> int:
+def _nearest(v, W, near) -> int:
     """The first of the ascending neuron indices ``near`` whose distance to
     ``v``, computed as the full search computes it, is the least."""
-    step, sums = diff[: near.size], sq[: near.size]
-    np.subtract(v, W[near], out=step)
-    np.square(step, out=sums)
-    return near[np.sqrt(np.add.reduce(sums, axis=1)).argmin()]
+    return near[sample_distances(v, W[near])[1].argmin()]
 
 
 def train(

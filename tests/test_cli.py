@@ -9,14 +9,14 @@ import resom.som
 from resom.association import LateralSynapses, load_synapses, save_synapses
 from resom.cli import build_parser, main
 from resom.data import FeatureMatrix, load_features, pair_by_class, save_rsm1
-from resom.experiments import write_metrics
+from resom.experiments import read_record_csv, write_metrics
 from resom.inference import (
     ConvergenceConfig,
-    evaluate_convergence,
     evaluate_unimodal,
     gain_matrix,
+    score_convergence,
 )
-from resom.som import load_som, make_som, save_som
+from resom.som import distances, load_som, make_som, save_som
 from resom.synthetic import SyntheticSpec, make_paired_dataset
 
 TINY_SPEC = """
@@ -33,6 +33,14 @@ grid_y = 4x4
 epochs = 3
 seeds = 0
 """
+
+
+def tiny_spec_with(lines: str) -> str:
+    """TINY_SPEC with ``lines`` in place of its own lines of the same keys,
+    since a spec sets each key once."""
+    keys = {line.split("=")[0].strip() for line in lines.splitlines()}
+    kept = [line for line in TINY_SPEC.splitlines() if line.split("=")[0].strip() not in keys]
+    return "\n".join(kept + [lines, ""])
 
 
 @pytest.fixture(scope="module")
@@ -297,7 +305,9 @@ class TestConverge:
         )
         cfg = ConvergenceConfig(update, activities, neurons, 2.0, 0.5)
         n_classes = 4  # every test split names all four classes
-        conv = evaluate_convergence(som_x, som_y, syn_xy, syn_yx, pairs, cfg, n_classes)
+        dist_x, dist_y = distances(som_x, pairs.x.values), distances(som_y, pairs.y.values)
+        conv = score_convergence(som_x, som_y, syn_xy, syn_yx, pairs, dist_x, dist_y, cfg,
+                                 n_classes)
         uni_x = evaluate_unimodal(som_x, pairs.x, n_classes)
         uni_y = evaluate_unimodal(som_y, pairs.y, n_classes)
         best = uni_x if uni_x.accuracy >= uni_y.accuracy else uni_y
@@ -437,7 +447,7 @@ class TestNonFiniteInputs:
     ] + [pytest.param(line, id=key) for key, (line, *_) in INVALID_VALUES.items()])
     def test_spec_is_refused_before_training(self, tmp_path, no_training, line):
         spec = tmp_path / "spec.txt"
-        spec.write_text(TINY_SPEC + line + "\n")
+        spec.write_text(tiny_spec_with(line))
         assert run("pipeline", "--spec", spec, "--out", tmp_path / "r.csv") == 2
         assert not (tmp_path / "r.csv").exists()
 
@@ -447,7 +457,7 @@ class TestNonFiniteInputs:
     ):
         line, command, flag, value = INVALID_VALUES[key]
         spec = tmp_path / "spec.txt"
-        spec.write_text(TINY_SPEC + line + "\n")
+        spec.write_text(tiny_spec_with(line))
         assert run("pipeline", "--spec", spec, "--out", tmp_path / "r.csv") == 2
         refusal = capsys.readouterr().err
         monkeypatch.chdir(tmp_path)
@@ -465,9 +475,9 @@ class TestNonFiniteInputs:
         self, tmp_path, capsys, no_training, line, error
     ):
         spec = tmp_path / "spec.txt"
-        spec.write_text(TINY_SPEC + line + "\n")
+        spec.write_text(tiny_spec_with(line))
         assert run("pipeline", "--spec", spec, "--out", tmp_path / "r.csv") == 2
-        lineno = len(TINY_SPEC.splitlines()) + 1
+        lineno = len(spec.read_text().splitlines())
         assert f"config error: line {lineno}: {error}" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
@@ -487,7 +497,7 @@ class TestNonFiniteInputs:
     ):
         # An empty test split wrote NaN accuracies and exited 0.
         spec = tmp_path / "spec.txt"
-        spec.write_text(TINY_SPEC + line + "\n")
+        spec.write_text(tiny_spec_with(line))
         assert run(command, "--spec", spec, "--out", tmp_path / "r.csv") == 2
         assert not (tmp_path / "r.csv").exists()
 
@@ -498,7 +508,7 @@ class TestNonFiniteInputs:
         # Trained on generated data, printed "convergence accuracy 50.21" and
         # exited 0; the missing files show that none is read.
         spec = tmp_path / "spec.txt"
-        spec.write_text(TINY_SPEC + line + "\n")
+        spec.write_text(tiny_spec_with(line))
         assert run("pipeline", "--spec", spec, "--out", tmp_path / "r.csv") == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: synthetic dataset") and line.split(" =")[0] in err
@@ -530,8 +540,31 @@ class TestNonFiniteInputs:
         spec = files_spec(tmp_path / "spec.txt", *[tmp_path / "missing.rsm1"] * 4)
         spec.write_text(spec.read_text() + "rule = hebb\neta = 2\n")
         assert run("pipeline", "--spec", spec, "--out", tmp_path / "r.csv") == 2
-        assert capsys.readouterr().err == ("config error: eta scales every Hebbian synapse "
-                                           "alike, so it needs rule = oja\n")
+        assert capsys.readouterr().err == ("config error: eta scales every Hebbian synapse alike, "
+                                           "so it needs rule = oja or disconnected = keep\n")
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_eta_under_hebb_with_kept_neurons_runs(self, tmp_path):
+        # Exited 2, though eta moves the support of connected neurons against
+        # the fixed 1 of a neuron without synapses.
+        accuracies, spec = [], tmp_path / "spec.txt"
+        for eta in ("1", "0.01"):
+            spec.write_text(TINY_SPEC + "rule = hebb\ndisconnected = keep\nneurons = all\n"
+                            + f"eta = {eta}\n")
+            assert run("pipeline", "--spec", spec, "--out", tmp_path / "r.csv") == 0
+            (row,) = read_record_csv(tmp_path / "r.csv")[1]
+            accuracies.append(row["convergence"])
+        assert accuracies[0] != accuracies[1]
+
+    def test_repeated_key_is_refused(self, tmp_path, capsys, no_training):
+        # Trained with the last value and exited 0; the missing files show
+        # that none is read.
+        spec = files_spec(tmp_path / "spec.txt", *[tmp_path / "missing.rsm1"] * 4)
+        lineno = len(spec.read_text().splitlines()) + 1
+        spec.write_text(spec.read_text() + "epochs = 1\nepochs = 2\n")
+        assert run("pipeline", "--spec", spec, "--out", tmp_path / "r.csv") == 2
+        assert capsys.readouterr().err == (f"config error: line {lineno + 1}: epochs is set "
+                                           f"again, first on line {lineno}\n")
         assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -84,6 +84,11 @@ class TestSpecFile:
         with pytest.raises(SpecError, match="unknown key"):
             parse_spec("flux_capacitor = 1\n")
 
+    def test_repeated_key(self):
+        # The last value was kept: this spec trained 5 epochs.
+        with pytest.raises(SpecError, match="^line 3: epochs is set again, first on line 1$"):
+            parse_spec("epochs = 3\nseeds = 0\nepochs = 5\n")
+
     def test_grid_syntax(self):
         assert parse_spec("grid_x = 12x7\n").grid_x == (12, 7)
         for bad in ("twelve", "0x3", "-2x4"):
@@ -169,10 +174,18 @@ class TestSpecFile:
         # Accepted and never felt: Hebbian synapses scale with eta alike, and
         # no seed result or prune_sweep row moved at eta 1.5 or 2.
         with pytest.raises(SpecError, match="^eta scales every Hebbian synapse alike, "
-                                            "so it needs rule = oja$"):
+                                            "so it needs rule = oja or disconnected = keep$"):
             ExperimentSpec(eta=2.0)
         assert ExperimentSpec(rule="oja", eta=2.0).eta == 2.0
         assert ExperimentSpec(rule="hebb").eta == 1.0
+
+    def test_eta_moves_hebbian_results_under_keep(self):
+        # Refused under keep too, where the connected neurons' support scales
+        # with eta against a disconnected neuron's fixed 1.
+        keep = dict(TINY, rule="hebb", disconnected="keep", neurons="all")
+        (scaled,) = run_pipeline(ExperimentSpec(**keep, eta=0.01)).results
+        (plain,) = run_pipeline(ExperimentSpec(**keep)).results
+        assert scaled.convergence != plain.convergence
 
     def test_defaults_agree_with_the_configs_they_build(self):
         # Each default is written twice, in ExperimentSpec and in the config.
@@ -523,9 +536,11 @@ class TestSharedDistances:
         assert ev.uni_y_diverged == inference.evaluate_unimodal(diverged, test.y, n_classes).accuracy
         som_y = diverged if mode == "diverge" else stages.som_y
         assert np.array_equal(ev.som_y.labels, som_y.labels)
+        dist_x = resom.som.distances(stages.som_x, test.x.values)
+        dist_y = resom.som.distances(som_y, test.y.values)
         for cfg, got in zip(configs, ev.convergence, strict=True):
-            want = inference.evaluate_convergence(
-                stages.som_x, som_y, syn_xy, syn_yx, test, cfg, n_classes
+            want = inference.score_convergence(
+                stages.som_x, som_y, syn_xy, syn_yx, test, dist_x, dist_y, cfg, n_classes
             )
             assert (got.accuracy, got.n_no_decision) == (want.accuracy, want.n_no_decision)
             assert np.array_equal(got.confusion, want.confusion)

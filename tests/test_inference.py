@@ -14,7 +14,6 @@ from resom.inference import (
     converge_from_fields,
     disconnected_targets,
     diverge_label,
-    evaluate_convergence,
     evaluate_unimodal,
     gain_matrix,
     minmax_rows,
@@ -417,9 +416,10 @@ class TestEvaluation:
             FeatureMatrix(np.ones((3, 2)), [0, 0, 0]),
             np.arange(3),
         )
-        res = evaluate_convergence(
-            som_x, som_y, LateralSynapses.empty(1, 1), LateralSynapses.empty(1, 1),
-            pairs, ConvergenceConfig("max", "raw", "all", 1.0, 1.0, "zero"), 1,
+        res = score_convergence(
+            som_x, som_y, LateralSynapses.empty(1, 1), LateralSynapses.empty(1, 1), pairs,
+            distances(som_x, pairs.x.values), distances(som_y, pairs.y.values),
+            ConvergenceConfig("max", "raw", "all", 1.0, 1.0, "zero"), 1,
         )
         assert res.n_no_decision == 3
         assert res.accuracy == 0.0
@@ -537,10 +537,7 @@ class TestPropertiesAgainstScalarLoops:
             batch = classify_batch(som_x, som_y, syn_xy, syn_yx, pairs.x.values,
                                    pairs.y.values[pairing], cfg)
             want = score(batch.labels, pairs.x.labels, 3)
-            for got in (
-                score_convergence(som_x, som_y, syn_xy, syn_yx, pairs, dist_x, dist_y, cfg, 3),
-                evaluate_convergence(som_x, som_y, syn_xy, syn_yx, pairs, cfg, 3),
-            ):
-                assert got.accuracy == want.accuracy, cfg
-                assert got.n_no_decision == want.n_no_decision, cfg
-                assert np.array_equal(got.confusion, want.confusion), cfg
+            got = score_convergence(som_x, som_y, syn_xy, syn_yx, pairs, dist_x, dist_y, cfg, 3)
+            assert got.accuracy == want.accuracy, cfg
+            assert got.n_no_decision == want.n_no_decision, cfg
+            assert np.array_equal(got.confusion, want.confusion), cfg

@@ -350,6 +350,26 @@ class TestTrain:
         for i, (som, data, got) in enumerate(zip(soms, datas, trained)):
             assert same_bits(got.weights, train(som, data, schedule, seed=i).weights)
 
+    @pytest.mark.parametrize("maps, side, dim, buffers", [(1, 8, 200, 1), (2, 4, 8, 2)],
+                             ids=["lone-8x8-200", "stacked-4x4-8"])
+    def test_a_lone_loop_holds_one_weight_sized_buffer(self, monkeypatch, maps, side, dim,
+                                                       buffers):
+        # A lone loop also held the stacks' (k, d) square buffer, which its
+        # winner filter never reads.
+        held = []
+        train_stack = som_mod._train_stack
+
+        def recording(W, *args):
+            held.append(sum(isinstance(a, np.ndarray) and a.shape == W.shape for a in args))
+            return train_stack(W, *args)
+
+        monkeypatch.setattr(som_mod, "_train_stack", recording)
+        rng = np.random.default_rng(19)
+        soms = [make_som(side, side, dim, seed=i) for i in range(maps)]
+        train_many(soms, [rng.random((30, dim)) for _ in soms], TrainSchedule(epochs=1),
+                   list(range(maps)))
+        assert held == [buffers]
+
     def test_no_maps_train_to_no_maps(self):
         # A rerun that finds every map in the stage cache trains none.
         assert train_many([], [], self.schedule, []) == []
