@@ -91,12 +91,7 @@ def cmd_alpha_sweep(args) -> int:
 
 
 def cmd_associate(args) -> int:
-    # eta scales the synapses this command writes under either rule, while a
-    # spec refuses it under hebb with disconnected = zero, where no pipeline
-    # result moves, and this command reads no disconnected: the flags are
-    # checked with eta at its default, and eta is checked as Oja's.
-    spec = _spec(args, eta=exp._DEFAULTS["eta"])
-    eta = _spec(args, rule="oja").eta
+    spec = _spec(args)
     with opened(args.out_xy, "wb") as out_xy, opened(args.out_yx, "wb") as out_yx:
         som_x = som_mod.load_som(args.som_x)
         som_y = som_mod.load_som(args.som_y)
@@ -104,7 +99,7 @@ def cmd_associate(args) -> int:
         y = load_features(args.pairs_y, args.labels_y, som_y.dim)
         pairs = pair_by_class(x, y, args.pair_seed)
         syn_xy, syn_yx = assoc.associate(
-            som_x, som_y, pairs, spec.rule, eta, spec.assoc_epochs
+            som_x, som_y, pairs, spec.rule, spec.eta, spec.assoc_epochs
         )
         pre = (syn_xy.n_synapses, syn_yx.n_synapses)
         # A keep fraction of 1 or more keeps every synapse.

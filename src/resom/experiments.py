@@ -187,7 +187,7 @@ class ExperimentSpec:
             if math.prod(grid) > som_mod.MAX_NEURONS:
                 raise SpecError(f"{name} has more than {som_mod.MAX_NEURONS} neurons, "
                                 f"whose training tables exceed 512 MiB, got {grid}")
-        for name in ("alpha_x", "alpha_y", "diverge_beta", "keep_fraction"):
+        for name in ("alpha_x", "alpha_y", "diverge_beta", "eta", "keep_fraction"):
             if not getattr(self, name) > 0:
                 raise SpecError(f"{name} must be > 0, got {getattr(self, name)}")
         if not 0 < self.label_fraction_x <= 1:
@@ -212,12 +212,6 @@ class ExperimentSpec:
             raise SpecError("direct labeling of map y needs label_fraction_y > 0")
         if self.label_fraction_y <= 0 and self.alpha_y != _DEFAULTS["alpha_y"]:
             raise SpecError("alpha_y labels map y directly, which needs label_fraction_y > 0")
-        if self.rule == "hebb" and self.disconnected == "zero" and self.eta != _DEFAULTS["eta"]:
-            # Hebbian synapses are eta times their eta = 1 values, up to
-            # rounding, and a common factor moves no decision; under keep it
-            # moves them against a disconnected neuron's fixed support of 1.
-            raise SpecError("eta scales every Hebbian synapse alike, so it needs "
-                            "rule = oja or disconnected = keep")
         try:
             self.schedule()
             self.convergence_config()

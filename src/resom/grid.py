@@ -119,13 +119,19 @@ def _wave(activities: np.ndarray):
         yield prev, adopt
 
 
+def _decoded(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, origins) of ``_wave``'s records, the worst values negated back."""
+    values = records.real.copy()
+    np.negative(values[1], out=values[1])
+    origins = np.negative(records.imag, out=np.empty(records.shape, np.int64), casting="unsafe")
+    return values, origins
+
+
 def winner_wave(activities: np.ndarray) -> WaveResult:
     """Run the full wave; distance_to_bmu is each cell's last-improvement step."""
     for step, (records, adopt) in enumerate(_wave(activities)):
         pass
-    values = records.real.copy()  # best and worst: views of one array, as are the origins
-    np.negative(values[1], out=values[1])
-    origins = np.negative(records.imag, out=np.empty(records.shape, np.int64), casting="unsafe")
+    values, origins = _decoded(records)  # best and worst: views of one array each
     return WaveResult(
         best_values=values[0],
         best_origins=origins[0],
@@ -141,13 +147,13 @@ def wave_trace(activities: np.ndarray) -> list[dict]:
     return [
         {
             "step": step, "row": r, "col": c,
-            "best_value": best.real, "best_origin": int(-best.imag),
-            "worst_value": -worst.real, "worst_origin": int(-worst.imag),
+            "best_value": values[0, r, c], "best_origin": origins[0, r, c],
+            "worst_value": values[1, r, c], "worst_origin": origins[1, r, c],
             "adopt_step": adopt[r, c],
         }
         for step, (records, adopt) in enumerate(_wave(activities))
+        for values, origins in [_decoded(records)]
         for r, c in np.ndindex(adopt.shape)
-        for best, worst in [records[:, r, c]]
     ]
 
 

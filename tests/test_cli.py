@@ -18,6 +18,7 @@ from resom.inference import (
 )
 from resom.som import distances, load_som, make_som, save_som
 from resom.synthetic import SyntheticSpec, make_paired_dataset
+from test_spec_keys import spec_text
 
 TINY_SPEC = """
 dataset = synthetic
@@ -136,8 +137,7 @@ class TestWorkflow:
         assert not (tmp_path / "out.rsom").exists()
 
     def test_associate_eta_scales_hebbian_synapses(self, chain, tmp_path):
-        # A spec refuses eta under hebb, but this command writes the synapses
-        # eta scales.
+        # eta scales every Hebbian synapse this command writes, up to rounding.
         w = chain
         assert run(
             "associate", "--som-x", w / "som_x_labeled.rsom", "--som-y", w / "som_y.rsom",
@@ -392,6 +392,8 @@ INVALID_VALUES = {
     "alpha-x-0": ("alpha_x = 0", "label", "--alpha", "0"),
     "diverge-beta-0": ("diverge_beta = 0", "diverge-label", "--beta", "0"),
     "keep-0": ("keep_fraction = 0", "associate", "--keep", "0"),
+    # ran with exit 0, every test pair a no-decision; eta = -1 overflowed RLAT's float32
+    "eta-0": ("eta = 0", "associate", "--eta", "0"),
     "label-fraction-2": ("label_fraction_x = 2", "label", "--subset-frac", "2"),
     "grid-metric-bogus": ("grid_metric = bogus", "train", "--grid-metric", "bogus"),
     "assoc-epochs-0": ("assoc_epochs = 0", "associate", "--assoc-epochs", "0"),
@@ -534,15 +536,16 @@ class TestNonFiniteInputs:
                                            "which needs label_fraction_y > 0\n")
         assert not (tmp_path / "r.csv").exists()
 
-    def test_eta_under_hebb_is_refused(self, tmp_path, capsys, no_training):
-        # Trained and exited 0 with every result as at eta = 1; the missing
-        # files show that none is read.
-        spec = files_spec(tmp_path / "spec.txt", *[tmp_path / "missing.rsm1"] * 4)
-        spec.write_text(spec.read_text() + "rule = hebb\neta = 2\n")
-        assert run("pipeline", "--spec", spec, "--out", tmp_path / "r.csv") == 2
-        assert capsys.readouterr().err == ("config error: eta scales every Hebbian synapse alike, "
-                                           "so it needs rule = oja or disconnected = keep\n")
-        assert not (tmp_path / "r.csv").exists()
+    def test_eta_under_hebb_with_zero_runs_and_moves_a_prune_row(self, tmp_path):
+        # Exited 2, though eta moves divergence labels through rounding.
+        rows, spec = [], tmp_path / "spec.txt"
+        for eta in ("1", "100"):
+            spec.write_text(spec_text({"rule": "hebb", "disconnected": "zero", "eta": eta}))
+            assert run("pipeline", "--spec", spec, "--out", tmp_path / "r.csv") == 0
+            assert run("prune-sweep", "--spec", spec, "--fractions", "0.25",
+                       "--out", tmp_path / "rows.csv") == 0
+            rows.append((tmp_path / "rows.csv").read_text())
+        assert rows[0] != rows[1]
 
     def test_eta_under_hebb_with_kept_neurons_runs(self, tmp_path):
         # Exited 2, though eta moves the support of connected neurons against

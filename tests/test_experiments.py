@@ -170,15 +170,6 @@ class TestSpecFile:
         assert ExperimentSpec(**unlabeled).alpha_y == 1.0
         assert ExperimentSpec(label_mode_y="diverge", alpha_y=5.0).alpha_y == 5.0
 
-    def test_eta_needs_oja(self):
-        # Accepted and never felt: Hebbian synapses scale with eta alike, and
-        # no seed result or prune_sweep row moved at eta 1.5 or 2.
-        with pytest.raises(SpecError, match="^eta scales every Hebbian synapse alike, "
-                                            "so it needs rule = oja or disconnected = keep$"):
-            ExperimentSpec(eta=2.0)
-        assert ExperimentSpec(rule="oja", eta=2.0).eta == 2.0
-        assert ExperimentSpec(rule="hebb").eta == 1.0
-
     def test_eta_moves_hebbian_results_under_keep(self):
         # Refused under keep too, where the connected neurons' support scales
         # with eta against a disconnected neuron's fixed 1.
