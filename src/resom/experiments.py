@@ -212,6 +212,10 @@ class ExperimentSpec:
             raise SpecError("direct labeling of map y needs label_fraction_y > 0")
         if self.label_fraction_y <= 0 and self.alpha_y != _DEFAULTS["alpha_y"]:
             raise SpecError("alpha_y labels map y directly, which needs label_fraction_y > 0")
+        if self.epochs == 1:  # the one epoch trains at the start rates
+            for key in ("lr_end", "sigma_end"):
+                if getattr(self, key) != _DEFAULTS[key]:
+                    raise SpecError(f"one epoch reads no {key}, only lr_start and sigma_start")
         try:
             self.schedule()
             self.convergence_config()

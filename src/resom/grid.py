@@ -8,14 +8,26 @@ step at which a cell last improves its best record equals its Manhattan
 distance to the global best cell, which is what local training uses as the
 neighborhood distance: no second wave is needed.
 
-A cell's record is one complex number, ``value - 1j * origin``; numpy
-orders complex numbers by real then imaginary part, so ``np.maximum`` of
-two records is the merge rule.  The wave is double-buffered (each step reads
-only the previous snapshot), so results cannot depend on cell iteration
-order.  A step merges each neighbour's previous records into a copy of the
-cells' own, one ``np.maximum`` over shifted slices per neighbour: the
-pairwise merge of the per-cell reference in the tests
-(``winner_wave_cellwise``), which it must match in every field.
+A cell's record is an int64 rank: the position of its (value, origin) in
+one global merge order, which a stable sort of the grid's activities fixes
+before step 1 (the best channel by falling value, the worst by rising
+value, lower origin first on ties, so -0.0 ties 0.0).  The order is the
+merge rule's, so ``np.minimum`` of two ranks picks the record the rule
+picks, and a rank changes exactly when its record does.  The relabeling
+changes no simulated quantity: each cell still reads only its neighbours'
+previous records, every step's (value, origin) pairs decode exactly from
+the ranks (values read back from the activities, sign bits included), and
+adoption steps compare best records.  The wave is double-buffered (each
+step reads only the previous snapshot), so results cannot depend on cell
+iteration order.  A step merges each neighbour's previous records into a
+copy of the cells' own, one ``np.minimum`` over shifted slices per
+neighbour, built once per wave: the pairwise merge of the per-cell
+reference in the tests (``winner_wave_cellwise``), which it must match in
+every field.
+
+Activities of shape (..., rows, cols) run as one wave per leading index,
+every grid in the same numpy calls; ``check_waves`` runs its trials so, a
+block at a time.
 
 Cellular training is ``som.train``'s rule, epochs, coefficients and
 per-sample distance (``som.sample_distances``) included, with one change: a
@@ -48,7 +60,11 @@ def propagation_steps(rows: int, cols: int) -> int:
 
 @dataclass
 class WaveResult:
-    """Per-cell view after the wave; values/origins are uniform on completion."""
+    """Per-cell view after the wave; values/origins are uniform on completion.
+
+    Every field has the activities' (..., rows, cols) shape; the scalar
+    properties need a single grid's.
+    """
 
     best_values: np.ndarray
     best_origins: np.ndarray
@@ -57,81 +73,101 @@ class WaveResult:
     distance_to_bmu: np.ndarray
     steps: int
 
-    def _uniform(self, arr: np.ndarray) -> int:
+    def _uniform(self, arr: np.ndarray):
+        if arr.ndim != 2:
+            raise ValueError("a batch of waves has one winner per grid: read the fields")
         v = arr.flat[0]
         if not np.all(arr == v):
             raise AssertionError("wave did not converge to a uniform winner")
-        return int(v)
+        return v
 
     @property
     def bmu_index(self) -> int:
-        return self._uniform(self.best_origins)
+        return int(self._uniform(self.best_origins))
 
     @property
     def wmu_index(self) -> int:
-        return self._uniform(self.worst_origins)
+        return int(self._uniform(self.worst_origins))
 
     @property
     def bmu_value(self) -> float:
-        return float(self.best_values.flat[0])
+        return float(self._uniform(self.best_values))
 
     @property
     def wmu_value(self) -> float:
-        return float(self.worst_values.flat[0])
+        return float(self._uniform(self.worst_values))
 
 
 # Each cardinal neighbour as (cells, their neighbours) slices of a
-# (channel, row, col) array, in the reference's up, down, left, right order.
+# (..., row, col) array, in the reference's up, down, left, right order.
 _NEIGHBOURS = (
-    (np.s_[:, 1:], np.s_[:, :-1]),
-    (np.s_[:, :-1], np.s_[:, 1:]),
-    (np.s_[:, :, 1:], np.s_[:, :, :-1]),
-    (np.s_[:, :, :-1], np.s_[:, :, 1:]),
+    (np.s_[..., 1:, :], np.s_[..., :-1, :]),
+    (np.s_[..., :-1, :], np.s_[..., 1:, :]),
+    (np.s_[..., 1:], np.s_[..., :-1]),
+    (np.s_[..., :-1], np.s_[..., 1:]),
 )
 
 
 def _wave(activities: np.ndarray):
-    """Yield each step's ``(records, adopt)``, from step 0 to t_p.
+    """Yield each step's ``(decoded, adopt)``, from step 0 to t_p.
 
-    ``records`` is complex (2, rows, cols): channel 0 is each cell's best
-    record ``a - 1j*origin``, channel 1 its worst record with the value
-    negated, ``-a - 1j*origin``: one ``np.maximum`` (higher value, then lower
-    origin, signed zeros included) merges both.  ``adopt`` is each cell's
-    step of its last new best record.  A later step overwrites both arrays.
+    ``decoded()`` returns the step's (values, origins), each (2, ..., rows,
+    cols): channel 0 holds each cell's best record, channel 1 its worst.
+    ``adopt`` is each cell's step of its last new best record.  A later step
+    overwrites both, so decode a step before taking the next.
+
+    The records are ranks in ``order`` (2, ..., rows * cols), which lists
+    each grid's cells winner first: in channel 0 by falling value, in
+    channel 1 by rising value, lower row-major origin first on ties (a
+    stable sort, so -0.0 ties 0.0).  ``np.minimum`` is then the merge rule.
     """
     a = np.ascontiguousarray(activities, dtype=np.float64)
-    if a.ndim != 2:
+    if a.ndim < 2:
         raise ValueError("activities must form a rectangular grid")
     if not np.isfinite(a).all():
         raise ValueError("activities contain non-finite values")
-    rows, cols = a.shape
-    prev, cur = np.empty((2, 2, rows, cols), dtype=np.complex128)
-    prev.real[0], prev.real[1] = a, -a
-    prev.imag = -np.arange(a.size).reshape(rows, cols)
-    adopt = np.zeros((rows, cols), dtype=np.int64)
-    yield prev, adopt
+    rows, cols = a.shape[-2:]
+    # adopt, which winner_wave's result keeps, is allocated first and the
+    # sort keys are freed before the buffers are allocated, so a run of kept
+    # waves leaves no holes in the heap.
+    adopt = np.zeros(a.shape, dtype=np.int64)
+    changed = np.empty(a.shape, dtype=bool)
+    order = np.stack((-a, a)).reshape(2, *a.shape[:-2], -1).argsort(axis=-1, kind="stable")
+
+    def decoded() -> tuple[np.ndarray, np.ndarray]:
+        origins = np.take_along_axis(order, cur.reshape(order.shape), axis=-1)
+        values = np.take_along_axis(a.reshape(1, *order.shape[1:]), origins, axis=-1)
+        return values.reshape(cur.shape), origins.reshape(cur.shape)
+
+    buffers = np.empty((2, 2, *a.shape), dtype=np.int64)
+    buffers[0] = order.argsort(axis=-1).reshape(2, *a.shape)  # each cell's own rank
+    # Step s reads buffer (s - 1) % 2 and writes buffer s % 2: both
+    # parities' views are built before the first step.
+    parities = [
+        (dst, src, [(dst[cells], src[seen]) for cells, seen in _NEIGHBOURS], dst[0], src[0])
+        for dst, src in ((buffers[0], buffers[1]), (buffers[1], buffers[0]))
+    ]
+    cur = buffers[0]
+    yield decoded, adopt
     for step in range(1, propagation_steps(rows, cols) + 1):
+        cur, prev, merges, cur_best, prev_best = parities[step % 2]
         np.copyto(cur, prev)
-        for cells, seen in _NEIGHBOURS:
-            np.maximum(cur[cells], prev[seen], out=cur[cells])
-        adopt[cur[0] != prev[0]] = step
-        prev, cur = cur, prev
-        yield prev, adopt
-
-
-def _decoded(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values, origins) of ``_wave``'s records, the worst values negated back."""
-    values = records.real.copy()
-    np.negative(values[1], out=values[1])
-    origins = np.negative(records.imag, out=np.empty(records.shape, np.int64), casting="unsafe")
-    return values, origins
+        for cells, seen in merges:
+            np.minimum(cells, seen, out=cells)
+        np.not_equal(cur_best, prev_best, out=changed)
+        np.copyto(adopt, step, where=changed)
+        yield decoded, adopt
 
 
 def winner_wave(activities: np.ndarray) -> WaveResult:
-    """Run the full wave; distance_to_bmu is each cell's last-improvement step."""
-    for step, (records, adopt) in enumerate(_wave(activities)):
+    """Run the full wave over (..., rows, cols) activities, one per grid.
+
+    distance_to_bmu is each cell's last-improvement step; every field has
+    the activities' shape.
+    """
+    for step, (decoded, adopt) in enumerate(_wave(activities)):
         pass
-    values, origins = _decoded(records)  # best and worst: views of one array each
+    values, origins = decoded()  # best and worst: views of one array each
     return WaveResult(
         best_values=values[0],
         best_origins=origins[0],
@@ -143,7 +179,9 @@ def winner_wave(activities: np.ndarray) -> WaveResult:
 
 
 def wave_trace(activities: np.ndarray) -> list[dict]:
-    """Per-step, per-cell state rows (for CSV debugging dumps)."""
+    """Per-step, per-cell state rows of one grid (for CSV debugging dumps)."""
+    if np.ndim(activities) > 2:
+        raise ValueError("a trace covers one grid")
     return [
         {
             "step": step, "row": r, "col": c,
@@ -151,39 +189,47 @@ def wave_trace(activities: np.ndarray) -> list[dict]:
             "worst_value": values[1, r, c], "worst_origin": origins[1, r, c],
             "adopt_step": adopt[r, c],
         }
-        for step, (records, adopt) in enumerate(_wave(activities))
-        for values, origins in [_decoded(records)]
+        for step, (decoded, adopt) in enumerate(_wave(activities))
+        for values, origins in [decoded()]
         for r, c in np.ndindex(adopt.shape)
     ]
+
+
+# Cells per check_waves block: a check peaks near 170 bytes a block cell,
+# about 11 MB whatever the trial count.
+CHECK_BLOCK_CELLS = 1 << 16
 
 
 def check_waves(rows: int, cols: int, trials: int, seed: int) -> tuple[int, np.ndarray]:
     """Count winner waves that disagree with the centralized oracle.
 
     Draws ``trials`` uniform rows x cols activity grids from
-    ``default_rng(seed)``; a wave agrees when every cell holds the argmax as
-    its best origin, the argmin as its worst origin and its Manhattan
-    distance to the argmax as its adoption step.  Returns the mismatch count
-    and the first grid drawn.
+    ``default_rng(seed)``, in blocks of at most ``CHECK_BLOCK_CELLS`` cells
+    (one grid at least) that each run as one batched wave; a wave agrees
+    when every cell holds the argmax as its best origin, the argmin as its
+    worst origin and its Manhattan distance to the argmax as its adoption
+    step.  Returns the mismatch count and the first grid drawn.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     r, c = np.indices((rows, cols))
+    per_block = max(1, CHECK_BLOCK_CELLS // (rows * cols))
     mismatches = 0
-    for trial in range(trials):
-        acts = rng.random((rows, cols))
-        if trial == 0:
-            first = acts
+    for start in range(0, trials, per_block):
+        acts = rng.random((min(per_block, trials - start), rows, cols))
+        if start == 0:
+            first = acts[0].copy()
         wave = winner_wave(acts)
-        bmu = int(np.argmax(acts))
-        br, bc = divmod(bmu, cols)
+        flat = acts.reshape(len(acts), -1)
+        bmu, wmu = flat.argmax(axis=1)[:, None, None], flat.argmin(axis=1)[:, None, None]
+        br, bc = np.divmod(bmu, cols)
         ok = (
-            np.all(wave.best_origins == bmu)
-            and np.all(wave.worst_origins == int(np.argmin(acts)))
-            and np.array_equal(wave.distance_to_bmu, np.abs(r - br) + np.abs(c - bc))
+            np.all(wave.best_origins == bmu, axis=(1, 2))
+            & np.all(wave.worst_origins == wmu, axis=(1, 2))
+            & np.all(wave.distance_to_bmu == np.abs(r - br) + np.abs(c - bc), axis=(1, 2))
         )
-        mismatches += not ok
+        mismatches += int(np.count_nonzero(~ok))
     return mismatches, first
 
 

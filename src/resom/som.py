@@ -193,10 +193,13 @@ class TrainSchedule:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("need at least one epoch")
-        if not (1 >= self.lr_start >= self.lr_end > 0):
-            raise ValueError("learning rate must satisfy 1 >= start >= end > 0")
-        if not (self.sigma_start >= self.sigma_end > 0):
-            raise ValueError("sigma must satisfy start >= end > 0")
+        # One epoch trains at the start rates: only longer schedules decay to the ends.
+        decays = self.epochs > 1
+        if not (1 >= self.lr_start > 0 and self.lr_end > 0) or decays and self.lr_start < self.lr_end:
+            raise ValueError("learning rate must satisfy 1 >= start >= end > 0 "
+                             "(start >= end from two epochs on)")
+        if not (self.sigma_start > 0 and self.sigma_end > 0) or decays and self.sigma_start < self.sigma_end:
+            raise ValueError("sigma must satisfy start >= end > 0 (start >= end from two epochs on)")
         # The last epoch's sigma is the smallest; neighborhood divides by 2 sigma^2.
         sigma = decay(self.epochs - 1, self.epochs, self.sigma_start, self.sigma_end)
         if not 2.0 * sigma * sigma > 0:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import struct
 
@@ -156,6 +157,13 @@ class TestWorkflow:
         assert run("ig-verify", "--grid", "6x4", "--trials", 50, "--trace", trace) == 0
         header = trace.read_text().splitlines()[0]
         assert header.startswith("step,row,col,best_value")
+
+    def test_ig_verify_trace_matches_the_golden_digest(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+        assert run("ig-verify", "--grid", "16x16", "--trials", 300, "--trace", trace) == 0
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == (
+            "8977d7b779c93432062230f52ceedf1eaf82786d51b070ab34bc77371b100a03"
+        )
 
     def test_pipeline_prune_sweep_report(self, tmp_path):
         spec_path = tmp_path / "spec.txt"
@@ -406,6 +414,10 @@ INVALID_VALUES = {
     "grid-5793x1": ("grid_x = 5793x1", "train", "--grid", "5793x1"),
     # an update that overshoots its input, with no bound on the weights
     "lr-start-2": ("lr_start = 2", "train", "--lr-start", "2"),
+    # one epoch trains at the start rates, so an end rate is never read
+    "lr-end-one-epoch": ("epochs = 1\nlr_end = 0.5", "train", "--epochs", "1", "--lr-end", "0.5"),
+    "sigma-end-one-epoch": ("epochs = 1\nsigma_end = 0.5",
+                            "train", "--epochs", "1", "--sigma-end", "0.5"),
 }
 
 # Every file a stepwise command reads is missing: reading one exits 3.
@@ -457,15 +469,25 @@ class TestNonFiniteInputs:
     def test_stepwise_flag_is_refused_like_the_spec(
         self, tmp_path, monkeypatch, capsys, no_training, key
     ):
-        line, command, flag, value = INVALID_VALUES[key]
+        line, command, *flags = INVALID_VALUES[key]
         spec = tmp_path / "spec.txt"
         spec.write_text(tiny_spec_with(line))
         assert run("pipeline", "--spec", spec, "--out", tmp_path / "r.csv") == 2
         refusal = capsys.readouterr().err
         monkeypatch.chdir(tmp_path)
-        assert run(command, *STEPWISE_FILES[command], flag, value) == 2
+        assert run(command, *STEPWISE_FILES[command], *flags) == 2
         assert capsys.readouterr().err == refusal
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["lr_start", "sigma_start"])
+    def test_one_epoch_takes_a_start_rate_below_the_default_end(self, workspace, tmp_path, key):
+        # One epoch reads no end rate, so the default end may exceed the start.
+        spec = tmp_path / "spec.txt"
+        spec.write_text(tiny_spec_with(f"epochs = 1\n{key} = 0.005"))
+        assert run("pipeline", "--spec", spec, "--out", tmp_path / "r.csv") == 0
+        flag = "--" + key.replace("_", "-")
+        assert run("train", "--modality", workspace / "x_train.rsm1", "--grid", "2x2",
+                   "--epochs", 1, flag, 0.005, "--out", tmp_path / "s.rsom") == 0
 
     @pytest.mark.parametrize("line, error", [
         # "config error: invalid literal for int() with base 10: 'ten'"

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from resom import grid
 from resom.grid import (
     check_waves,
     cost_report,
@@ -169,6 +170,38 @@ class TestCellwiseReference:
         assert merged.worst_value == 0.4 and merged.worst_origin == 9
 
 
+# A few tie-heavy grids of one shape, stacked on a leading batch axis.
+tie_heavy_batches = st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 7)).flatmap(
+    lambda shape: hnp.arrays(
+        np.float64, shape, elements=st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0])
+    )
+)
+
+
+class TestBatchAxis:
+    @settings(max_examples=100, deadline=None)
+    @given(tie_heavy_batches)
+    @example(np.array([[[0.5, 1.0, 1.0, 0.0, -0.0, 0.0, 0.5]], [[-0.0, 0.0, 0.0, 1.0, 1.0, 0.5, 0.5]]]))
+    @example(np.array([[[0.0], [0.5], [0.5], [-0.0], [1.0], [0.0]]] * 3))
+    def test_batched_wave_equals_the_stacked_waves(self, batch):
+        together = winner_wave(batch)
+        alone = [winner_wave(a) for a in batch]
+        assert together.steps == alone[0].steps
+        for field in ("best_values", "best_origins", "worst_values",
+                      "worst_origins", "distance_to_bmu"):
+            got = getattr(together, field)
+            want = np.stack([getattr(w, field) for w in alone])
+            assert got.shape == want.shape == batch.shape
+            assert np.array_equal(got, want), field
+            assert np.array_equal(np.signbit(got), np.signbit(want)), field
+
+    def test_a_batch_has_no_single_winner(self):
+        batch = winner_wave(np.random.default_rng(3).random((2, 3, 4)))
+        for name in ("bmu_index", "wmu_index", "bmu_value", "wmu_value"):
+            with pytest.raises(ValueError, match="one winner per grid"):
+                getattr(batch, name)
+
+
 class TestLocality:
     def test_information_travels_one_hop_per_step(self):
         # perturbing one cell cannot affect cells farther than s hops in s steps
@@ -178,11 +211,11 @@ class TestLocality:
         b[2, 3] = 10.0  # perturbation source
         rows, cols = np.indices(a.shape)
         hop = np.abs(rows - 2) + np.abs(cols - 3)
-        for step, ((ra, _), (rb, _)) in enumerate(zip(_wave(a), _wave(b))):
-            # A record is value - 1j * origin.
+        # A rank depends on every cell's activity: compare the decoded records.
+        for step, ((da, _), (db, _)) in enumerate(zip(_wave(a), _wave(b))):
             untouched = hop > step
-            assert np.array_equal(ra[0].real[untouched], rb[0].real[untouched])
-            assert np.array_equal(ra[0].imag[untouched], rb[0].imag[untouched])
+            for got, want in zip(da(), db()):
+                assert np.array_equal(got[:, untouched], want[:, untouched])
 
 
 class TestTrace:
@@ -204,6 +237,9 @@ class TestTrace:
                     assert r[field] == want, field
                     assert np.signbit(r[field]) == np.signbit(want), field
 
+    def test_a_trace_covers_one_grid(self):
+        with pytest.raises(ValueError, match="a trace covers one grid"):
+            wave_trace(np.zeros((2, 3, 4)))
 
     def test_csv_matches_the_golden_digest(self):
         # Value ties, signed zeros, one row and one column; written as ig-verify does.
@@ -229,6 +265,38 @@ class TestCheckWaves:
         mismatches, first = check_waves(3, 4, trials=20, seed=7)
         assert mismatches == 0
         assert np.array_equal(first, np.random.default_rng(7).random((3, 4)))
+
+    @pytest.mark.parametrize("block_trials, trials", [(3, 10), (1, 8), (None, 40)])
+    def test_blocks_count_as_a_per_trial_loop(self, monkeypatch, block_trials, trials):
+        # A wave that lies on every grid whose first cell exceeds 0.5, so the
+        # count depends on which draws land in which trial.
+        real = grid.winner_wave
+
+        def lying_wave(acts):
+            res = real(acts)
+            res.distance_to_bmu = np.where(acts[..., :1, :1] > 0.5, -1, res.distance_to_bmu)
+            return res
+
+        monkeypatch.setattr(grid, "winner_wave", lying_wave)
+        if block_trials is not None:
+            monkeypatch.setattr(grid, "CHECK_BLOCK_CELLS", block_trials * 3 * 4)
+        rng = np.random.default_rng(8)
+        grids = [rng.random((3, 4)) for _ in range(trials)]
+        want = sum(not np.array_equal(lying_wave(a).distance_to_bmu, oracle(a)[2])
+                   for a in grids)
+        mismatches, first = check_waves(3, 4, trials, seed=8)
+        assert 0 < mismatches == want < trials
+        assert np.array_equal(first, grids[0])
+
+    def test_memory_does_not_grow_with_the_trials(self):
+        # One batch of all 20 000 trials peaked at 35 MB.
+        tracemalloc.start()
+        try:
+            check_waves(4, 4, trials=20_000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * grid.CHECK_BLOCK_CELLS
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_needs_a_trial(self, trials):

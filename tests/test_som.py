@@ -190,6 +190,14 @@ class TestSchedule:
             TrainSchedule(epochs=2, sigma_start=1e-160, sigma_end=1e-170)
         TrainSchedule(epochs=2, sigma_start=1e-160, sigma_end=1e-160)
 
+    def test_one_epoch_orders_no_end_rate(self):
+        # One epoch trains at the start rates, so an end above its start is unread.
+        TrainSchedule(epochs=1, lr_start=0.005, sigma_start=0.005)
+        with pytest.raises(ValueError, match="two epochs on"):
+            TrainSchedule(epochs=2, lr_start=0.005)
+        with pytest.raises(ValueError, match="two epochs on"):
+            TrainSchedule(epochs=2, sigma_start=0.005)
+
 
 class TestTrain:
     schedule = TrainSchedule(epochs=5, lr_start=0.5, lr_end=0.05, sigma_start=1.0, sigma_end=0.1)

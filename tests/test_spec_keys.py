@@ -165,6 +165,15 @@ def test_key_is_refused_or_moves_an_output(workspace, monkeypatch, key):
     )
 
 
+@pytest.mark.parametrize("key", ["lr_end", "sigma_end"])
+def test_one_epoch_refuses_an_end_rate(key):
+    # training_epochs reads lr_end and sigma_end from the second epoch on, so
+    # one epoch also takes a start rate below the default end rate.
+    spec_of({"epochs": "1", key.replace("_end", "_start"): "0.005"})
+    with pytest.raises(SpecError, match=f"one epoch reads no {key}"):
+        spec_of({"epochs": "1", key: KEYS[key][0]})
+
+
 def test_eta_moves_a_hebbian_prune_row_under_zero():
     # Refused before, as a factor common to every Hebbian synapse.  With
     # kernel width 1 map x's activities are nearly flat, so a neuron of map y
