@@ -8,26 +8,32 @@ step at which a cell last improves its best record equals its Manhattan
 distance to the global best cell, which is what local training uses as the
 neighborhood distance: no second wave is needed.
 
-A cell's record is an int64 rank: the position of its (value, origin) in
-one global merge order, which a stable sort of the grid's activities fixes
-before step 1 (the best channel by falling value, the worst by rising
-value, lower origin first on ties, so -0.0 ties 0.0).  The order is the
-merge rule's, so ``np.minimum`` of two ranks picks the record the rule
-picks, and a rank changes exactly when its record does.  The relabeling
-changes no simulated quantity: each cell still reads only its neighbours'
-previous records, every step's (value, origin) pairs decode exactly from
-the ranks (values read back from the activities, sign bits included), and
-adoption steps compare best records.  The wave is double-buffered (each
-step reads only the previous snapshot), so results cannot depend on cell
-iteration order.  A step merges each neighbour's previous records into a
-copy of the cells' own, one ``np.minimum`` over shifted slices per
-neighbour, built once per wave: the pairwise merge of the per-cell
-reference in the tests (``winner_wave_cellwise``), which it must match in
-every field.
+A cell's record is an int64 rank: the position of its (value, origin) in one
+global merge order, which one stable sort of the grid's activities fixes
+before step 1 (the best channel by falling value, the worst by rising value,
+lower origin first on ties, so -0.0 ties 0.0).  The order is the merge
+rule's, so ``np.minimum`` of two ranks picks the record the rule picks.  The
+relabeling changes no simulated quantity: each cell still reads only its
+neighbours' previous records, and every step's (value, origin) pairs decode
+exactly from the ranks (values read back from the activities, sign bits
+included).  The records are channel-last, (..., rows, cols, 2), so a merge
+with the row above or below is one contiguous run and one with a left or
+right neighbour one run of 2 (cols - 1) per row.  The wave is
+double-buffered (each step reads only the previous snapshot), so results
+cannot depend on cell iteration order.  A step copies the cells' own records
+and merges each neighbour's with one ``np.minimum`` over shifted views: the
+pairwise merge of the per-cell reference in the tests
+(``winner_wave_cellwise``), which it must match in every field.
 
-Activities of shape (..., rows, cols) run as one wave per leading index,
-every grid in the same numpy calls; ``check_waves`` runs its trials so, a
-block at a time.
+No step tracks the adoption step.  Ranks are a permutation per channel, so
+a cell's best record at step s is the unique minimum over its radius-s
+Manhattan ball: it last changed at step d(cell, origin), when its origin
+entered the ball.  The adoption step is thus |r - r_o| + |c - c_o| of the
+best origin at every step, and stays local: a cell knows its coordinates
+and its record's origin.  ``ig_train`` builds one ``_WaveState`` (buffers,
+views, index grids) per call; per sample it runs the sort, the steps and
+the best origins' decode.  Activities of shape (..., rows, cols) run as one
+wave per leading index; ``check_waves`` runs its trials so, in blocks.
 
 Cellular training is ``som.train``'s rule, epochs, coefficients and
 per-sample distance (``som.sample_distances``) included, with one change: a
@@ -40,6 +46,7 @@ row sums are the training loop's and every other operation is elementwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -99,64 +106,70 @@ class WaveResult:
 
 
 # Each cardinal neighbour as (cells, their neighbours) slices of a
-# (..., row, col) array, in the reference's up, down, left, right order.
+# (..., row, col, channel) array, in the reference's up, down, left, right order.
 _NEIGHBOURS = (
+    (np.s_[..., 1:, :, :], np.s_[..., :-1, :, :]),
+    (np.s_[..., :-1, :, :], np.s_[..., 1:, :, :]),
     (np.s_[..., 1:, :], np.s_[..., :-1, :]),
     (np.s_[..., :-1, :], np.s_[..., 1:, :]),
-    (np.s_[..., 1:], np.s_[..., :-1]),
-    (np.s_[..., :-1], np.s_[..., 1:]),
 )
 
 
+class _WaveState:
+    """Two snapshots of a shape's records (step s writes snapshot s % 2), their
+    neighbour views, and the index grids of np.put/take_along_axis."""
+
+    def __init__(self, shape: tuple[int, ...]):
+        *lead, rows, cols = shape
+        self.shape, self.flat = shape, (*lead, rows * cols, 2)
+        self.records = np.empty((2, *shape, 2), dtype=np.int64)
+        self.parities = [(dst, src, [(dst[cells], src[seen]) for cells, seen in _NEIGHBOURS])
+                         for dst, src in (self.records, self.records[::-1])]
+        self.lead = [np.arange(k).reshape(k, *[1] * (len(lead) - i + 1)) for i, k in enumerate(lead)]
+        self.channels, self.ranks = np.arange(2), np.arange(rows * cols)[:, None]
+        self.cells = np.divmod(self.ranks, cols)
+
+    def run(self, a: np.ndarray):
+        """Yield the records of each step of the wave over ``a``, 0 to t_p."""
+        if not np.isfinite(a).all():
+            raise ValueError("activities contain non-finite values")
+        keys = np.empty(self.records.shape[1:])
+        np.negative(a, out=keys[..., 0])
+        keys[..., 1] = a
+        self.activities, self.order = a, keys.reshape(self.flat).argsort(axis=-2, kind="stable")
+        self.records[0].reshape(self.flat)[(*self.lead, self.order, self.channels)] = self.ranks
+        yield self.records[0]
+        for step in range(1, propagation_steps(*self.shape[-2:]) + 1):
+            cur, prev, merges = self.parities[step % 2]
+            np.copyto(cur, prev)
+            for cells, seen in merges:
+                np.minimum(cells, seen, out=cells)
+            yield cur
+
+    def adopt(self, records: np.ndarray) -> np.ndarray:
+        """Each cell's step of its last new best record: its hops to that origin."""
+        ro, co = np.divmod(self.order[(*self.lead, records.reshape(self.flat)[..., :1], 0)],
+                           self.shape[-1])
+        ro -= self.cells[0]
+        co -= self.cells[1]
+        return np.add(np.abs(ro, out=ro), np.abs(co, out=co), out=ro).reshape(self.shape)
+
+    def decode(self, records: np.ndarray):
+        """The step's (values, origins, adopt); [0] of values and origins is the best."""
+        origins = self.order[(*self.lead, records.reshape(self.flat), self.channels)]
+        values = self.activities.reshape(self.flat[:-1])[(*self.lead, origins)]
+        # adopt last: decoded first, it left kept waves holes in the heap.
+        return (*(x.reshape(*self.shape, 2).transpose(-1, *range(len(self.shape)))
+                  for x in (values, origins)), self.adopt(records))
+
+
 def _wave(activities: np.ndarray):
-    """Yield each step's ``(decoded, adopt)``, from step 0 to t_p.
-
-    ``decoded()`` returns the step's (values, origins), each (2, ..., rows,
-    cols): channel 0 holds each cell's best record, channel 1 its worst.
-    ``adopt`` is each cell's step of its last new best record.  A later step
-    overwrites both, so decode a step before taking the next.
-
-    The records are ranks in ``order`` (2, ..., rows * cols), which lists
-    each grid's cells winner first: in channel 0 by falling value, in
-    channel 1 by rising value, lower row-major origin first on ties (a
-    stable sort, so -0.0 ties 0.0).  ``np.minimum`` is then the merge rule.
-    """
+    """Yield each step's ``_WaveState.decode``, step 0 to t_p; call it before the next."""
     a = np.ascontiguousarray(activities, dtype=np.float64)
     if a.ndim < 2:
         raise ValueError("activities must form a rectangular grid")
-    if not np.isfinite(a).all():
-        raise ValueError("activities contain non-finite values")
-    rows, cols = a.shape[-2:]
-    # adopt, which winner_wave's result keeps, is allocated first and the
-    # sort keys are freed before the buffers are allocated, so a run of kept
-    # waves leaves no holes in the heap.
-    adopt = np.zeros(a.shape, dtype=np.int64)
-    changed = np.empty(a.shape, dtype=bool)
-    order = np.stack((-a, a)).reshape(2, *a.shape[:-2], -1).argsort(axis=-1, kind="stable")
-
-    def decoded() -> tuple[np.ndarray, np.ndarray]:
-        origins = np.take_along_axis(order, cur.reshape(order.shape), axis=-1)
-        values = np.take_along_axis(a.reshape(1, *order.shape[1:]), origins, axis=-1)
-        return values.reshape(cur.shape), origins.reshape(cur.shape)
-
-    buffers = np.empty((2, 2, *a.shape), dtype=np.int64)
-    buffers[0] = order.argsort(axis=-1).reshape(2, *a.shape)  # each cell's own rank
-    # Step s reads buffer (s - 1) % 2 and writes buffer s % 2: both
-    # parities' views are built before the first step.
-    parities = [
-        (dst, src, [(dst[cells], src[seen]) for cells, seen in _NEIGHBOURS], dst[0], src[0])
-        for dst, src in ((buffers[0], buffers[1]), (buffers[1], buffers[0]))
-    ]
-    cur = buffers[0]
-    yield decoded, adopt
-    for step in range(1, propagation_steps(rows, cols) + 1):
-        cur, prev, merges, cur_best, prev_best = parities[step % 2]
-        np.copyto(cur, prev)
-        for cells, seen in merges:
-            np.minimum(cells, seen, out=cells)
-        np.not_equal(cur_best, prev_best, out=changed)
-        np.copyto(adopt, step, where=changed)
-        yield decoded, adopt
+    wave = _WaveState(a.shape)
+    return (partial(wave.decode, records) for records in wave.run(a))
 
 
 def winner_wave(activities: np.ndarray) -> WaveResult:
@@ -165,9 +178,9 @@ def winner_wave(activities: np.ndarray) -> WaveResult:
     distance_to_bmu is each cell's last-improvement step; every field has
     the activities' shape.
     """
-    for step, (decoded, adopt) in enumerate(_wave(activities)):
+    for step, decoded in enumerate(_wave(activities)):
         pass
-    values, origins = decoded()  # best and worst: views of one array each
+    values, origins, adopt = decoded()  # best and worst: views of one array each
     return WaveResult(
         best_values=values[0],
         best_origins=origins[0],
@@ -189,14 +202,14 @@ def wave_trace(activities: np.ndarray) -> list[dict]:
             "worst_value": values[1, r, c], "worst_origin": origins[1, r, c],
             "adopt_step": adopt[r, c],
         }
-        for step, (decoded, adopt) in enumerate(_wave(activities))
-        for values, origins in [decoded()]
+        for step, decoded in enumerate(_wave(activities))
+        for values, origins, adopt in [decoded()]
         for r, c in np.ndindex(adopt.shape)
     ]
 
 
-# Cells per check_waves block: a check peaks near 170 bytes a block cell,
-# about 11 MB whatever the trial count.
+# Cells per check_waves block: a check peaks near 120 bytes a block cell
+# (tracemalloc: 113 at 16x16, 126 at 4x4), about 8 MB whatever the trial count.
 CHECK_BLOCK_CELLS = 1 << 16
 
 
@@ -230,6 +243,7 @@ def check_waves(rows: int, cols: int, trials: int, seed: int) -> tuple[int, np.n
             & np.all(wave.distance_to_bmu == np.abs(r - br) + np.abs(c - bc), axis=(1, 2))
         )
         mismatches += int(np.count_nonzero(~ok))
+        del acts, wave, flat  # before the next block's, which would peak beside them
     return mismatches, first
 
 
@@ -253,14 +267,15 @@ def ig_train(som: SomGrid, data: np.ndarray, schedule: TrainSchedule, seed: int)
     diff, sq, dist = np.empty_like(W), np.empty_like(W), np.empty(len(W))
     # A wave reports hop counts 0..t_p only: tabulate their coefficients.
     dsq = np.arange(propagation_steps(som.height, som.width) + 1.0) ** 2
+    wave = _WaveState((som.height, som.width))
     for lr, sigma, (order,) in training_epochs(schedule, [seed], X.shape[0]):
         h = neighborhood(dsq, lr, sigma)
         for i in order:
             sample_distances(X[i], W, diff, sq, dist)
             acts = activities_from_distances(dist, 1.0)
-            for _, adopt in _wave(acts.reshape(som.height, som.width)):
+            for records in wave.run(acts.reshape(som.height, som.width)):
                 pass
-            W += np.multiply(h[adopt.ravel()][:, None], diff, out=diff)
+            W += np.multiply(h[wave.adopt(records).ravel()][:, None], diff, out=diff)
     return replace(som, weights=W, labels=None)
 
 

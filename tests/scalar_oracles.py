@@ -112,11 +112,14 @@ def merge_summaries(own: CellSummary, seen: CellSummary) -> CellSummary:
     return CellSummary(bv, bo, wv, wo)
 
 
-def winner_wave_cellwise(activities: np.ndarray, cell_order=None) -> WaveResult:
+def winner_wave_cellwise_steps(activities: np.ndarray, cell_order=None):
     """Slow reference: each cell is handed only its cardinal neighbors' state.
 
-    ``cell_order`` permutes the within-step update order; double buffering
-    makes the result independent of it (pinned by tests).
+    Yields each step's state from step 0 to t_p as a ``WaveResult`` whose
+    ``steps`` is the step and whose ``distance_to_bmu`` is each cell's step
+    of its last new best record, kept by comparing a cell's best record with
+    its previous one.  ``cell_order`` permutes the within-step update order;
+    double buffering makes the result independent of it (pinned by tests).
     """
     a = np.asarray(activities, dtype=np.float64)
     rows, cols = a.shape
@@ -128,8 +131,16 @@ def winner_wave_cellwise(activities: np.ndarray, cell_order=None) -> WaveResult:
         for r, c in cells
     }
     adopt = np.zeros((rows, cols), dtype=np.int64)
-    t_p = propagation_steps(rows, cols)
-    for step in range(1, t_p + 1):
+
+    def snapshot(step):
+        fields = [
+            np.array([[getattr(states[(r, c)], name) for c in range(cols)] for r in range(rows)])
+            for name in ("best_value", "best_origin", "worst_value", "worst_origin")
+        ]
+        return WaveResult(*fields, adopt.copy(), step)
+
+    yield snapshot(0)
+    for step in range(1, propagation_steps(rows, cols) + 1):
         new = {}
         for r, c in cell_order:
             s = states[(r, c)]
@@ -143,11 +154,13 @@ def winner_wave_cellwise(activities: np.ndarray, cell_order=None) -> WaveResult:
             ):
                 adopt[r, c] = step
         states = new
-    bv = np.array([[states[(r, c)].best_value for c in range(cols)] for r in range(rows)])
-    bo = np.array([[states[(r, c)].best_origin for c in range(cols)] for r in range(rows)])
-    wv = np.array([[states[(r, c)].worst_value for c in range(cols)] for r in range(rows)])
-    wo = np.array([[states[(r, c)].worst_origin for c in range(cols)] for r in range(rows)])
-    return WaveResult(bv, bo, wv, wo, adopt, t_p)
+        yield snapshot(step)
+
+
+def winner_wave_cellwise(activities: np.ndarray, cell_order=None) -> WaveResult:
+    """The last step of ``winner_wave_cellwise_steps``."""
+    *_, last = winner_wave_cellwise_steps(activities, cell_order)
+    return last
 
 
 @dataclass(frozen=True)

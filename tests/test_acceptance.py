@@ -7,6 +7,7 @@ the README for the expected layout.
 """
 
 import hashlib
+import importlib.metadata
 import math
 import os
 import time
@@ -254,3 +255,13 @@ def test_pipeline_determinism():
                 }
                 digests.append(digest)
         assert digests[0] and digests[0] == digests[1]
+
+
+def test_default_spec_content_hash_is_pinned():
+    """The default spec over seeds 0-9 reproduces its recorded results."""
+    with criterion("Default-spec content hash"):
+        result = exp.run_pipeline(exp.ExperimentSpec(seeds=tuple(range(10))), exp.StageCache(None))
+        versions = {name: importlib.metadata.version(name) for name in ("numpy", "scipy")}
+        assert result.content_hash() == (
+            "9609c3a0ffc7e8c86b1480f92e7f8adec0ce4c827fcf7e7311c65487697375fb"
+        ), f"the digest was taken under numpy 2.4.6 and scipy 1.17.1; this run has {versions}"
