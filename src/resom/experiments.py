@@ -510,24 +510,6 @@ def load_dataset(spec: ExperimentSpec) -> Callable[[int], tuple[PairedDataset, P
     )
 
 
-def digits_spec(data_dir, seeds: tuple[int, ...] = tuple(range(10))) -> ExperimentSpec:
-    """The paper's written/spoken digits run on the files under ``data_dir``.
-
-    The file layout is in the README; every other field keeps its default,
-    which is the paper's value.
-    """
-    mnist = os.path.join(data_dir, "mnist", "")
-    digits = os.path.join(data_dir, "digits", "")
-    return ExperimentSpec(
-        dataset="files", normalize_y="zscore-minmax",  # MFCC rows; pixels stay at /255
-        x_train=mnist + "train-images-idx3-ubyte", x_train_labels=mnist + "train-labels-idx1-ubyte",
-        x_test=mnist + "t10k-images-idx3-ubyte", x_test_labels=mnist + "t10k-labels-idx1-ubyte",
-        y_train=digits + "smnist_train.rsm1", y_test=digits + "smnist_test.rsm1",
-        grid_x=(10, 10), grid_y=(16, 16), label_fraction_x=0.01, alpha_y=0.1,
-        keep_fraction=0.1, beta_x=10.0, beta_y=10.0, seeds=tuple(seeds),
-    )
-
-
 @dataclass
 class SeedData:
     """One seed's rows and label subsets, drawn before any map trains."""

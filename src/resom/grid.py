@@ -32,7 +32,9 @@ entered the ball.  The adoption step is thus |r - r_o| + |c - c_o| of the
 best origin at every step, and stays local: a cell knows its coordinates
 and its record's origin.  ``ig_train`` builds one ``_WaveState`` (buffers,
 views, index grids) per call; per sample it runs the sort, the steps and
-the best origins' decode.  Activities of shape (..., rows, cols) run as one
+the best origins' decode.  ``_wave`` refuses non-finite activities; those
+``ig_train`` computes from its checked data are not checked again, as
+``som.train`` checks none.  Activities of shape (..., rows, cols) run as one
 wave per leading index; ``check_waves`` runs its trials so, in blocks.
 
 Cellular training is ``som.train``'s rule, epochs, coefficients and
@@ -96,14 +98,6 @@ class WaveResult:
     def wmu_index(self) -> int:
         return int(self._uniform(self.worst_origins))
 
-    @property
-    def bmu_value(self) -> float:
-        return float(self._uniform(self.best_values))
-
-    @property
-    def wmu_value(self) -> float:
-        return float(self._uniform(self.worst_values))
-
 
 # Each cardinal neighbour as (cells, their neighbours) slices of a
 # (..., row, col, channel) array, in the reference's up, down, left, right order.
@@ -130,9 +124,7 @@ class _WaveState:
         self.cells = np.divmod(self.ranks, cols)
 
     def run(self, a: np.ndarray):
-        """Yield the records of each step of the wave over ``a``, 0 to t_p."""
-        if not np.isfinite(a).all():
-            raise ValueError("activities contain non-finite values")
+        """Yield the records of each step of the wave over finite ``a``, 0 to t_p."""
         keys = np.empty(self.records.shape[1:])
         np.negative(a, out=keys[..., 0])
         keys[..., 1] = a
@@ -168,6 +160,8 @@ def _wave(activities: np.ndarray):
     a = np.ascontiguousarray(activities, dtype=np.float64)
     if a.ndim < 2:
         raise ValueError("activities must form a rectangular grid")
+    if not np.isfinite(a).all():
+        raise ValueError("activities contain non-finite values")
     wave = _WaveState(a.shape)
     return (partial(wave.decode, records) for records in wave.run(a))
 

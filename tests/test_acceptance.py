@@ -21,13 +21,14 @@ import pytest
 from resom import association as assoc
 from resom import experiments as exp
 from resom import grid as ig
-from resom import inference, labeling
+from resom import inference, labeling, synthetic
 from resom import som as som_mod
 from resom.association import hebb_update, oja_update
-from resom.data import load_idx
+from resom.data import load_idx, save_rsm1
 from scalar_oracles import same_bits
 
 DATA_DIR = Path(os.environ.get("RESOM_DATA_DIR", "data"))
+DIGITS_SPEC = Path(__file__).resolve().parent.parent / "specs" / "digits.spec"
 
 
 @contextmanager
@@ -62,8 +63,8 @@ def test_ig_exactness_property():
                 bmu, wmu = int(np.argmax(flat)), int(np.argmin(flat))
                 assert wave.bmu_index == bmu
                 assert wave.wmu_index == wmu
-                assert wave.bmu_value == flat[bmu]
-                assert wave.wmu_value == flat[wmu]
+                assert np.all(wave.best_values == flat[bmu])
+                assert np.all(wave.worst_values == flat[wmu])
                 assert np.array_equal(
                     wave.distance_to_bmu, manhattan_to((rows, cols), bmu)
                 )
@@ -121,14 +122,15 @@ def test_mnist_unimodal_reproduction():
             assert mean >= 0.80, f"desk-scale mean accuracy {mean:.4f}"
 
 
-def test_multimodal_digits_reproduction():
+def test_multimodal_digits_reproduction(monkeypatch):
     """Paired written/spoken digits: 95.07 +/- 1.5 convergence, gain >= +4."""
     with criterion("Multimodal convergence reproduction"):
-        spec = exp.digits_spec(DATA_DIR)
+        spec = exp.load_spec(DIGITS_SPEC)
         paths = (spec.x_train, spec.x_train_labels, spec.x_test, spec.x_test_labels,
                  spec.y_train, spec.y_test)
-        if not all(Path(p).exists() for p in paths):
+        if not all((DATA_DIR / p).exists() for p in paths):
             pytest.skip(f"paired digit feature files not found under {DATA_DIR}")
+        monkeypatch.chdir(DATA_DIR)  # the spec's paths are relative to the data directory
         record = exp.run_pipeline(spec)
         best_uni = np.mean([max(r.uni_x, r.uni_y) for r in record.results])
         assert abs(record.mean - 0.9507) <= 0.015, f"convergence {record.mean:.4f}"
@@ -235,8 +237,25 @@ def test_prune_cardinality():
                     assert got == expected
 
 
+def golden_versions() -> str:
+    """The failure message of a golden digest: the versions it was taken under."""
+    versions = {name: importlib.metadata.version(name) for name in ("numpy", "scipy")}
+    return f"the digest was taken under numpy 2.4.6 and scipy 1.17.1; this run has {versions}"
+
+
+# The sha256 of each file test_pipeline_determinism's spec writes.
+ARTIFACT_DIGESTS = {
+    "som_x_0.rsom": "26e0545256e4da24dce783f5c73681aea97229f9120931628008a711d931f0fb",
+    "som_y_0.rsom": "f2f3b64b320a72c8945654cd5a601ebeb32875bbafc9f4d5535ffb292debb9e2",
+    "syn_xy_0.rlat": "b52734f4a8c7d2aa1bf06fa4bc985ff2c4524c4e33b957e033f1b4a2339d0efe",
+    "syn_xy_raw_0.rlat": "8ea11c6b4fbda880a2bf89c5d2a2dadeb5ffa6bab67fbcb74d85e0579a1251fd",
+    "syn_yx_0.rlat": "c268f92a28cccb320ab373ac0e2e497afdedfeb462dc18505c3fe1bb09b18100",
+    "syn_yx_raw_0.rlat": "6acddb19065df36a77e49e639635059a8d03aeba13421b6d9ad4927b6de9dc62",
+}
+
+
 def test_pipeline_determinism():
-    """Same seed and inputs give bit-identical checkpoint and synapse files."""
+    """Same seed and inputs give the recorded checkpoint and synapse files, bit for bit."""
     with criterion("Determinism"):
         spec = exp.ExperimentSpec(
             classes=4, dim_x=6, dim_y=6, train_per_class=80, test_per_class=20,
@@ -254,14 +273,36 @@ def test_pipeline_determinism():
                     for name in sorted(os.listdir(tmp))
                 }
                 digests.append(digest)
-        assert digests[0] and digests[0] == digests[1]
+        assert digests[0] == digests[1]
+        assert digests[0] == ARTIFACT_DIGESTS, golden_versions()
 
 
 def test_default_spec_content_hash_is_pinned():
     """The default spec over seeds 0-9 reproduces its recorded results."""
     with criterion("Default-spec content hash"):
         result = exp.run_pipeline(exp.ExperimentSpec(seeds=tuple(range(10))), exp.StageCache(None))
-        versions = {name: importlib.metadata.version(name) for name in ("numpy", "scipy")}
         assert result.content_hash() == (
             "9609c3a0ffc7e8c86b1480f92e7f8adec0ce4c827fcf7e7311c65487697375fb"
-        ), f"the digest was taken under numpy 2.4.6 and scipy 1.17.1; this run has {versions}"
+        ), golden_versions()
+
+
+def test_digits_sweep_rows_are_pinned(tmp_path):
+    """prune_sweep at the digits shape, read from RSM1 files, reproduces its recorded rows."""
+    with criterion("Digits-sweep rows"):
+        # MNIST and spoken-digit widths, 500 training and 10 000 test pairs.
+        shape = synthetic.SyntheticSpec(
+            n_classes=10, dim_x=784, dim_y=507, train_per_class=50, test_per_class=1000
+        )
+        paths = {}
+        for split, pairs in zip(("train", "test"), synthetic.make_paired_dataset(shape, 4242)):
+            for modality in ("x", "y"):
+                paths[f"{modality}_{split}"] = str(tmp_path / f"{modality}_{split}.rsm1")
+                save_rsm1(getattr(pairs, modality), paths[f"{modality}_{split}"])
+        spec = exp.ExperimentSpec(
+            dataset="files", normalize_y="zscore-minmax", **paths,
+            grid_x=(10, 10), grid_y=(16, 16), beta_x=10.0, beta_y=10.0, seeds=(4242,),
+        )
+        rows = exp.prune_sweep(spec, (0.01, 0.02, 0.05, 1.0), cache=exp.StageCache(None))
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "e015a69ef7013752f36aea6396b4e42e69cd431d70419cccb9b4498d77593011"
+        ), golden_versions()

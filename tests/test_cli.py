@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import io
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import resom.som
 from resom.association import LateralSynapses, load_synapses, save_synapses
 from resom.cli import build_parser, main
 from resom.data import FeatureMatrix, load_features, pair_by_class, save_rsm1
-from resom.experiments import read_record_csv, write_metrics
+from resom.experiments import load_spec, read_record_csv, write_metrics
 from resom.inference import (
     ConvergenceConfig,
     evaluate_unimodal,
@@ -20,6 +21,8 @@ from resom.inference import (
 from resom.som import distances, load_som, make_som, save_som
 from resom.synthetic import SyntheticSpec, make_paired_dataset
 from test_spec_keys import spec_text
+
+DIGITS_SPEC = Path(__file__).resolve().parent.parent / "specs" / "digits.spec"
 
 TINY_SPEC = """
 dataset = synthetic
@@ -226,6 +229,32 @@ class TestExitCodes:
         trace = tmp_path / "trace.csv"
         assert run("ig-verify", "--grid", "3x3", "--trials", 2, "--trace", trace) == 4
         assert trace.exists()  # the trace of the failing run is kept
+
+
+class TestDigitsSpec:
+    """specs/digits.spec reads its files against the working directory."""
+
+    def run_in(self, directory, monkeypatch, capsys) -> int:
+        monkeypatch.chdir(directory)
+        status = run("pipeline", "--spec", DIGITS_SPEC, "--out", "record.csv")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error: "), err
+        assert "train-images-idx3-ubyte" in err[0]
+        assert not (directory / "record.csv").exists()
+        return status
+
+    def test_without_data_exits_3(self, tmp_path, monkeypatch, capsys, no_training):
+        assert self.run_in(tmp_path, monkeypatch, capsys) == 3
+
+    def test_on_empty_data_files_exits_3(self, tmp_path, monkeypatch, capsys, no_training):
+        # An empty IDX file ended in a DataFormatError traceback and exit 1.
+        spec = load_spec(DIGITS_SPEC)
+        for name in ("mnist", "digits"):
+            (tmp_path / name).mkdir()
+        for path in (spec.x_train, spec.x_train_labels, spec.x_test, spec.x_test_labels,
+                     spec.y_train, spec.y_test):
+            (tmp_path / path).touch()
+        assert self.run_in(tmp_path, monkeypatch, capsys) == 3
 
 
 def labeled_map(path, width=2, height=2, dim=6, seed=0):

@@ -3,6 +3,7 @@ import threading
 import time
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ from resom.experiments import (
     write_record_csv,
 )
 from resom.synthetic import SyntheticSpec, make_paired_dataset
+
+DIGITS_SPEC = Path(__file__).resolve().parent.parent / "specs" / "digits.spec"
 
 # A spec text of each dataset that sets none of the other's keys.
 DATASET_SPECS = {
@@ -70,6 +73,23 @@ class TestSpecFile:
         again = parse_spec(format_spec(spec))
         assert again == spec
         assert spec_hash(again) == spec_hash(spec)
+
+    def test_digits_file_sets_the_papers_values(self):
+        # The paper's digits run; its paths are relative to the data directory.
+        assert load_spec(DIGITS_SPEC) == ExperimentSpec(
+            dataset="files", normalize_y="zscore-minmax",
+            x_train="mnist/train-images-idx3-ubyte", x_train_labels="mnist/train-labels-idx1-ubyte",
+            x_test="mnist/t10k-images-idx3-ubyte", x_test_labels="mnist/t10k-labels-idx1-ubyte",
+            y_train="digits/smnist_train.rsm1", y_test="digits/smnist_test.rsm1",
+            grid_x=(10, 10), grid_y=(16, 16), label_fraction_x=0.01, alpha_y=0.1,
+            keep_fraction=0.1, beta_x=10.0, beta_y=10.0, seeds=tuple(range(10)),
+        )
+
+    def test_digits_file_hash_is_pinned(self):
+        # The spec_hash of every digits record, wherever its data lives.
+        assert spec_hash(load_spec(DIGITS_SPEC)) == (
+            "46d111edd522f7f726aa58b4e0df15a2efcf982a8c660c8803cfae0951af56d9"
+        )
 
     def test_comments_and_whitespace(self):
         spec = parse_spec("# a comment\n\n  epochs = 5  # trailing\nseeds=1,2\n")

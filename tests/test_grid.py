@@ -217,7 +217,7 @@ class TestBatchAxis:
 
     def test_a_batch_has_no_single_winner(self):
         batch = winner_wave(np.random.default_rng(3).random((2, 3, 4)))
-        for name in ("bmu_index", "wmu_index", "bmu_value", "wmu_value"):
+        for name in ("bmu_index", "wmu_index"):
             with pytest.raises(ValueError, match="one winner per grid"):
                 getattr(batch, name)
 

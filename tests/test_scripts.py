@@ -8,12 +8,8 @@ one line on stderr.
 import runpy
 from pathlib import Path
 
-import pytest
-
 import resom.som
-from resom import experiments as exp
 from resom import grid as ig
-from resom.cli import main
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -58,49 +54,6 @@ def test_run_synthetic_refuses_zero_seeds_before_creating_out_dir(tmp_path, caps
     assert script_main("run_synthetic.py")(["--seeds", "0", "--out-dir", str(out)]) == 2
     one_line_error(capsys, "config error: ", "at least one seed required")
     assert not out.exists()
-
-
-def test_run_digits_without_data_returns_3(tmp_path, capsys):
-    record = tmp_path / "record.csv"
-    assert script_main("run_digits.py")(
-        ["--data-dir", str(tmp_path), "--out", str(record)]
-    ) == 3
-    one_line_error(capsys, "data error: ", "train-images-idx3-ubyte")
-    assert not record.exists()
-
-
-def test_run_digits_on_empty_data_files_returns_3(tmp_path, capsys):
-    # Ended in a DataFormatError traceback and exit 1.
-    spec = exp.digits_spec(tmp_path)
-    for name in ("mnist", "digits"):
-        (tmp_path / name).mkdir()
-    for path in (spec.x_train, spec.x_train_labels, spec.x_test, spec.x_test_labels,
-                 spec.y_train, spec.y_test):
-        Path(path).touch()
-    record = tmp_path / "record.csv"
-    assert script_main("run_digits.py")(
-        ["--data-dir", str(tmp_path), "--out", str(record)]
-    ) == 3
-    one_line_error(capsys, "data error: ", "train-images-idx3-ubyte")
-    assert not record.exists()
-
-
-def test_run_digits_refuses_zero_seeds(tmp_path, capsys):
-    assert script_main("run_digits.py")(["--data-dir", str(tmp_path), "--seeds", "0"]) == 2
-    one_line_error(capsys, "config error: ", "at least one seed required")
-
-
-def test_run_digits_prints_the_report_of_its_record(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("RESOM_CACHE_DIR", raising=False)
-    monkeypatch.setattr(
-        exp, "digits_spec", lambda data_dir, seeds: exp.ExperimentSpec(seeds=seeds, epochs=1)
-    )
-    record = tmp_path / "out" / "record.csv"
-    assert script_main("run_digits.py")(["--seeds", "2", "--out", str(record)]) == 0
-    printed = capsys.readouterr().out
-    assert "gain_over_best_unimodal=" in printed
-    assert main(["report", "--records", str(record)]) == 0
-    assert capsys.readouterr().out == printed
 
 
 def test_ig_scaling_prints_one_row_per_grid(capsys):
