@@ -16,14 +16,21 @@ rule's, so ``np.minimum`` of two ranks picks the record the rule picks.  The
 relabeling changes no simulated quantity: each cell still reads only its
 neighbours' previous records, and every step's (value, origin) pairs decode
 exactly from the ranks (values read back from the activities, sign bits
-included).  The records are channel-last, (..., rows, cols, 2), so a merge
-with the row above or below is one contiguous run and one with a left or
-right neighbour one run of 2 (cols - 1) per row.  The wave is
-double-buffered (each step reads only the previous snapshot), so results
-cannot depend on cell iteration order.  A step copies the cells' own records
-and merges each neighbour's with one ``np.minimum`` over shifted views: the
-pairwise merge of the per-cell reference in the tests
-(``winner_wave_cellwise``), which it must match in every field.
+included).  The wave is double-buffered (each step reads only the previous
+snapshot), so results cannot depend on cell iteration order.
+
+Each snapshot is one flat int64 array, channel-last (a cell's best and
+worst rank side by side) and padded: a pad row above each grid and below the
+last, and a pad column right of every row, each pad cell holding rank
+n = rows * cols, which no record has.  For every cell the records above and
+below then lie 2 (cols + 1) places away and those left and right 2, so a
+step is four ``np.minimum`` calls over contiguous flat slices of the
+previous snapshot (the first writes the current one, so nothing is copied),
+then one assignment refilling the pad column the merges wrote and, with two
+grids or more, one the pad rows between them.  These are the pairwise merges
+of the per-cell reference in the tests (``winner_wave_cellwise``), which the
+wave must match in every field; ``adopt`` and ``decode`` read the real cells
+through a (..., rows, cols, 2) view.
 
 No step tracks the adoption step.  Ranks are a permutation per channel, so
 a cell's best record at step s is the unique minimum over its radius-s
@@ -48,12 +55,14 @@ row sums are the training loop's and every other operation is elementwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+import math
 from functools import partial
 
 import numpy as np
 
 from .som import (SomGrid, TrainSchedule, activities_from_distances, neighborhood,
-                  sample_distances, training_epochs, validate_training_data)
+                  sample_distances, training_epochs, validate_initial_weights,
+                  validate_training_data)
 
 
 def propagation_steps(rows: int, cols: int) -> int:
@@ -99,60 +108,69 @@ class WaveResult:
         return int(self._uniform(self.worst_origins))
 
 
-# Each cardinal neighbour as (cells, their neighbours) slices of a
-# (..., row, col, channel) array, in the reference's up, down, left, right order.
-_NEIGHBOURS = (
-    (np.s_[..., 1:, :, :], np.s_[..., :-1, :, :]),
-    (np.s_[..., :-1, :, :], np.s_[..., 1:, :, :]),
-    (np.s_[..., 1:, :], np.s_[..., :-1, :]),
-    (np.s_[..., :-1, :], np.s_[..., 1:, :]),
-)
-
-
 class _WaveState:
-    """Two snapshots of a shape's records (step s writes snapshot s % 2), their
-    neighbour views, and the index grids of np.put/take_along_axis."""
+    """Two snapshots of a shape's records (step s writes snapshot s % 2), each
+    one flat padded array, the views a step merges and refills, the real
+    cells' (..., rows, cols, 2) views and the index tables of the scatter and
+    the decode."""
 
     def __init__(self, shape: tuple[int, ...]):
         *lead, rows, cols = shape
-        self.shape, self.flat = shape, (*lead, rows * cols, 2)
-        self.records = np.empty((2, *shape, 2), dtype=np.int64)
-        self.parities = [(dst, src, [(dst[cells], src[seen]) for cells, seen in _NEIGHBOURS])
-                         for dst, src in (self.records, self.records[::-1])]
-        self.lead = [np.arange(k).reshape(k, *[1] * (len(lead) - i + 1)) for i, k in enumerate(lead)]
-        self.channels, self.ranks = np.arange(2), np.arange(rows * cols)[:, None]
-        self.cells = np.divmod(self.ranks, cols)
+        n, width = rows * cols, 2 * (cols + 1)  # width: the records of a padded row
+        size = (math.prod(lead) * (rows + 1) + 1) * width
+        self.shape, self.flat, self.n = shape, (*lead, n, 2), n
+        self.records = np.empty((2, size), dtype=np.int64)
+        self.records.fill(n)
+        padded = self.records.reshape(2, -1, cols + 1, 2)
+        self.real = padded[:, 1:].reshape(2, *lead, rows + 1, cols + 1, 2)[..., :rows, :cols, :]
+        inner = slice(width, size - width)  # every grid row and the pad rows between grids
+        self.parities = []
+        for dst, src, rowwise, real in zip(self.records, self.records[::-1], padded, self.real):
+            seen = [src[width + k:size - width + k] for k in (-width, width, -2, 2)]
+            pads = [p for p in (rowwise[1:-1, -1], rowwise[rows + 1:-1:rows + 1]) if p.size]
+            self.parities.append((dst[inner], src[inner], seen, pads, real))
+        self.lead = [np.arange(k).reshape(k, *[1] * (len(lead) - i + 2)) for i, k in enumerate(lead)]
+        self.channels = np.arange(2)
+        # The flat place of each cell's records in the first grid, and each grid's offset.
+        self.at = np.arange(width, (rows + 1) * width, 2).reshape(rows, cols + 1)[:, :cols].ravel()
+        self.offsets = np.add.outer(np.arange(0, size - width, (rows + 1) * width),
+                                    self.channels).reshape(*lead, 1, 2)
+        self.ranks = np.arange(n)[:, None]
+        self.cells = np.arange(rows)[:, None, None], np.arange(cols)[:, None]
 
     def run(self, a: np.ndarray):
-        """Yield the records of each step of the wave over finite ``a``, 0 to t_p."""
-        keys = np.empty(self.records.shape[1:])
+        """Yield the real records of each step of the wave over finite ``a``, 0 to t_p."""
+        keys = np.empty((*self.shape, 2))
         np.negative(a, out=keys[..., 0])
         keys[..., 1] = a
         self.activities, self.order = a, keys.reshape(self.flat).argsort(axis=-2, kind="stable")
-        self.records[0].reshape(self.flat)[(*self.lead, self.order, self.channels)] = self.ranks
-        yield self.records[0]
+        at = self.at[self.order]
+        at += self.offsets
+        self.records[0][at] = self.ranks
+        yield self.real[0]
         for step in range(1, propagation_steps(*self.shape[-2:]) + 1):
-            cur, prev, merges = self.parities[step % 2]
-            np.copyto(cur, prev)
-            for cells, seen in merges:
-                np.minimum(cells, seen, out=cells)
-            yield cur
+            dst, own, seen, pads, real = self.parities[step % 2]
+            np.minimum(own, seen[0], out=dst)
+            for shifted in seen[1:]:
+                np.minimum(dst, shifted, out=dst)
+            for pad in pads:
+                pad.fill(self.n)
+            yield real
 
     def adopt(self, records: np.ndarray) -> np.ndarray:
         """Each cell's step of its last new best record: its hops to that origin."""
-        ro, co = np.divmod(self.order[(*self.lead, records.reshape(self.flat)[..., :1], 0)],
-                           self.shape[-1])
+        ro, co = np.divmod(self.order[(*self.lead, records[..., :1], 0)], self.shape[-1])
         ro -= self.cells[0]
         co -= self.cells[1]
         return np.add(np.abs(ro, out=ro), np.abs(co, out=co), out=ro).reshape(self.shape)
 
     def decode(self, records: np.ndarray):
         """The step's (values, origins, adopt); [0] of values and origins is the best."""
-        origins = self.order[(*self.lead, records.reshape(self.flat), self.channels)]
+        origins = self.order[(*self.lead, records, self.channels)]
         values = self.activities.reshape(self.flat[:-1])[(*self.lead, origins)]
         # adopt last: decoded first, it left kept waves holes in the heap.
-        return (*(x.reshape(*self.shape, 2).transpose(-1, *range(len(self.shape)))
-                  for x in (values, origins)), self.adopt(records))
+        return (*(x.transpose(-1, *range(len(self.shape))) for x in (values, origins)),
+                self.adopt(records))
 
 
 def _wave(activities: np.ndarray):
@@ -202,8 +220,9 @@ def wave_trace(activities: np.ndarray) -> list[dict]:
     ]
 
 
-# Cells per check_waves block: a check peaks near 120 bytes a block cell
-# (tracemalloc: 113 at 16x16, 126 at 4x4), about 8 MB whatever the trial count.
+# Cells per check_waves block: a check peaks near 130-170 bytes a block cell,
+# 8-11 MB whatever the trial count (tracemalloc: 128 at 16x16, 134 at 4x4, 152
+# at 1x16, 166 at 2x2, 265 at 1x1).  The padded records weigh most in small grids.
 CHECK_BLOCK_CELLS = 1 << 16
 
 
@@ -256,6 +275,7 @@ def ig_train(som: SomGrid, data: np.ndarray, schedule: TrainSchedule, seed: int)
     update, with no value crossing rows.  Epochs and coefficients are
     som.train's, so the weights equal train(..., grid_metric="manhattan")'s.
     """
+    validate_initial_weights(som)
     X = validate_training_data(som, data)
     W = som.weights.copy()
     diff, sq, dist = np.empty_like(W), np.empty_like(W), np.empty(len(W))

@@ -45,14 +45,15 @@ band has a coefficient of exactly 0, so the full update would add
 0 * (v - w) to each of its weights w, and skipping that is bit-identical
 when three rules hold:
 
-* v - w is finite.  Non-finite inputs are refused (``validate_training_data``),
-  and so are non-finite initial weights (``train_many``).  A coefficient lies
-  in [0, lr] and ``TrainSchedule`` bounds lr by 1, so each update moves a
-  weight at most to its input, and weights stay within the range of the
-  inputs and initial weights up to rounding.  A loop holding a value of
-  magnitude above BAND_MAX_ABS takes the full update and the full winner
-  search: below it neither v - w nor any squared norm, product or distance
-  of the winner filter below can overflow (0 * inf is NaN).
+* v - w is finite.  Training refuses inputs (``validate_training_data``, a
+  DataFormatError) and initial weights (``validate_initial_weights``) that
+  hold a non-finite value or one of magnitude above BAND_MAX_ABS.  A
+  coefficient lies in [0, lr] and ``TrainSchedule`` bounds lr by 1, so each
+  update moves a weight at most to its input, and weights stay within the
+  range of the inputs and initial weights up to rounding.  Within the bound
+  neither v - w nor any squared norm, product or distance of the winner
+  filter below can overflow (0 * inf is NaN), so no loop, banded, stacked
+  or cellular, can turn its weights into NaN.
 * w is not -0.0, since -0.0 + 0.0 is +0.0.  A weight sum is -0.0 only when
   both terms are, so training never makes one; a loop whose initial weights
   hold one takes the full update.
@@ -142,11 +143,10 @@ SAMPLE_BLOCK = 2048
 # 300-d (234 KB) 1.30 vs 0.96 / 1.46 vs 0.69 s, 10x10 at 784-d (612 KB) 3.68
 # vs 3.44 / 3.91 vs 1.66 s.
 STACK_MAX_BYTES = 64 * 1024
-# A lone map whose initial weights or inputs reach beyond this magnitude takes
-# the full update and the full winner search (see the module docstring).
-# Below it, a d-dim squared norm, product or distance is at most 4 d 2**800,
-# and the filter's largest sum about 16 d 2**800: finite for any d below
-# 2**200.
+# Training refuses inputs and initial weights beyond this magnitude (see the
+# module docstring).  Below it, a d-dim squared norm, product or distance is
+# at most 4 d 2**800, and the filter's largest sum about 16 d 2**800: finite
+# for any d below 2**200.
 BAND_MAX_ABS = 2.0**400
 # The unit roundoff u of float64, in the winner filter's error bound.
 UNIT_ROUNDOFF = 2.0**-53
@@ -347,7 +347,8 @@ def grid_squared_distances(width: int, height: int, grid_metric: str) -> np.ndar
 
 
 def validate_training_data(som: SomGrid, data: np.ndarray) -> np.ndarray:
-    """``data`` as given, uncast, once its shape fits ``som`` and it is finite."""
+    """``data`` as given, uncast, once its shape fits ``som``, it is finite
+    and no value's magnitude exceeds BAND_MAX_ABS (a DataFormatError)."""
     X = np.asarray(data)
     if X.ndim != 2 or X.shape[1] != som.dim:
         raise ValueError(f"data shape {X.shape} does not match som dim {som.dim}")
@@ -355,7 +356,23 @@ def validate_training_data(som: SomGrid, data: np.ndarray) -> np.ndarray:
         raise ValueError("empty dataset")
     if nonfinite_rows(X).size:
         raise ValueError("training data contains non-finite values")
+    if _beyond_band_bound(X):
+        raise DataFormatError("training data holds a value of magnitude above 2**400")
     return X
+
+
+def validate_initial_weights(som: SomGrid) -> None:
+    """Refuse initial weights holding a non-finite value or one of magnitude
+    above BAND_MAX_ABS: training would overflow to NaN weights."""
+    if nonfinite_rows(som.weights).size:
+        raise ValueError("initial weights contain non-finite values")
+    if _beyond_band_bound(som.weights):
+        raise ValueError("initial weights hold a value of magnitude above 2**400")
+
+
+def _beyond_band_bound(values: np.ndarray) -> bool:
+    """Whether finite ``values`` hold one of magnitude above BAND_MAX_ABS."""
+    return max(float(values.max()), -float(values.min())) > BAND_MAX_ABS
 
 
 def train_many(
@@ -376,8 +393,8 @@ def train_many(
     """
     if not len(soms) == len(datas) == len(seeds):
         raise ValueError("need one dataset and one seed per map")
-    if any(nonfinite_rows(som.weights).size for som in soms):
-        raise ValueError("initial weights contain non-finite values")
+    for som in soms:
+        validate_initial_weights(som)
     datas = [validate_training_data(som, d) for som, d in zip(soms, datas)]
     groups: dict[object, list[int]] = {}
     for i, (som, X) in enumerate(zip(soms, datas)):
@@ -414,22 +431,19 @@ def _stack_loop(soms, datas, seeds, schedule, grid_metric):
     # dsq is symmetric, so row s is the winner's column: (k, k, 1).
     dsq = grid_squared_distances(soms[0].width, soms[0].height, grid_metric)[:, :, None]
     samples = np.empty((len(soms), min(datas[0].shape[0], SAMPLE_BLOCK), W.shape[2]))
-    banded = len(soms) == 1 and _band_is_exact(W, datas[0])
+    banded = len(soms) == 1 and _band_is_exact(W)
     sq = None if banded else np.empty_like(W)  # the winner filter squares no (k, d) array
     buffers = np.empty_like(W), sq, np.empty(W.shape[:2]), np.empty_like(dsq)
     return partial(_train_stack, W, datas, seeds, dsq, schedule, samples, *buffers,
                    soms[0].width if banded else None)
 
 
-def _band_is_exact(W: np.ndarray, X: np.ndarray) -> bool:
-    """Whether skipping the zero-coefficient neurons of weights ``W`` trained
-    on rows ``X``, and finding the winner through the filter, are
-    bit-identical to the full update and search (module docstring): no -0.0
-    weight, and no value beyond BAND_MAX_ABS.  It makes no array the size of
-    ``W`` unless ``W`` holds a zero."""
-    if np.count_nonzero(W) < W.size and np.signbit(W[W == 0]).any():
-        return False
-    return max(float(W.max()), -float(W.min()), float(X.max()), -float(X.min())) <= BAND_MAX_ABS
+def _band_is_exact(W: np.ndarray) -> bool:
+    """Whether skipping the zero-coefficient neurons of checked weights ``W``,
+    and finding the winner through the filter, are bit-identical to the full
+    update and search (module docstring): no -0.0 weight.  It makes no array
+    the size of ``W`` unless ``W`` holds a zero."""
+    return not (np.count_nonzero(W) < W.size and np.signbit(W[W == 0]).any())
 
 
 def _row_bands(table: np.ndarray, width: int) -> list[slice]:

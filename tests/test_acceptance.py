@@ -306,3 +306,21 @@ def test_digits_sweep_rows_are_pinned(tmp_path):
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
             "e015a69ef7013752f36aea6396b4e42e69cd431d70419cccb9b4498d77593011"
         ), golden_versions()
+
+
+# The sha256 of each map's alpha_sweep rows over seeds 0 and 1.
+ALPHA_ROWS_DIGESTS = {
+    "x": "3450ea8d2a6d6ce1be15e3b1a53891473d6446b931c20dcaeb14b8bb095b33c0",
+    "y": "8ee759eaaffbb138ac0ded073189ab331242a3656564c8f628016a4f92280d9c",
+}
+
+
+@pytest.mark.parametrize("modality", ALPHA_ROWS_DIGESTS)
+def test_alpha_sweep_rows_are_pinned(modality):
+    """alpha_sweep of each map over seeds 0 and 1 reproduces its recorded rows."""
+    with criterion(f"Alpha-sweep rows of map {modality}"):
+        rows = exp.alpha_sweep(exp.ExperimentSpec(seeds=(0, 1)), (0.5, 1.0, 5.0),
+                               modality=modality, cache=exp.StageCache(None))
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            ALPHA_ROWS_DIGESTS[modality]
+        ), golden_versions()

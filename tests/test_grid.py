@@ -222,6 +222,37 @@ class TestBatchAxis:
                 getattr(batch, name)
 
 
+# Tie-heavy grids under zero to two leading batch axes.
+tie_heavy_stacks = st.tuples(st.lists(st.integers(1, 3), max_size=2), st.integers(1, 6),
+                             st.integers(1, 7)).flatmap(
+    lambda shape: hnp.arrays(
+        np.float64, (*shape[0], *shape[1:]), elements=st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0])
+    )
+)
+
+
+class TestPaddedRecords:
+    @settings(max_examples=100, deadline=None)
+    @given(tie_heavy_stacks)
+    @example(np.array([[[0.5, 1.0, 1.0, 0.0, -0.0, 0.0, 0.5]], [[-0.0, 0.0, 0.0, 1.0, 1.0, 0.5, 0.5]]]))
+    @example(np.array([[[0.0], [0.5], [0.5], [-0.0], [1.0], [0.0]]] * 3))
+    @example(np.array([[[0.5]], [[-0.0]], [[1.0]], [[0.5]]]))
+    def test_every_pad_cell_holds_the_sentinel_after_every_step(self, a):
+        # A pad row above each grid and below the last, a pad column right of
+        # every row; a pad cell holds rank n, which no record has.
+        *lead, rows, cols = a.shape
+        n, grids = rows * cols, int(np.prod(lead))
+        wave = grid._WaveState(a.shape)
+        assert wave.records.shape == (2, (grids * (rows + 1) + 1) * (cols + 1) * 2)
+        for records in wave.run(a):
+            assert (records < n).all()
+            kept = wave.records.copy()
+            wave.real[...] = n  # so every cell holds n if every pad cell did
+            assert (wave.records == n).all()
+            wave.records[...] = kept
+        assert np.array_equal(wave.adopt(records), winner_wave(a).distance_to_bmu)
+
+
 class TestLocality:
     def test_information_travels_one_hop_per_step(self):
         # perturbing one cell cannot affect cells farther than s hops in s steps
@@ -308,11 +339,12 @@ class TestCheckWaves:
         assert 0 < mismatches == want < trials
         assert np.array_equal(first, grids[0])
 
-    def test_memory_does_not_grow_with_the_trials(self):
-        # One batch of all 20 000 trials peaked at 35 MB.
+    @pytest.mark.parametrize("rows, cols", [(4, 4), (1, 16), (2, 2)], ids=["4x4", "1x16", "2x2"])
+    def test_memory_does_not_grow_with_the_trials(self, rows, cols):
+        # One batch of all 20 000 4x4 trials peaked at 35 MB.
         tracemalloc.start()
         try:
-            check_waves(4, 4, trials=20_000, seed=0)
+            check_waves(rows, cols, trials=20_000, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from resom import grid as ig
 from resom import som as som_mod
+from resom.data import DataFormatError
 from resom.som import TrainSchedule, make_som
 from scalar_oracles import same_bits
 
@@ -188,28 +189,44 @@ def test_negative_zero_weight_takes_the_full_update():
     assert same_bits(som_mod.train(som, data, BAND_SCHEDULE, 0).weights, expected)
 
 
-def test_values_beyond_the_band_bound_take_the_full_update():
-    som, data = column_map(-1e308, top=1e308), np.tile([1e308, 0.5], (5, 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        expected = reference_train(som, data, BAND_SCHEDULE, 0).weights
-        got = som_mod.train(som, data, BAND_SCHEDULE, 0).weights
-    # 1e308 - -1e308 overflows, and 0 * inf is NaN: skipping would keep -1e308.
-    assert np.isnan(expected[0, 0])
-    assert same_bits(got, expected)
+# Every training loop: the lone banded one, a stack of two maps and the cellular one.
+TRAINERS = {
+    "train": lambda som, data: som_mod.train(som, data, BAND_SCHEDULE, 0, "manhattan"),
+    "stack": lambda som, data: som_mod.train_many([som, som], [data, data], BAND_SCHEDULE,
+                                                  [0, 1], "manhattan")[0],
+    "ig_train": lambda som, data: ig.ig_train(som, data, BAND_SCHEDULE, 0),
+}
 
 
-def test_values_whose_squares_overflow_take_the_full_search(monkeypatch):
-    # Within 2**1020, but a squared norm or product of 1e200 overflows: the
-    # filter's f would be inf - inf, so the loop keeps the full search.
-    som, data = column_map(0.0, top=1e200), np.tile([1e200, 0.5], (5, 1))
-    filtered = []
-    monkeypatch.setattr(som_mod, "_train_lone_block", lambda *args: filtered.append(args))
-    with np.errstate(over="ignore"):
-        assert np.isinf(som.weights[-1] @ data[0])
-        expected = reference_train(som, data, BAND_SCHEDULE, 0).weights
-        got = som_mod.train(som, data, BAND_SCHEDULE, 0).weights
-    assert not filtered
-    assert same_bits(got, expected)
+@pytest.mark.parametrize("trainer", TRAINERS)
+def test_values_beyond_the_band_bound_are_refused(trainer):
+    # 1.5e308 - -1.5e308 overflows, and 0 * inf is NaN: both paths used to
+    # return all-NaN weights without an error.
+    train = TRAINERS[trainer]
+    with pytest.raises(DataFormatError, match="magnitude above 2\\*\\*400"):
+        train(column_map(0.0), np.tile([[1.5e308, 0.5], [-1.5e308, 0.5]], (3, 1)))
+    with pytest.raises(ValueError, match="initial weights hold a value of magnitude above"):
+        train(column_map(-1.5e308, top=1.5e308), np.tile([1.0, 0.5], (5, 1)))
+
+
+@pytest.mark.parametrize("trainer", TRAINERS)
+def test_values_whose_squares_overflow_are_refused(trainer):
+    # Within 2**1020, but a squared norm or product of 1e200 overflows.
+    train = TRAINERS[trainer]
+    with pytest.raises(DataFormatError, match="magnitude above"):
+        train(column_map(0.0), np.tile([1e200, 0.5], (5, 1)))
+    with pytest.raises(ValueError, match="initial weights hold"):
+        train(column_map(0.0, top=1e200), np.tile([1.0, 0.5], (5, 1)))
+
+
+@pytest.mark.parametrize("trainer", TRAINERS)
+def test_values_at_the_band_bound_train(trainer):
+    bound = som_mod.BAND_MAX_ABS
+    data = np.tile([[bound, 0.5], [-bound, 0.5]], (3, 1))
+    trained = TRAINERS[trainer](column_map(-bound, top=bound), data).weights
+    assert np.isfinite(trained).all()
+    with pytest.raises(DataFormatError, match="magnitude above"):
+        TRAINERS[trainer](column_map(0.0), np.nextafter(data, 2 * data))
 
 
 # Weight and input levels, exact in float32: ties in distance are common.
