@@ -19,30 +19,37 @@ exactly from the ranks (values read back from the activities, sign bits
 included).  The wave is double-buffered (each step reads only the previous
 snapshot), so results cannot depend on cell iteration order.
 
-Each snapshot is one flat int64 array, channel-last (a cell's best and
-worst rank side by side) and padded: a pad row above each grid and below the
-last, and a pad column right of every row, each pad cell holding rank
-n = rows * cols, which no record has.  For every cell the records above and
-below then lie 2 (cols + 1) places away and those left and right 2, so a
-step is four ``np.minimum`` calls over contiguous flat slices of the
-previous snapshot (the first writes the current one, so nothing is copied),
-then one assignment refilling the pad column the merges wrote and, with two
-grids or more, one the pad rows between them.  These are the pairwise merges
-of the per-cell reference in the tests (``winner_wave_cellwise``), which the
-wave must match in every field; ``adopt`` and ``decode`` read the real cells
-through a (..., rows, cols, 2) view.
+Each snapshot is one flat int64 array, channel-last (a cell's best and worst
+rank side by side) and padded: a pad row above the first grid and one below
+each grid of two rows or more, and a pad column right of every row, each pad
+cell holding rank n = rows * cols, which no record has.  For every cell the
+records above and below then lie 2 (cols + 1) places away and those left and
+right 2, so a step is four ``np.minimum`` calls over contiguous flat slices
+of the previous snapshot (the first writes the current one, so nothing is
+copied), then one assignment refilling the pad column the merges wrote and,
+with two grids or more, one the pad rows between them.  A one-row grid has
+no vertical neighbour, so its layout holds no pad row below it and its step
+skips the two vertical merges; a one-column grid runs as the one-row grid of
+the same flat origins.  These are the pairwise merges of the per-cell
+reference in the tests (``winner_wave_cellwise``), which the wave must match
+in every field; ``adopt`` and ``decode`` read the real cells through a
+(..., rows, cols, 2) view.
 
-No step tracks the adoption step.  Ranks are a permutation per channel, so
-a cell's best record at step s is the unique minimum over its radius-s
+No step tracks the adoption step.  Ranks are a permutation per channel, so a
+cell's best record at step s is the unique minimum over its radius-s
 Manhattan ball: it last changed at step d(cell, origin), when its origin
 entered the ball.  The adoption step is thus |r - r_o| + |c - c_o| of the
-best origin at every step, and stays local: a cell knows its coordinates
-and its record's origin.  ``ig_train`` builds one ``_WaveState`` (buffers,
-views, index grids) per call; per sample it runs the sort, the steps and
-the best origins' decode.  ``_wave`` refuses non-finite activities; those
-``ig_train`` computes from its checked data are not checked again, as
-``som.train`` checks none.  Activities of shape (..., rows, cols) run as one
-wave per leading index; ``check_waves`` runs its trials so, in blocks.
+best origin at every step, and stays local: a cell knows its coordinates and
+its record's origin; ``decode`` reads it from the best origins it gathers.
+One ``_WaveState`` per shape holds the keys, buffers, views and index
+tables, so a wave runs only the sort, the steps and the decode.
+``ig_train`` builds one per call; ``winner_wave`` keeps the last shape's per
+thread (of at most ``CHECK_BLOCK_CELLS`` cells) and reuses it, and ``_wave``
+builds its own, so that two of its waves may interleave.  Both refuse
+non-finite activities; those ``ig_train`` computes from its checked data are
+not checked again, as ``som.train`` checks none.  Activities of shape
+(..., rows, cols) run as one wave per leading index; ``check_waves`` runs
+its trials so, in blocks.
 
 Cellular training is ``som.train``'s rule, epochs, coefficients and
 per-sample distance (``som.sample_distances``) included, with one change: a
@@ -57,6 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 import math
 from functools import partial
+import threading
 
 import numpy as np
 
@@ -108,80 +116,137 @@ class WaveResult:
         return int(self._uniform(self.worst_origins))
 
 
+def _layout(rows: int, cols: int) -> tuple[int, int, int]:
+    """The (rows, cols) a grid's wave runs as, and the padded rows it takes.
+
+    A one-column grid runs as the one-row grid of the same flat origins.  A
+    grid of two rows or more takes a pad row below it; a one-row grid, with
+    no vertical neighbour, takes none.
+    """
+    if cols == 1:
+        rows, cols = 1, rows
+    return rows, cols, rows + (rows > 1)
+
+
 class _WaveState:
-    """Two snapshots of a shape's records (step s writes snapshot s % 2), each
-    one flat padded array, the views a step merges and refills, the real
-    cells' (..., rows, cols, 2) views and the index tables of the scatter and
-    the decode."""
+    """A shape's sort keys; two snapshots of its records (step s writes
+    snapshot s % 2), each one flat padded array; each step's merge and refill
+    views; the real cells' (..., rows, cols, 2) views and the index tables of
+    the scatter and the decode."""
 
     def __init__(self, shape: tuple[int, ...]):
         *lead, rows, cols = shape
-        n, width = rows * cols, 2 * (cols + 1)  # width: the records of a padded row
-        size = (math.prod(lead) * (rows + 1) + 1) * width
-        self.shape, self.flat, self.n = shape, (*lead, n, 2), n
+        rows, cols, height = _layout(rows, cols)
+        grids, n = math.prod(lead), rows * cols
+        width = 2 * (cols + 1)  # the records of a padded row
+        size = (grids * height + 1) * width
+        self.shape, self.n = shape, n
+        # Keys and sort order are (..., channel, n): each channel sorts contiguous keys.
+        self.keys = np.empty((*lead, 2, n))
+        self.best_keys, self.worst_keys = (self.keys[..., c, :].reshape(shape) for c in (0, 1))
         self.records = np.empty((2, size), dtype=np.int64)
         self.records.fill(n)
         padded = self.records.reshape(2, -1, cols + 1, 2)
-        self.real = padded[:, 1:].reshape(2, *lead, rows + 1, cols + 1, 2)[..., :rows, :cols, :]
-        inner = slice(width, size - width)  # every grid row and the pad rows between grids
-        self.parities = []
+        self.real = padded[:, 1:].reshape(2, *lead, height, cols + 1, 2)[..., :rows, :cols, :]
+        # Every grid row and the pad rows between grids; a one-row layout
+        # ends before its last pad cell, which no merge may read past.
+        lo, hi = width, size - (width if rows > 1 else 2)
+        parities = []
         for dst, src, rowwise, real in zip(self.records, self.records[::-1], padded, self.real):
-            seen = [src[width + k:size - width + k] for k in (-width, width, -2, 2)]
-            pads = [p for p in (rowwise[1:-1, -1], rowwise[rows + 1:-1:rows + 1]) if p.size]
-            self.parities.append((dst[inner], src[inner], seen, pads, real))
-        self.lead = [np.arange(k).reshape(k, *[1] * (len(lead) - i + 2)) for i, k in enumerate(lead)]
-        self.channels = np.arange(2)
-        # The flat place of each cell's records in the first grid, and each grid's offset.
+            up, down = (src[lo + k:hi + k] for k in (-width, width)) if rows > 1 else (None, None)
+            pads = [rowwise[1:-1, -1]]  # the pad column
+            if rows > 1:
+                pads.append(rowwise[height:-1:height])  # the pad rows between grids
+            parities.append((dst[lo:hi], src[lo:hi], up, down, src[lo - 2:hi - 2],
+                             src[lo + 2:hi + 2], [p for p in pads if p.size], real))
+        self.steps = [parities[s % 2] for s in range(1, rows + cols - 1)]  # steps 1 to t_p
+        # The flat place of each cell's records in the first grid, and each
+        # grid's and channel's offset from it.
         self.at = np.arange(width, (rows + 1) * width, 2).reshape(rows, cols + 1)[:, :cols].ravel()
-        self.offsets = np.add.outer(np.arange(0, size - width, (rows + 1) * width),
-                                    self.channels).reshape(*lead, 1, 2)
-        self.ranks = np.arange(n)[:, None]
-        self.cells = np.arange(rows)[:, None, None], np.arange(cols)[:, None]
+        self.offsets = np.add.outer(np.arange(0, size - width, height * width),
+                                    np.arange(2)).reshape(*lead, 2, 1)
+        self.ranks = np.arange(n)
+        # Each real record's grid and channel offset into the flat sort
+        # order, each grid's into the flat activities, and the flat indices
+        # the decode gathers through.
+        self.picks = np.repeat(np.arange(0, 2 * grids * n, n).reshape(grids, 1, 2), n,
+                               axis=1).reshape(*lead, rows, cols, 2)
+        self.starts = np.arange(0, grids * n, n).reshape(*lead, 1, 1, 1)
+        self.index = np.empty_like(self.picks)
+        self.channel_first = (len(shape), *range(len(shape)))
+        # An origin's hops to each cell, read from one difference of codes in
+        # a (2 rows - 1, 2 cols - 1) frame, where a difference cannot wrap a row.
+        span = 2 * cols - 1
+        self.codes = np.add.outer(np.arange(rows) * span, np.arange(cols)).ravel()
+        self.cell_codes = (self.codes - (rows - 1) * span - (cols - 1)).reshape(rows, cols, 1)
+        self.hops = np.add.outer(abs(np.arange(1 - rows, rows)),
+                                 abs(np.arange(1 - cols, cols))).ravel()
 
     def run(self, a: np.ndarray):
         """Yield the real records of each step of the wave over finite ``a``, 0 to t_p."""
-        keys = np.empty((*self.shape, 2))
-        np.negative(a, out=keys[..., 0])
-        keys[..., 1] = a
-        self.activities, self.order = a, keys.reshape(self.flat).argsort(axis=-2, kind="stable")
+        np.negative(a, out=self.best_keys)
+        np.copyto(self.worst_keys, a)
+        self.activities, self.order = a, self.keys.argsort(kind="stable")
         at = self.at[self.order]
         at += self.offsets
         self.records[0][at] = self.ranks
         yield self.real[0]
-        for step in range(1, propagation_steps(*self.shape[-2:]) + 1):
-            dst, own, seen, pads, real = self.parities[step % 2]
-            np.minimum(own, seen[0], out=dst)
-            for shifted in seen[1:]:
-                np.minimum(dst, shifted, out=dst)
+        n = self.n
+        for dst, own, up, down, left, right, pads, real in self.steps:
+            np.minimum(own, left, out=dst)
+            np.minimum(dst, right, out=dst)
+            if up is not None:  # a one-row layout has no vertical neighbour
+                np.minimum(dst, up, out=dst)
+                np.minimum(dst, down, out=dst)
             for pad in pads:
-                pad.fill(self.n)
+                pad.fill(n)
             yield real
+
+    def _origins(self, records: np.ndarray) -> np.ndarray:
+        """The (..., rows, cols, 2) origins of the records, best first."""
+        return self.order.take(np.add(records, self.picks, out=self.index))
+
+    def _hops(self, best: np.ndarray) -> np.ndarray:
+        """Each cell's hops to its (..., rows, cols, 1) best origin."""
+        return self.hops.take(self.codes.take(best) - self.cell_codes).reshape(self.shape)
 
     def adopt(self, records: np.ndarray) -> np.ndarray:
         """Each cell's step of its last new best record: its hops to that origin."""
-        ro, co = np.divmod(self.order[(*self.lead, records[..., :1], 0)], self.shape[-1])
-        ro -= self.cells[0]
-        co -= self.cells[1]
-        return np.add(np.abs(ro, out=ro), np.abs(co, out=co), out=ro).reshape(self.shape)
+        return self._hops(self._origins(records)[..., :1])
 
     def decode(self, records: np.ndarray):
         """The step's (values, origins, adopt); [0] of values and origins is the best."""
-        origins = self.order[(*self.lead, records, self.channels)]
-        values = self.activities.reshape(self.flat[:-1])[(*self.lead, origins)]
-        # adopt last: decoded first, it left kept waves holes in the heap.
-        return (*(x.transpose(-1, *range(len(self.shape))) for x in (values, origins)),
-                self.adopt(records))
+        origins = self._origins(records)
+        values = self.activities.take(np.add(origins, self.starts, out=self.index))
+        return (*(x.transpose(self.channel_first).reshape(2, *self.shape)
+                  for x in (values, origins)),
+                self._hops(origins[..., :1]))
 
 
-def _wave(activities: np.ndarray):
-    """Yield each step's ``_WaveState.decode``, step 0 to t_p; call it before the next."""
+def _finite_grids(activities) -> np.ndarray:
+    """The activities as a contiguous float64 (..., rows, cols) array, checked finite."""
     a = np.ascontiguousarray(activities, dtype=np.float64)
     if a.ndim < 2:
         raise ValueError("activities must form a rectangular grid")
     if not np.isfinite(a).all():
         raise ValueError("activities contain non-finite values")
+    return a
+
+
+def _wave(activities: np.ndarray):
+    """Yield each step's ``_WaveState.decode``, step 0 to t_p; call it before the next.
+
+    Each call builds its own state, so two of these waves may interleave.
+    """
+    a = _finite_grids(activities)
     wave = _WaveState(a.shape)
     return (partial(wave.decode, records) for records in wave.run(a))
+
+
+# winner_wave's state of the last shape it ran, one per thread.  Only a wave
+# of at most CHECK_BLOCK_CELLS cells leaves its state behind: a larger one's
+# set-up is small beside its steps, and its buffers would outlive it.
+_reused = threading.local()
 
 
 def winner_wave(activities: np.ndarray) -> WaveResult:
@@ -190,9 +255,18 @@ def winner_wave(activities: np.ndarray) -> WaveResult:
     distance_to_bmu is each cell's last-improvement step; every field has
     the activities' shape.
     """
-    for step, decoded in enumerate(_wave(activities)):
+    a = _finite_grids(activities)
+    wave = getattr(_reused, "wave", None)
+    _reused.wave = None  # back only once a wave completes on it
+    if getattr(wave, "shape", None) != a.shape:
+        del wave  # the last shape's buffers go before this one's come
+        wave = _WaveState(a.shape)
+    for step, records in enumerate(wave.run(a)):
         pass
-    values, origins, adopt = decoded()  # best and worst: views of one array each
+    values, origins, adopt = wave.decode(records)  # best and worst: views of one array each
+    wave.activities = wave.order = None  # the state keeps none of this wave's arrays
+    if a.size <= CHECK_BLOCK_CELLS:
+        _reused.wave = wave
     return WaveResult(
         best_values=values[0],
         best_origins=origins[0],
@@ -220,9 +294,10 @@ def wave_trace(activities: np.ndarray) -> list[dict]:
     ]
 
 
-# Cells per check_waves block: a check peaks near 130-170 bytes a block cell,
-# 8-11 MB whatever the trial count (tracemalloc: 128 at 16x16, 134 at 4x4, 152
-# at 1x16, 166 at 2x2, 265 at 1x1).  The padded records weigh most in small grids.
+# Padded cells per check_waves block (a grid's real cells, its pad column and
+# any pad row below it): a check peaks near 100-160 bytes a block cell, 6-10
+# MB whatever the trial count (tracemalloc: 151 at 16x16, 124 at 4x4, 161 at
+# 1x16 and 16x1, 104 at 2x2, 133 at 1x1).
 CHECK_BLOCK_CELLS = 1 << 16
 
 
@@ -230,8 +305,8 @@ def check_waves(rows: int, cols: int, trials: int, seed: int) -> tuple[int, np.n
     """Count winner waves that disagree with the centralized oracle.
 
     Draws ``trials`` uniform rows x cols activity grids from
-    ``default_rng(seed)``, in blocks of at most ``CHECK_BLOCK_CELLS`` cells
-    (one grid at least) that each run as one batched wave; a wave agrees
+    ``default_rng(seed)``, in blocks of at most ``CHECK_BLOCK_CELLS`` padded
+    cells (one grid at least) that each run as one batched wave; a wave agrees
     when every cell holds the argmax as its best origin, the argmin as its
     worst origin and its Manhattan distance to the argmax as its adoption
     step.  Returns the mismatch count and the first grid drawn.
@@ -240,7 +315,8 @@ def check_waves(rows: int, cols: int, trials: int, seed: int) -> tuple[int, np.n
         raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     r, c = np.indices((rows, cols))
-    per_block = max(1, CHECK_BLOCK_CELLS // (rows * cols))
+    _, run_cols, height = _layout(rows, cols)
+    per_block = max(1, CHECK_BLOCK_CELLS // (height * (run_cols + 1)))
     mismatches = 0
     for start in range(0, trials, per_block):
         acts = rng.random((min(per_block, trials - start), rows, cols))

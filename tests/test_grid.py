@@ -1,6 +1,8 @@
+from concurrent.futures import ThreadPoolExecutor
 import csv
 import hashlib
 import io
+import sys
 import tracemalloc
 
 import numpy as np
@@ -22,6 +24,9 @@ from resom.grid import (
 from resom.som import TrainSchedule, make_som, train
 from scalar_oracles import (CellSummary, merge_summaries, same_bits, winner_wave_cellwise,
                             winner_wave_cellwise_steps)
+
+
+WAVE_FIELDS = ("best_values", "best_origins", "worst_values", "worst_origins", "distance_to_bmu")
 
 
 def oracle(activities):
@@ -106,6 +111,54 @@ class TestWinnerWave:
                 if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
                     assert not np.shares_memory(a, b)
 
+    def test_threads_each_run_on_their_own_state(self):
+        # Each thread runs two shapes in turn, each twice in a row, so it both
+        # reuses its state and replaces it; a short switch interval lets the
+        # threads switch inside waves.
+        rng = np.random.default_rng(17)
+        shapes = ((16, 16), (3, 5))
+        grids = [[rng.random(shapes[i // 2 % 2]) for i in range(200)] for _ in range(4)]
+
+        def run(batch):
+            return [[getattr(winner_wave(a), field) for field in WAVE_FIELDS] for a in batch]
+
+        serial = [run(batch) for batch in grids]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                threaded = list(pool.map(run, grids, timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        for got_batch, want_batch in zip(threaded, serial, strict=True):
+            for got, want in zip(got_batch, want_batch, strict=True):
+                for g, w in zip(got, want, strict=True):
+                    assert g.shape == w.shape and np.array_equal(g, w)
+
+    def test_a_refused_wave_leaves_the_next_one_of_its_shape_exact(self):
+        rng = np.random.default_rng(18)
+        winner_wave(rng.random((4, 5)))
+        bad = rng.random((4, 5))
+        bad[2, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            winner_wave(bad)
+        a = rng.random((4, 5))
+        fast, slow = winner_wave(a), winner_wave_cellwise(a)
+        for field in WAVE_FIELDS:
+            assert np.array_equal(getattr(fast, field), getattr(slow, field)), field
+
+    def test_a_large_batch_leaves_no_state_behind(self):
+        # Only a wave of at most CHECK_BLOCK_CELLS cells keeps its state for
+        # the next; this one's would hold about 6 MB, 12 times the activities.
+        batch = np.random.default_rng(19).random((grid.CHECK_BLOCK_CELLS // 16 + 1, 4, 4))
+        tracemalloc.start()
+        try:
+            winner_wave(batch)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 0.1 * batch.nbytes
+
     def test_rejects_non_grid(self):
         with pytest.raises(ValueError, match="rectangular"):
             winner_wave(np.zeros(5))
@@ -134,8 +187,7 @@ class TestCellwiseReference:
     def test_all_fields_match_on_tie_heavy_grids(self, a):
         fast, slow = winner_wave(a), winner_wave_cellwise(a)
         assert fast.steps == slow.steps
-        for field in ("best_values", "best_origins", "worst_values",
-                      "worst_origins", "distance_to_bmu"):
+        for field in WAVE_FIELDS:
             got, want = getattr(fast, field), getattr(slow, field)
             assert got.shape == want.shape
             assert np.array_equal(got, want), field
@@ -207,8 +259,7 @@ class TestBatchAxis:
         together = winner_wave(batch)
         alone = [winner_wave(a) for a in batch]
         assert together.steps == alone[0].steps
-        for field in ("best_values", "best_origins", "worst_values",
-                      "worst_origins", "distance_to_bmu"):
+        for field in WAVE_FIELDS:
             got = getattr(together, field)
             want = np.stack([getattr(w, field) for w in alone])
             assert got.shape == want.shape == batch.shape
@@ -238,12 +289,16 @@ class TestPaddedRecords:
     @example(np.array([[[0.0], [0.5], [0.5], [-0.0], [1.0], [0.0]]] * 3))
     @example(np.array([[[0.5]], [[-0.0]], [[1.0]], [[0.5]]]))
     def test_every_pad_cell_holds_the_sentinel_after_every_step(self, a):
-        # A pad row above each grid and below the last, a pad column right of
-        # every row; a pad cell holds rank n, which no record has.
+        # A column runs as a row.  A pad row above the first grid, one below
+        # each grid of two rows or more, and a pad column right of every row;
+        # a pad cell holds rank n, which no record has.
         *lead, rows, cols = a.shape
         n, grids = rows * cols, int(np.prod(lead))
+        if cols == 1:
+            rows, cols = 1, rows
+        height = rows + 1 if rows > 1 else 1
         wave = grid._WaveState(a.shape)
-        assert wave.records.shape == (2, (grids * (rows + 1) + 1) * (cols + 1) * 2)
+        assert wave.records.shape == (2, (grids * height + 1) * (cols + 1) * 2)
         for records in wave.run(a):
             assert (records < n).all()
             kept = wave.records.copy()
@@ -329,8 +384,8 @@ class TestCheckWaves:
             return res
 
         monkeypatch.setattr(grid, "winner_wave", lying_wave)
-        if block_trials is not None:
-            monkeypatch.setattr(grid, "CHECK_BLOCK_CELLS", block_trials * 3 * 4)
+        if block_trials is not None:  # a 3x4 grid takes (3 + 1) x (4 + 1) padded cells
+            monkeypatch.setattr(grid, "CHECK_BLOCK_CELLS", block_trials * 4 * 5)
         rng = np.random.default_rng(8)
         grids = [rng.random((3, 4)) for _ in range(trials)]
         want = sum(not np.array_equal(lying_wave(a).distance_to_bmu, oracle(a)[2])
@@ -339,7 +394,8 @@ class TestCheckWaves:
         assert 0 < mismatches == want < trials
         assert np.array_equal(first, grids[0])
 
-    @pytest.mark.parametrize("rows, cols", [(4, 4), (1, 16), (2, 2)], ids=["4x4", "1x16", "2x2"])
+    @pytest.mark.parametrize("rows, cols", [(4, 4), (1, 16), (2, 2), (1, 1)],
+                             ids=["4x4", "1x16", "2x2", "1x1"])
     def test_memory_does_not_grow_with_the_trials(self, rows, cols):
         # One batch of all 20 000 4x4 trials peaked at 35 MB.
         tracemalloc.start()
