@@ -42,14 +42,15 @@ entered the ball.  The adoption step is thus |r - r_o| + |c - c_o| of the
 best origin at every step, and stays local: a cell knows its coordinates and
 its record's origin; ``decode`` reads it from the best origins it gathers.
 One ``_WaveState`` per shape holds the keys, buffers, views and index
-tables, so a wave runs only the sort, the steps and the decode.
-``ig_train`` builds one per call; ``winner_wave`` keeps the last shape's per
-thread (of at most ``CHECK_BLOCK_CELLS`` cells) and reuses it, and ``_wave``
-builds its own, so that two of its waves may interleave.  Both refuse
-non-finite activities; those ``ig_train`` computes from its checked data are
-not checked again, as ``som.train`` checks none.  Activities of shape
-(..., rows, cols) run as one wave per leading index; ``check_waves`` runs
-its trials so, in blocks.
+tables, so a wave runs only the sort, the steps and the decode.  Each thread
+keeps its last shape's (of at most ``CHECK_BLOCK_CELLS`` cells) for
+``winner_wave``, ``wave_trace`` and ``ig_train``; a wave refills both
+snapshots with rank n before its scatter, and ``decode`` takes the
+activities, so no wave reads an earlier one's records or keeps its array.
+The first two refuse non-finite activities; those ``ig_train`` computes
+from its checked data are not checked again, as ``som.train`` checks none.
+Activities of shape (..., rows, cols) run as one wave per leading index;
+``check_waves`` runs its trials so, in blocks.
 
 Cellular training is ``som.train``'s rule, epochs, coefficients and
 per-sample distance (``som.sample_distances``) included, with one change: a
@@ -63,7 +64,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 import math
-from functools import partial
 import threading
 
 import numpy as np
@@ -123,6 +123,8 @@ def _layout(rows: int, cols: int) -> tuple[int, int, int]:
     grid of two rows or more takes a pad row below it; a one-row grid, with
     no vertical neighbour, takes none.
     """
+    if rows < 1 or cols < 1:
+        raise ValueError("grid sides must be positive")
     if cols == 1:
         rows, cols = 1, rows
     return rows, cols, rows + (rows > 1)
@@ -145,7 +147,6 @@ class _WaveState:
         self.keys = np.empty((*lead, 2, n))
         self.best_keys, self.worst_keys = (self.keys[..., c, :].reshape(shape) for c in (0, 1))
         self.records = np.empty((2, size), dtype=np.int64)
-        self.records.fill(n)
         padded = self.records.reshape(2, -1, cols + 1, 2)
         self.real = padded[:, 1:].reshape(2, *lead, height, cols + 1, 2)[..., :rows, :cols, :]
         # Every grid row and the pad rows between grids; a one-row layout
@@ -186,12 +187,13 @@ class _WaveState:
         """Yield the real records of each step of the wave over finite ``a``, 0 to t_p."""
         np.negative(a, out=self.best_keys)
         np.copyto(self.worst_keys, a)
-        self.activities, self.order = a, self.keys.argsort(kind="stable")
+        self.order = self.keys.argsort(kind="stable")
         at = self.at[self.order]
         at += self.offsets
+        n = self.n
+        self.records.fill(n)  # every pad cell, and no record of an earlier wave
         self.records[0][at] = self.ranks
         yield self.real[0]
-        n = self.n
         for dst, own, up, down, left, right, pads, real in self.steps:
             np.minimum(own, left, out=dst)
             np.minimum(dst, right, out=dst)
@@ -214,10 +216,10 @@ class _WaveState:
         """Each cell's step of its last new best record: its hops to that origin."""
         return self._hops(self._origins(records)[..., :1])
 
-    def decode(self, records: np.ndarray):
-        """The step's (values, origins, adopt); [0] of values and origins is the best."""
+    def decode(self, records: np.ndarray, a: np.ndarray):
+        """The step's (values, origins, adopt) over ``a``; [0] of each pair is the best."""
         origins = self._origins(records)
-        values = self.activities.take(np.add(origins, self.starts, out=self.index))
+        values = a.take(np.add(origins, self.starts, out=self.index))
         return (*(x.transpose(self.channel_first).reshape(2, *self.shape)
                   for x in (values, origins)),
                 self._hops(origins[..., :1]))
@@ -233,20 +235,20 @@ def _finite_grids(activities) -> np.ndarray:
     return a
 
 
-def _wave(activities: np.ndarray):
-    """Yield each step's ``_WaveState.decode``, step 0 to t_p; call it before the next.
-
-    Each call builds its own state, so two of these waves may interleave.
-    """
-    a = _finite_grids(activities)
-    wave = _WaveState(a.shape)
-    return (partial(wave.decode, records) for records in wave.run(a))
-
-
-# winner_wave's state of the last shape it ran, one per thread.  Only a wave
-# of at most CHECK_BLOCK_CELLS cells leaves its state behind: a larger one's
-# set-up is small beside its steps, and its buffers would outlive it.
 _reused = threading.local()
+
+
+def _state(shape: tuple[int, ...]) -> _WaveState:
+    """This thread's wave state for ``shape``, kept for at most ``CHECK_BLOCK_CELLS``
+    cells: a larger wave's set-up is small beside its steps, and its buffers
+    would outlive it."""
+    wave = getattr(_reused, "wave", None)
+    if getattr(wave, "shape", None) != shape:
+        _reused.wave = wave = None  # the last shape's buffers go before this one's come
+        wave = _WaveState(shape)
+        if math.prod(shape) <= CHECK_BLOCK_CELLS:
+            _reused.wave = wave
+    return wave
 
 
 def winner_wave(activities: np.ndarray) -> WaveResult:
@@ -256,24 +258,17 @@ def winner_wave(activities: np.ndarray) -> WaveResult:
     the activities' shape.
     """
     a = _finite_grids(activities)
-    wave = getattr(_reused, "wave", None)
-    _reused.wave = None  # back only once a wave completes on it
-    if getattr(wave, "shape", None) != a.shape:
-        del wave  # the last shape's buffers go before this one's come
-        wave = _WaveState(a.shape)
-    for step, records in enumerate(wave.run(a)):
+    wave = _state(a.shape)
+    for records in wave.run(a):
         pass
-    values, origins, adopt = wave.decode(records)  # best and worst: views of one array each
-    wave.activities = wave.order = None  # the state keeps none of this wave's arrays
-    if a.size <= CHECK_BLOCK_CELLS:
-        _reused.wave = wave
+    values, origins, adopt = wave.decode(records, a)  # best and worst: views of one array each
     return WaveResult(
         best_values=values[0],
         best_origins=origins[0],
         worst_values=values[1],
         worst_origins=origins[1],
         distance_to_bmu=adopt,
-        steps=step,
+        steps=len(wave.steps),
     )
 
 
@@ -281,6 +276,8 @@ def wave_trace(activities: np.ndarray) -> list[dict]:
     """Per-step, per-cell state rows of one grid (for CSV debugging dumps)."""
     if np.ndim(activities) > 2:
         raise ValueError("a trace covers one grid")
+    a = _finite_grids(activities)
+    wave = _state(a.shape)
     return [
         {
             "step": step, "row": r, "col": c,
@@ -288,8 +285,8 @@ def wave_trace(activities: np.ndarray) -> list[dict]:
             "worst_value": values[1, r, c], "worst_origin": origins[1, r, c],
             "adopt_step": adopt[r, c],
         }
-        for step, decoded in enumerate(_wave(activities))
-        for values, origins, adopt in [decoded()]
+        for step, records in enumerate(wave.run(a))
+        for values, origins, adopt in [wave.decode(records, a)]
         for r, c in np.ndindex(adopt.shape)
     ]
 
@@ -357,7 +354,7 @@ def ig_train(som: SomGrid, data: np.ndarray, schedule: TrainSchedule, seed: int)
     diff, sq, dist = np.empty_like(W), np.empty_like(W), np.empty(len(W))
     # A wave reports hop counts 0..t_p only: tabulate their coefficients.
     dsq = np.arange(propagation_steps(som.height, som.width) + 1.0) ** 2
-    wave = _WaveState((som.height, som.width))
+    wave = _state((som.height, som.width))
     for lr, sigma, (order,) in training_epochs(schedule, [seed], X.shape[0]):
         h = neighborhood(dsq, lr, sigma)
         for i in order:

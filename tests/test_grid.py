@@ -4,6 +4,7 @@ import hashlib
 import io
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from resom.grid import (
     propagation_steps,
     wave_trace,
     winner_wave,
-    _wave,
 )
 from resom.som import TrainSchedule, make_som, train
 from scalar_oracles import (CellSummary, merge_summaries, same_bits, winner_wave_cellwise,
@@ -147,6 +147,41 @@ class TestWinnerWave:
         for field in WAVE_FIELDS:
             assert np.array_equal(getattr(fast, field), getattr(slow, field)), field
 
+    @pytest.mark.parametrize("shape", [(4, 5), (1, 6), (6, 1), (3, 3)],
+                             ids=["4x5", "1x6", "6x1", "3x3"])
+    def test_a_wave_reads_no_record_left_in_its_state(self, shape):
+        # Rank -3 in every record, pad cells included, as a wave that was
+        # cut short could leave them (-1 would decode as the argmax).
+        rng = np.random.default_rng(20)
+        winner_wave(rng.random(shape))
+        grid._state(shape).records.fill(-3)
+        a = rng.random(shape)
+        fast, slow = winner_wave(a), winner_wave_cellwise(a)
+        for field in WAVE_FIELDS:
+            assert np.array_equal(getattr(fast, field), getattr(slow, field)), field
+
+    @pytest.mark.parametrize("run", [winner_wave, wave_trace], ids=["winner_wave", "wave_trace"])
+    def test_the_kept_state_holds_no_reference_to_the_activities(self, run):
+        a = np.random.default_rng(21).random((4, 5))
+        held = weakref.ref(a)
+        run(a)
+        kept = grid._state(a.shape)  # the state run(a) left on this thread
+        del a
+        assert held() is None and kept.shape == (4, 5)
+
+    @pytest.mark.parametrize("run, shape", [
+        (winner_wave, (0, 3)), (winner_wave, (3, 0)), (winner_wave, (2, 0, 3)),
+        (wave_trace, (0, 3)),
+    ], ids=["wave-0x3", "wave-3x0", "wave-2x0x3", "trace-0x3"])
+    def test_refuses_a_grid_with_a_zero_side(self, run, shape):
+        with pytest.raises(ValueError, match="grid sides must be positive"):
+            run(np.zeros(shape))
+
+    def test_an_empty_batch_gives_empty_fields(self):
+        res = winner_wave(np.zeros((0, 3, 4)))
+        for field in WAVE_FIELDS:
+            assert getattr(res, field).shape == (0, 3, 4), field
+
     def test_a_large_batch_leaves_no_state_behind(self):
         # Only a wave of at most CHECK_BLOCK_CELLS cells keeps its state for
         # the next; this one's would hold about 6 MB, 12 times the activities.
@@ -200,9 +235,10 @@ class TestCellwiseReference:
     def test_every_step_matches_on_tie_heavy_grids(self, a):
         # The wave derives each step's adoption step from the best origin;
         # the reference tracks when each cell's best record last changed.
-        for step, (decoded, want) in enumerate(zip(_wave(a), winner_wave_cellwise_steps(a),
+        wave = grid._WaveState(a.shape)
+        for step, (records, want) in enumerate(zip(wave.run(a), winner_wave_cellwise_steps(a),
                                                    strict=True)):
-            values, origins, adopt = decoded()
+            values, origins, adopt = wave.decode(records, a)
             got = {"best_values": values[0], "best_origins": origins[0],
                    "worst_values": values[1], "worst_origins": origins[1],
                    "distance_to_bmu": adopt}
@@ -318,9 +354,10 @@ class TestLocality:
         rows, cols = np.indices(a.shape)
         hop = np.abs(rows - 2) + np.abs(cols - 3)
         # A rank depends on every cell's activity: compare the decoded records.
-        for step, (da, db) in enumerate(zip(_wave(a), _wave(b))):
+        wa, wb = grid._WaveState(a.shape), grid._WaveState(b.shape)
+        for step, (ra, rb) in enumerate(zip(wa.run(a), wb.run(b))):
             untouched = hop > step
-            for got, want in zip(da()[:2], db()[:2]):
+            for got, want in zip(wa.decode(ra, a)[:2], wb.decode(rb, b)[:2]):
                 assert np.array_equal(got[:, untouched], want[:, untouched])
 
 
@@ -411,17 +448,26 @@ class TestCheckWaves:
         with pytest.raises(ValueError, match="trials must be at least 1"):
             check_waves(3, 3, trials, seed=0)
 
+    @pytest.mark.parametrize("rows, cols", [(0, 4), (4, 0)])
+    def test_refuses_a_grid_with_a_zero_side(self, rows, cols):
+        with pytest.raises(ValueError, match="grid sides must be positive"):
+            check_waves(rows, cols, 3, seed=0)
+
 
 class TestCellularTraining:
-    def test_bit_identical_to_centralized_manhattan(self):
+    @pytest.mark.parametrize("width, height", [(4, 4), (1, 5), (5, 1), (1, 1), (3, 4), (4, 3)],
+                             ids=["4x4", "1x5", "5x1", "1x1", "3x4", "4x3"])
+    def test_bit_identical_to_centralized_manhattan(self, width, height):
         rng = np.random.default_rng(6)
         X = rng.random((20, 5))
-        som = make_som(4, 4, 5, seed=11)
+        som = make_som(width, height, 5, seed=11)
         schedule = TrainSchedule(epochs=4, lr_start=0.8, lr_end=0.05,
                                  sigma_start=2.0, sigma_end=0.2)
         central = train(som, X, schedule, seed=3, grid_metric="manhattan")
-        cellular = ig_train(som, X, schedule, seed=3)
-        assert same_bits(central.weights, cellular.weights)
+        assert same_bits(central.weights, ig_train(som, X, schedule, seed=3).weights)
+        # Again on the state a wave of the map's shape left on this thread.
+        winner_wave(rng.random((height, width)))
+        assert same_bits(central.weights, ig_train(som, X, schedule, seed=3).weights)
 
     def test_row_reduction_matches_per_cell_sum(self):
         # the two training paths rely on identical per-row square sums
