@@ -5,7 +5,9 @@ enter, and ``nonfinite_rows`` the one non-finite rule, which training shares.
 Feature matrices are stored as float32 (the on-disk precision of the RSM1
 cache format) with integer class labels.  All normalization statistics come
 from the training split only; the test split is clamped to [0, 1] so the
-Gaussian activity kernel downstream stays in (0, 1].
+Gaussian activity kernel downstream stays in (0, 1].  The statistics are
+taken over the training split cast to float64 as a whole; each split is then
+rescaled SAMPLE_BLOCK rows at a time, so no split's float64 copy is made.
 """
 
 from __future__ import annotations
@@ -22,6 +24,11 @@ import numpy as np
 IDX_IMAGES_MAGIC = b"\x00\x00\x08\x03"
 IDX_LABELS_MAGIC = b"\x00\x00\x08\x01"
 RSM1_MAGIC = b"RSM1"
+# Rows cast to float64 at a time: by training, bmu_stream and ``som.distances``,
+# by the normalizers and by the synthetic generator.  A gather of float64 rows
+# makes a temporary as large as the block, so 2 048 rows keep the two
+# together at the size one block of 4 096 took.
+SAMPLE_BLOCK = 2048
 
 
 class DataFormatError(ValueError):
@@ -166,9 +173,7 @@ def write_binary(path_or_file, magic: bytes, header: str, fields, arrays) -> Non
     with opened(path_or_file, "wb") as f:
         f.write(magic + struct.pack(header, *fields))
         for dtype, a in arrays:
-            # A tobytes() copy, not the array's buffer: freeing it raises glibc's mmap
-            # threshold; without it the digits-sweep set-up peaked at 246, not 239 MB.
-            f.write(np.ascontiguousarray(a, dtype=dtype).tobytes())
+            f.write(np.ascontiguousarray(a, dtype=dtype))
 
 
 def encoded(save, value) -> bytes:
@@ -299,15 +304,8 @@ def normalize_minmax(
     lo = x.min(axis=0)
     span = x.max(axis=0) - lo
     safe = np.where(span > 0, span, 1.0)
-
-    def apply(m: FeatureMatrix, clamp: bool) -> FeatureMatrix:
-        out = (m.values.astype(np.float64) - lo) / safe
-        out[:, span == 0] = 0.0
-        if clamp:
-            np.clip(out, 0.0, 1.0, out=out)
-        return FeatureMatrix(out.astype(np.float32), m.labels)
-
-    return apply(train, clamp=False), apply(test, clamp=True)
+    return (_rescaled(train, lo, safe, span == 0, clamp=False),
+            _rescaled(test, lo, safe, span == 0, clamp=True))
 
 
 def standardize_then_minmax(
@@ -321,13 +319,26 @@ def standardize_then_minmax(
     mean = x.mean(axis=0)
     std = x.std(axis=0)
     safe_std = np.where(std > 0, std, 1.0)
+    return normalize_minmax(_rescaled(train, mean, safe_std, std == 0, clamp=False),
+                            _rescaled(test, mean, safe_std, std == 0, clamp=False))
 
-    def zscore(m: FeatureMatrix) -> FeatureMatrix:
-        z = (m.values.astype(np.float64) - mean) / safe_std
-        z[:, std == 0] = 0.0
-        return FeatureMatrix(z.astype(np.float32), m.labels)
 
-    return normalize_minmax(zscore(train), zscore(test))
+def _rescaled(m: FeatureMatrix, shift: np.ndarray, scale: np.ndarray, zero: np.ndarray,
+              clamp: bool) -> FeatureMatrix:
+    """``(m - shift) / scale`` per feature in float64, the ``zero`` features
+    set to 0 and the values clamped to [0, 1] if ``clamp``, stored as
+    float32.  Only SAMPLE_BLOCK rows are cast at a time, into one buffer."""
+    out = np.empty(m.values.shape, dtype=np.float32)
+    buf = np.empty((min(m.n_samples, SAMPLE_BLOCK), m.n_features))
+    for start in range(0, m.n_samples, SAMPLE_BLOCK):
+        rows = m.values[start : start + SAMPLE_BLOCK]
+        block = np.subtract(rows, shift, out=buf[: len(rows)])
+        block /= scale
+        block[:, zero] = 0.0
+        if clamp:
+            np.clip(block, 0.0, 1.0, out=block)
+        out[start : start + len(rows)] = block
+    return FeatureMatrix(out, m.labels)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,10 @@ scorers read a map's distances to its unpaired test rows: ``unimodal_score``
 predicts each row as its BMU's label, and ``score_convergence`` classifies a
 ``PairedDataset``'s pairs, gathering map y's rows by the pairing.  So a built
 seed, and ``resom converge``, measure each map's distances once;
-``evaluate_unimodal`` derives them from rows.
+``evaluate_unimodal`` derives them from rows.  ``score_convergence`` owns
+the gathered rows and map x's fresh activities, so it computes activities
+and min-max rows in place there; no public function writes into an array
+its caller passed.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import numpy as np
 from .association import LateralSynapses
 from .data import FeatureMatrix, PairedDataset
 from .labeling import class_means
-from .som import SomGrid, activities_batch, activities_from_distances, distances
+from .som import SomGrid, _activities, activities_batch, activities_from_distances, distances
 
 # The values each choice field of ConvergenceConfig accepts.
 CHOICES = {
@@ -80,10 +83,19 @@ ALL_VARIANTS = tuple(
 
 
 def minmax_rows(fields: np.ndarray) -> np.ndarray:
-    """Min-max normalize each row via its BMU/WMU; constant rows become 0."""
+    """Min-max normalize each row via its BMU/WMU; constant rows become 0.
+    The result is a fresh array."""
+    return _minmax_rows_in_place(np.array(fields, dtype=np.result_type(fields, 1.0)))
+
+
+def _minmax_rows_in_place(fields: np.ndarray) -> np.ndarray:
+    """``minmax_rows`` written over ``fields``, an array the caller owns."""
     lo = fields.min(axis=1, keepdims=True)
     span = fields.max(axis=1, keepdims=True) - lo
-    return np.where(span > 0, (fields - lo) / np.where(span > 0, span, 1.0), 0.0)
+    fields -= lo
+    fields /= np.where(span > 0, span, 1.0)
+    fields[~(span > 0)[:, 0]] = 0.0
+    return fields
 
 
 def synapse_max(
@@ -184,7 +196,14 @@ def converge_from_fields(
     ay: np.ndarray,
     cfg: ConvergenceConfig,
 ) -> ConvergenceBatch:
-    """Decision phase on precomputed afferent fields (one row per sample)."""
+    """Decision phase on precomputed afferent fields (one row per sample);
+    ``ax`` and ``ay`` are left as they are."""
+    return _converge(som_x, som_y, syn_xy, syn_yx, ax, ay, cfg, minmax_rows)
+
+
+def _converge(som_x, som_y, syn_xy, syn_yx, ax, ay, cfg, normalize) -> ConvergenceBatch:
+    """``converge_from_fields`` with min-max rows by ``normalize``: given
+    ``_minmax_rows_in_place``, the fields the caller owns are overwritten."""
     if som_x.labels is None or som_y.labels is None:
         raise ValueError("both maps must be labeled")
     rows = np.arange(ax.shape[0])
@@ -206,7 +225,7 @@ def converge_from_fields(
 
     if cfg.neurons == "all":
         if cfg.activities == "norm":
-            ax, ay = minmax_rows(ax), minmax_rows(ay)
+            ax, ay = normalize(ax), normalize(ay)
         new_x = ax * support(syn_xy, ay)
         new_y = ay * support(syn_yx, ax)
         best_x_idx = np.argmax(new_x, axis=1)
@@ -214,9 +233,10 @@ def converge_from_fields(
         best_x = new_x[rows, best_x_idx]
         best_y = new_y[rows, best_y_idx]
     else:  # bmu: only the two local BMUs keep (updated) activity
-        lateral = minmax_rows if cfg.activities == "norm" else (lambda a: a)
-        best_x = ax[rows, bmu_x] * support(syn_xy, lateral(ay), bmu_x)
-        best_y = ay[rows, bmu_y] * support(syn_yx, lateral(ax), bmu_y)
+        lateral = normalize if cfg.activities == "norm" else (lambda a: a)
+        raw_x, raw_y = ax[rows, bmu_x], ay[rows, bmu_y]  # before lateral() may overwrite them
+        best_x = raw_x * support(syn_xy, lateral(ay), bmu_x)
+        best_y = raw_y * support(syn_yx, lateral(ax), bmu_y)
         best_x_idx, best_y_idx = bmu_x, bmu_y
 
     x_wins = best_x >= best_y  # fixed map order: x wins exact ties
@@ -270,10 +290,13 @@ def score_convergence(
     n_classes: int,
 ) -> Score:
     """Convergence over ``pairs`` from each map's distances to its test rows;
-    map y's rows are unpaired, and gathered here by the pairing."""
+    map y's rows are unpaired, and gathered here by the pairing.  The
+    fields are the call's own arrays, so their activities and min-max rows
+    are computed in place."""
     ax = activities_from_distances(dist_x, cfg.kernel_width_x)
-    ay = activities_from_distances(dist_y[pairs.pairing], cfg.kernel_width_y)
-    batch = converge_from_fields(som_x, som_y, syn_xy, syn_yx, ax, ay, cfg)
+    ay = dist_y[pairs.pairing]
+    _activities(ay, cfg.kernel_width_y, out=ay)
+    batch = _converge(som_x, som_y, syn_xy, syn_yx, ax, ay, cfg, _minmax_rows_in_place)
     return score(batch.labels, pairs.x.labels, n_classes)
 
 

@@ -24,12 +24,12 @@ contiguous d-row of a stack matches the per-row sum of a lone (k, d) map,
 every other operation is elementwise, and a stack's loop reads and writes
 only its own arrays, so the thread it runs on cannot change its result.
 tests/test_training_oracle.py checks this against the original one-map loop.
-Like bmu_stream, training casts the caller's rows to float64 one SAMPLE_BLOCK
-at a time (exact for float32), never the whole matrix.  ``training_epochs``,
-``neighborhood`` and ``sample_distances``, the one per-sample distance of
-the stacked loop and the filter's exact check (subtract, square, row sum,
-sqrt), are the training rule that grid.ig_train shares; only its grid
-distances to the winner differ.
+Like bmu_stream and distances, training casts the caller's rows to float64
+one SAMPLE_BLOCK at a time (exact for float32), never the whole matrix.
+``training_epochs``, ``neighborhood`` and ``sample_distances``, the one
+per-sample distance of the stacked loop and the filter's exact check
+(subtract, square, row sum, sqrt), are the training rule that grid.ig_train
+shares; only its grid distances to the winner differ.
 
 A lone map (a loop of one map) updates only the band of grid rows that its
 winner's neighbourhood reaches.  Once per epoch, after ``neighborhood`` fills
@@ -103,8 +103,11 @@ Stacks keep the full update and the full search, since their maps' winners
 differ.
 
 ``distances`` splits large jobs across the CPUs too: one contiguous row
-block per CPU, each block's cdist written into its rows of one result.  Each
+range per CPU, each range's cdist written into its rows of one result.  Each
 distance depends on its input row alone, so the matrix equals one cdist's.
+The rows are cast to float64 SAMPLE_BLOCK at a time (exact for float32),
+into one buffer per range that the calling thread allocates before any pool
+thread runs, so no whole-matrix float64 copy is made.
 
 ``cdist`` is the one seam to scipy: it imports scipy at the first distance,
 on the calling thread, so ``import resom`` loads none of it.
@@ -121,7 +124,8 @@ from functools import partial
 
 import numpy as np
 
-from .data import DataFormatError, encoded, nonfinite_rows, read_binary, write_binary
+from .data import (SAMPLE_BLOCK, DataFormatError, encoded, nonfinite_rows, read_binary,
+                   write_binary)
 
 RSOM_MAGIC = b"RSOM"
 GRID_METRICS = ("euclidean", "manhattan")
@@ -131,10 +135,6 @@ GRID_METRICS = ("euclidean", "manhattan")
 # 4.0 vs 4.9 ms, 2 000x100 at 100-d (20M) 8.4 vs 8.0 ms, 500x100 at 784-d
 # (39M) 16.0 vs 11.3 ms, 10 000x100 at 784-d 313 vs 191 ms.
 PARALLEL_MIN_NKD = 30_000_000
-# Rows cast to float64 at a time, by training and bmu_stream.  A gather of
-# float64 rows makes a temporary as large as the block, so 2 048 rows keep
-# the two together at the size one block of 4 096 took.
-SAMPLE_BLOCK = 2048
 # A map whose weights take more bytes than this trains in a loop of its own.
 # 2-vCPU VM, ten equal maps over 500 rows for 2 epochs, one stacked loop
 # against one loop per map (on 1 CPU / on 2): 8x8 at 16-d (8 KB) 0.065 vs
@@ -279,33 +279,54 @@ def distances(som: SomGrid, values: np.ndarray) -> np.ndarray:
     prediction derives from it.  Each row depends on its input row alone, so
     distances of gathered rows equal the gathered rows of the distances.
     """
-    v = np.ascontiguousarray(values, dtype=np.float64)
+    v = np.asarray(values)
     n = v.shape[0]
     workers = min(cpu_count(), n)
     if workers < 2 or n * som.n_neurons * som.dim < PARALLEL_MIN_NKD:
-        return cdist(v, som.weights)
-    # One contiguous row block per CPU, each written in place.
-    import scipy.spatial.distance  # noqa: F401  (first import on this thread, not a pool's)
+        workers = 1
+    else:  # one contiguous row range per CPU, each written in place
+        import scipy.spatial.distance  # noqa: F401  (first import on this thread, not a pool's)
     out = np.empty((n, som.n_neurons))
     bounds = [n * i // workers for i in range(workers + 1)]
-    _run_all([partial(cdist, v[a:b], som.weights, out=out[a:b])
+    # Each range's cast buffer is allocated here, in the calling thread (a
+    # pool thread's allocations would stay in its own malloc arena).
+    _run_all([partial(_cdist_rows, v[a:b], som.weights, out[a:b],
+                      np.empty((min(b - a, SAMPLE_BLOCK), v.shape[1])))
               for a, b in zip(bounds, bounds[1:])])
     return out
 
 
-def activities_from_distances(d: np.ndarray, kernel_width: float) -> np.ndarray:
-    """Gaussian activities exp(-d / kernel_width) of a distance matrix."""
+def _cdist_rows(rows, weights, out, buf) -> None:
+    """cdist of ``rows`` to ``weights`` written into ``out``, the rows cast
+    to float64 into ``buf`` one SAMPLE_BLOCK at a time."""
+    for start in range(0, len(rows), SAMPLE_BLOCK):
+        block = rows[start : start + SAMPLE_BLOCK]
+        cast = buf[: len(block)]
+        cast[...] = block
+        cdist(cast, weights, out=out[start : start + len(block)])
+
+
+def _activities(d: np.ndarray, kernel_width: float, out=None) -> np.ndarray:
+    """exp(-d / kernel_width) into ``out`` (``d`` itself for an array the
+    caller owns), or a fresh array."""
     if not 0 < kernel_width < math.inf:
         raise ValueError(f"kernel width must be positive and finite, got {kernel_width}")
-    # The steps of np.exp(-d / kernel_width), bit for bit, in one fresh array.
-    a = np.negative(d)
+    # The steps of np.exp(-d / kernel_width), bit for bit.
+    a = np.negative(d, out=out)
     a /= kernel_width
     return np.exp(a, out=a)
 
 
+def activities_from_distances(d: np.ndarray, kernel_width: float) -> np.ndarray:
+    """Gaussian activities exp(-d / kernel_width) of a distance matrix, in a
+    fresh array."""
+    return _activities(d, kernel_width)
+
+
 def activities_batch(som: SomGrid, values: np.ndarray, kernel_width: float) -> np.ndarray:
     """(n_samples, n_neurons) Gaussian activities."""
-    return activities_from_distances(distances(som, values), kernel_width)
+    d = distances(som, values)
+    return _activities(d, kernel_width, out=d)
 
 
 def bmu_stream(som: SomGrid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,9 @@ Each class is a Gaussian cluster per modality inside the unit cube.  Chosen
 class pairs share nearly-identical centers in one modality (controlled by
 ``confusion_overlap``) while staying well separated in the other, so each
 modality is weak exactly where the other is strong.  That makes the data a
-self-contained benchmark for cross-map fusion without any download.
+self-contained benchmark for cross-map fusion without any download.  Points
+are drawn and clipped in float64 one SAMPLE_BLOCK of rows at a time and kept
+as float32, the precision every feature matrix holds.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureMatrix, PairedDataset
+from .data import SAMPLE_BLOCK, FeatureMatrix, PairedDataset
 
 
 @dataclass(frozen=True)
@@ -89,8 +91,18 @@ def _class_centers(
 def _sample_modality(
     rng: np.random.Generator, centers: np.ndarray, labels: np.ndarray, noise: float
 ) -> np.ndarray:
-    points = centers[labels] + rng.normal(scale=noise, size=(labels.size, centers.shape[1]))
-    return np.clip(points, 0.0, 1.0)
+    """float32 points: each label's center plus Gaussian noise, clipped to
+    the unit cube.  The noise is drawn SAMPLE_BLOCK rows at a time, which
+    repeats the stream of one draw of every row, and each block is
+    centered and clipped in float64 before it is stored."""
+    points = np.empty((labels.size, centers.shape[1]), dtype=np.float32)
+    for start in range(0, labels.size, SAMPLE_BLOCK):
+        rows = labels[start : start + SAMPLE_BLOCK]
+        block = rng.normal(scale=noise, size=(rows.size, centers.shape[1]))
+        block += centers[rows]
+        np.clip(block, 0.0, 1.0, out=block)
+        points[start : start + rows.size] = block
+    return points
 
 
 def make_paired_dataset(

@@ -312,9 +312,9 @@ class TestConverge:
         calls = []
         cdist = resom.som.cdist
 
-        def counting_cdist(values, weights):
+        def counting_cdist(values, weights, **kwargs):
             calls.append((values.shape[0], weights.shape[0]))
-            return cdist(values, weights)
+            return cdist(values, weights, **kwargs)
 
         monkeypatch.setattr(resom.som, "cdist", counting_cdist)
         assert run("converge", *converge_inputs(chain), "--metrics", tmp_path / "m.txt") == 0

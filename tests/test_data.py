@@ -1,6 +1,7 @@
 import io
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import whole_matrix_oracles as whole
+from resom import data as data_mod
 from resom.association import LateralSynapses, load_synapses, save_synapses
 from resom.data import (
     DataFormatError,
@@ -26,6 +29,7 @@ from resom.data import (
 )
 from resom.experiments import write_metrics
 from resom.som import SomGrid, load_som, save_som
+from scalar_oracles import same_bits
 
 
 def idx_image_bytes(images: np.ndarray) -> bytes:
@@ -413,6 +417,42 @@ class TestNormalization:
         twice, _ = normalize_minmax(once, once)
         np.testing.assert_allclose(once.values, twice.values, atol=1e-12)
         assert once.values.min() >= 0.0 and once.values.max() <= 1.0
+
+
+    @pytest.mark.parametrize("normalize", ["normalize_minmax", "standardize_then_minmax"])
+    def test_blocks_of_seven_equal_the_whole_matrix(self, monkeypatch, normalize):
+        # 60 training and 25 test rows in blocks of 7 end in a short block.
+        # Column 1 is constant (zero range, zero variance) and column 2 takes
+        # two values; the test rows leave the training range, so the clamp runs.
+        rng = np.random.default_rng(21)
+        train_values = rng.normal(size=(60, 4)).astype(np.float32)
+        train_values[:, 1] = 0.25
+        train_values[:, 2] = np.where(np.arange(60) % 2, 1.5, -2.0)
+        train = FeatureMatrix(train_values, np.zeros(60))
+        test = FeatureMatrix(3 * rng.normal(size=(25, 4)).astype(np.float32), np.ones(25))
+        monkeypatch.setattr(data_mod, "SAMPLE_BLOCK", 7)
+        got = getattr(data_mod, normalize)(train, test)
+        want = getattr(whole, normalize)(train, test)
+        for g, w in zip(got, want):
+            assert same_bits(g.values, w.values)
+            assert np.array_equal(g.labels, w.labels)
+        assert not got[1].values[:, 1].any()
+
+    @pytest.mark.parametrize("normalize, bound", [
+        ("normalize_minmax", 2.0),  # a whole-matrix float64 cast peaked at 4.0x
+        ("standardize_then_minmax", 3.0),  # at 5.0x
+    ])
+    def test_casts_one_sample_block_at_a_time(self, normalize, bound):
+        rng = np.random.default_rng(22)
+        train = FeatureMatrix(rng.random((100, 784), dtype=np.float32), np.zeros(100))
+        test = FeatureMatrix(rng.random((20_000, 784), dtype=np.float32), np.zeros(20_000))
+        tracemalloc.start()
+        try:
+            getattr(data_mod, normalize)(train, test)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * test.values.nbytes
 
 
 class TestClassCount:

@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import resom.som
-from resom import association as assoc, inference, labeling
+from resom import association as assoc, inference, labeling, synthetic
 from resom.cli import main
 from resom.data import FeatureMatrix, save_rsm1
 from resom.experiments import (
@@ -36,6 +37,8 @@ from resom.experiments import (
     write_record_csv,
 )
 from resom.synthetic import SyntheticSpec, make_paired_dataset
+from scalar_oracles import same_bits
+import whole_matrix_oracles as whole
 
 DIGITS_SPEC = Path(__file__).resolve().parent.parent / "specs" / "digits.spec"
 
@@ -240,6 +243,32 @@ class TestSynthetic:
     def test_overlapping_pair_validation(self):
         with pytest.raises(ValueError, match="at most one pair"):
             SyntheticSpec(confused_x=((0, 1), (1, 2)))
+
+    def test_blocks_of_seven_repeat_the_whole_matrix_draw(self, monkeypatch):
+        # 60 and 18 rows in blocks of 7 end in a short block; the noise of
+        # the blocks is the stream of one draw of every row.
+        spec = SyntheticSpec(n_classes=3, dim_x=5, dim_y=4, train_per_class=20,
+                             test_per_class=6, confused_x=((1, 2),), confused_y=((0, 1),))
+        monkeypatch.setattr(synthetic, "SAMPLE_BLOCK", 7)
+        got = make_paired_dataset(spec, seed=3)
+        monkeypatch.setattr(synthetic, "_sample_modality", whole.sample_modality)
+        want = make_paired_dataset(spec, seed=3)
+        for g, w in zip(got, want):
+            for m in ("x", "y"):
+                assert same_bits(getattr(g, m).values, getattr(w, m).values)
+                assert np.array_equal(getattr(g, m).labels, getattr(w, m).labels)
+
+    def test_draws_one_sample_block_at_a_time(self):
+        # One float64 draw of every row peaked at 4.0x the float32 points.
+        spec = SyntheticSpec(n_classes=10, dim_x=784, dim_y=16, train_per_class=2_000,
+                             test_per_class=1)
+        tracemalloc.start()
+        try:
+            train, _ = make_paired_dataset(spec, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * train.x.values.nbytes
 
 
 def files_spec(tmp_path, **overrides) -> ExperimentSpec:
@@ -562,9 +591,9 @@ class TestSharedDistances:
         calls = []
         cdist = resom.som.cdist
 
-        def counting_cdist(values, weights):
+        def counting_cdist(values, weights, **kwargs):
             calls.append((values.shape[0], weights.shape[0]))
-            return cdist(values, weights)
+            return cdist(values, weights, **kwargs)
 
         monkeypatch.setattr(resom.som, "cdist", counting_cdist)
         prune_sweep(spec, (0.05, 0.1, 0.25, 1.0), StageCache(None))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from resom.association import LateralSynapses
 from resom.data import FeatureMatrix, PairedDataset
 from resom.inference import (
+    ALL_VARIANTS,
     ConvergenceConfig,
     converge_from_fields,
     disconnected_targets,
@@ -23,7 +25,8 @@ from resom.inference import (
 )
 from resom.labeling import label_som
 from resom.som import SomGrid, activities_batch, distances
-from scalar_oracles import activation_field, converge_classify
+from scalar_oracles import activation_field, converge_classify, same_bits
+import whole_matrix_oracles as whole
 
 
 def classify_batch(som_x, som_y, syn_xy, syn_yx, values_x, values_y, cfg):
@@ -282,6 +285,15 @@ class TestMinMax:
     def test_constant_row(self):
         assert not minmax_rows(np.full((1, 4), 0.7)).any()
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_equals_the_whole_matrix_form_and_leaves_its_input(self, dtype):
+        fields = np.random.default_rng(25).random((12, 9)).astype(dtype)
+        fields[3] = 0.5  # a constant row
+        fields[7, ::2] = 0.0
+        before = fields.copy()
+        assert same_bits(minmax_rows(fields), whole.minmax_rows(fields))
+        assert same_bits(fields, before)
+
 
 class TestDivergence:
     def test_max_of_incoming(self):
@@ -382,6 +394,61 @@ class TestSynapseMax:
             full = synapse_max(syn.weights, syn.exists, fields)
             got = synapse_max(syn.weights, syn.exists, fields, at)
             assert np.array_equal(got, full[np.arange(12), at])
+
+
+class TestFieldOwnership:
+    """The public scorers write into none of their callers' arrays; only
+    ``score_convergence`` works in place, on the fields it gathers itself."""
+
+    @staticmethod
+    def case(rng, n=40, kx=6, ky=9):
+        som_x = SomGrid(kx, 1, rng.random((kx, 2)), rng.integers(0, 3, kx))
+        som_y = SomGrid(ky, 1, rng.random((ky, 2)), rng.integers(0, 3, ky))
+        exists_xy, exists_yx = rng.random((kx, ky)) < 0.4, rng.random((ky, kx)) < 0.4
+        syn_xy = LateralSynapses(kx, ky, np.where(exists_xy, rng.random((kx, ky)), 0.0),
+                                 exists_xy)
+        syn_yx = LateralSynapses(ky, kx, np.where(exists_yx, rng.random((ky, kx)), 0.0),
+                                 exists_yx)
+        y_labels, pairing = rng.integers(0, 3, n), rng.permutation(n)
+        pairs = PairedDataset(FeatureMatrix(rng.random((n, 2)), y_labels[pairing]),
+                              FeatureMatrix(rng.random((n, 2)), y_labels), pairing)
+        return som_x, som_y, syn_xy, syn_yx, pairs
+
+    def test_converge_from_fields_leaves_its_fields(self):
+        som_x, som_y, syn_xy, syn_yx, pairs = self.case(np.random.default_rng(26))
+        ax = activities_batch(som_x, pairs.x.values, 1.0)
+        ay = activities_batch(som_y, pairs.y_values, 1.0)
+        ax[0], ay[1] = 0.5, 0.25  # constant rows
+        before = ax.copy(), ay.copy()
+        for cfg in ALL_VARIANTS:
+            converge_from_fields(som_x, som_y, syn_xy, syn_yx, ax, ay, cfg)
+            assert same_bits(ax, before[0]) and same_bits(ay, before[1]), cfg
+
+    def test_score_convergence_leaves_the_distances(self):
+        som_x, som_y, syn_xy, syn_yx, pairs = self.case(np.random.default_rng(27))
+        dist_x, dist_y = distances(som_x, pairs.x.values), distances(som_y, pairs.y.values)
+        before = dist_x.copy(), dist_y.copy()
+        for cfg in ALL_VARIANTS:
+            score_convergence(som_x, som_y, syn_xy, syn_yx, pairs, dist_x, dist_y, cfg, 3)
+            assert same_bits(dist_x, before[0]) and same_bits(dist_y, before[1]), cfg
+
+    def test_score_convergence_works_on_its_own_fields_in_place(self):
+        # The activities of the gathered y distances, then their min-max
+        # rows, took two more arrays of that size: 3.4x them at the peak.
+        som_x, som_y, syn_xy, syn_yx, pairs = self.case(np.random.default_rng(28), n=20_000,
+                                                        kx=16, ky=64)
+        dist_x, dist_y = distances(som_x, pairs.x.values), distances(som_y, pairs.y.values)
+        cfg = ConvergenceConfig()  # max-norm-bmu
+        batch = classify_batch(som_x, som_y, syn_xy, syn_yx, pairs.x.values, pairs.y_values, cfg)
+        want = score(batch.labels, pairs.x.labels, 3)
+        tracemalloc.start()
+        try:
+            got = score_convergence(som_x, som_y, syn_xy, syn_yx, pairs, dist_x, dist_y, cfg, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * dist_y.nbytes
+        assert got.accuracy == want.accuracy and np.array_equal(got.confusion, want.confusion)
 
 
 class TestEvaluation:

@@ -25,6 +25,7 @@ from resom.som import (
     train_many,
 )
 from scalar_oracles import activation_field, activity, elect_bmu_wmu, neighborhood, same_bits
+import whole_matrix_oracles as whole
 
 
 class TestActivity:
@@ -88,6 +89,36 @@ class TestDistances:
         assert pool_sizes == pools
         assert threading.active_count() == threads
         assert np.array_equal(got, cdist(X, som.weights))
+
+    @pytest.mark.parametrize("cpus, split", [(1, False), (2, True), (3, True)])
+    def test_blocks_of_seven_equal_one_cast_of_every_row(self, monkeypatch, pool_sizes,
+                                                        cpus, split):
+        # 60 float32 rows in blocks of 7 end in a short block, in one range
+        # and in each range of a pool split (30 rows, or 20).
+        rng = np.random.default_rng(23)
+        som = SomGrid(3, 2, rng.random((6, 5)))
+        X = rng.random((60, 5), dtype=np.float32)
+        monkeypatch.setattr(som_mod, "SAMPLE_BLOCK", 7)
+        monkeypatch.setattr(som_mod, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(som_mod, "PARALLEL_MIN_NKD", 0 if split else 10**18)
+        assert same_bits(som_mod.distances(som, X), whole.distances(som, X))
+        assert pool_sizes == ([cpus] if split else [])
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_casts_one_sample_block_at_a_time(self, monkeypatch, cpus):
+        # A float64 copy of every row peaked at 2.0x the float32 rows.
+        X = np.random.default_rng(24).random((20_000, 784), dtype=np.float32)
+        som = make_som(2, 2, 784, seed=0)
+        assert len(X) * som.n_neurons * som.dim >= som_mod.PARALLEL_MIN_NKD
+        monkeypatch.setattr(som_mod, "cpu_count", lambda: cpus)
+        tracemalloc.start()
+        try:
+            got = som_mod.distances(som, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * X.nbytes
+        assert same_bits(got, whole.distances(som, X))
 
 
 class TestBmuStream:
